@@ -4,39 +4,44 @@ The quotient of a zero-dimensional ideal is carried by the pair of
 commuting multiplication operators on the standard-monomial basis.  All
 invariants come out of exact linear algebra on those operators:
 
-* the support splits into local factors as joint generalized kernels of
-  the operators at their rational joint eigenvalues;
+* the quotient is cyclic on the class of 1, so each operator's minimal
+  polynomial is the first dependence among [1], M[1], M^2[1], ...; each
+  root p of multiplicity s gives the generalized eigenspace ker (M - p)^s,
+  and the local factors are the nonzero joint kernels of those spaces;
 * each factor is translated to the origin on the matrix side (M - p*Id),
   never by substituting into polynomials;
+* the nilpotency index r is the length of the m-adic filtration
+  V_0 = A, V_(k+1) = Nx V_k + Ny V_k;
 * the socle dimension is the kernel of the stacked translated pair;
 * the minimal generator count of the local ideal comes from its image in
-  the truncation k[x,y]/m^(r+1), where r is the nilpotency index.
+  k[x,y]/m^(r+1): the f with f(Nx, Ny)u = 0 for a u outside m*A.
 
-The socle route and the generator-count route are independent, and the
-identity socle = generators - 1 is asserted wherever both are computed;
-a mismatch raises LemmaViolation because it can only mean an engine bug.
+The socle route reads the joint kernel of the pair, the generator route
+only its joint image, so they are independent; socle = generators - 1 is
+asserted wherever both are computed, and a mismatch raises LemmaViolation
+because it can only mean an engine bug.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .errors import LemmaViolation, NotZeroDimensional, PointNotInSupport
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import (
     identity,
-    is_zero_matrix,
     kernel_basis,
-    mat_mul,
     mat_pow,
     mat_sub,
     mat_vec,
-    minimal_polynomial,
     rank,
+    rref,
     scaled_identity,
     solve_in_column_space,
+    vector_minimal_polynomial,
 )
 from .poly import Monomial, Polynomial, X, Y
 
@@ -223,28 +228,53 @@ def _prime_field_roots(coeffs, coeff_field) -> list:
     return roots
 
 
+def _root_multiplicity(coeffs, root) -> int:
+    """How often (t - root) divides the polynomial, by synthetic division."""
+    s = 0
+    while True:
+        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: acc * root + c)
+        if remainder:
+            return s
+        coeffs, s = quotient[::-1], s + 1
+
+
+def _minimal_polynomial(matrix, coeff_field) -> list:
+    """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0."""
+    one = [coeff_field.one()] + [coeff_field.zero()] * (len(matrix) - 1)
+    return vector_minimal_polynomial(matrix, one, coeff_field)
+
+
 def _eigenvalue_candidates(matrix, coeff_field) -> list:
-    coeffs = minimal_polynomial(matrix, coeff_field)
+    """(root, multiplicity) for each root in the field of the minimal polynomial."""
+    coeffs = _minimal_polynomial(matrix, coeff_field)
     if coeff_field.characteristic == 0:
-        return _rational_roots(coeffs)
-    return _prime_field_roots(coeffs, coeff_field)
+        roots = _rational_roots(coeffs)
+    else:
+        roots = _prime_field_roots(coeffs, coeff_field)
+    return [(p, _root_multiplicity(coeffs, p)) for p in roots]
+
+
+def _primary_power(matrix, root, s: int, coeff_field) -> list:
+    """(M - root)^s; its kernel is the generalized eigenspace of the root."""
+    shifted = mat_sub(matrix, scaled_identity(root, len(matrix), coeff_field))
+    return mat_pow(shifted, s, coeff_field)
 
 
 def nilpotency_index(nil_x: list, nil_y: list, coeff_field) -> int:
     """Least r such that every product of r factors from {Nx, Ny} vanishes.
 
     Mixed products matter: for the pair coming from (x^2, y^2) both pure
-    squares vanish while Nx*Ny does not, so the index is 3 there.
+    squares vanish while Nx*Ny does not, so the index is 3 there.  The
+    length-k products span V_k in V_0 = A, V_(k+1) = Nx V_k + Ny V_k.
     """
     m = len(nil_x)
-    words = {(0, 0): identity(m, coeff_field)}
+    basis = identity(m, coeff_field)
     for r in range(1, m + 1):
-        current = {(r, 0): mat_mul(words[(r - 1, 0)], nil_x, coeff_field)}
-        for b in range(1, r + 1):
-            current[(r - b, b)] = mat_mul(words[(r - b, b - 1)], nil_y, coeff_field)
-        if all(is_zero_matrix(w) for w in current.values()):
+        images = [mat_vec(nil, v, coeff_field) for nil in (nil_x, nil_y) for v in basis]
+        reduced, pivots = rref(images, coeff_field)
+        if not pivots:
             return r
-        words = current
+        basis = reduced[: len(pivots)]
     raise ValueError("multiplication operators are not jointly nilpotent")
 
 
@@ -252,19 +282,25 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     """The local factor at one rational point, or None if the point is not
     in the support."""
     qb = quotient_basis(gb)
-    n = qb.dimension
-    if n == 0:
+    if qb.dimension == 0:
         return None
+    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
     pair = multiplication_matrices(qb, gb)
-    return _component_at(pair, point, n, gb.field)
+    coeff_field = gb.field
+    powers = []
+    for matrix, p in zip((pair.on_x, pair.on_y), point):
+        s = _root_multiplicity(_minimal_polynomial(matrix, coeff_field), p)
+        if s == 0:
+            return None
+        powers.append(_primary_power(matrix, p, s, coeff_field))
+    return _component_at(pair, point, *powers, coeff_field)
 
 
-def _component_at(pair: MultiplicationPair, point: tuple, n: int, coeff_field):
+def _component_at(pair: MultiplicationPair, point: tuple, nil_x, nil_y, coeff_field):
+    """The factor on the joint kernel of the two primary powers, or None."""
     px, py = point
-    nil_x = mat_pow(mat_sub(pair.on_x, scaled_identity(px, n, coeff_field)), n, coeff_field)
-    nil_y = mat_pow(mat_sub(pair.on_y, scaled_identity(py, n, coeff_field)), n, coeff_field)
-    stacked = [row[:] for row in nil_x] + [row[:] for row in nil_y]
-    kernel = kernel_basis(stacked, coeff_field)
+    n = len(pair.on_x)
+    kernel = kernel_basis(nil_x + nil_y, coeff_field)
     if not kernel:
         return None
     m = len(kernel)
@@ -300,12 +336,18 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
     n = qb.dimension
     if n == 0:
         return Decomposition(components=[], residual_dimension=0, colength=0)
+    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
     pair = multiplication_matrices(qb, gb)
     coeff_field = gb.field
+    powers_y = [
+        (py, _primary_power(pair.on_y, py, s, coeff_field))
+        for py, s in _eigenvalue_candidates(pair.on_y, coeff_field)
+    ]
     components = []
-    for px in _eigenvalue_candidates(pair.on_x, coeff_field):
-        for py in _eigenvalue_candidates(pair.on_y, coeff_field):
-            lq = _component_at(pair, (px, py), n, coeff_field)
+    for px, s in _eigenvalue_candidates(pair.on_x, coeff_field):
+        nil_x = _primary_power(pair.on_x, px, s, coeff_field)
+        for py, nil_y in powers_y:
+            lq = _component_at(pair, (px, py), nil_x, nil_y, coeff_field)
             if lq is not None:
                 components.append(lq)
     components.sort(
@@ -326,27 +368,36 @@ def truncation_monomials(max_degree: int) -> list[Monomial]:
     return [Monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
 
 
+def local_unit(lq: LocalQuotient) -> list:
+    """A coordinate vector outside m*A (the span of the columns of Nx and
+    Ny), hence a generator of the factor: the single free coordinate."""
+    m = lq.dimension
+    columns = [[nil[i][j] for i in range(m)] for nil in (lq.mult_x, lq.mult_y) for j in range(m)]
+    free = sorted(set(range(m)) - set(rref(columns, lq.field)[1]))
+    if len(free) != 1:
+        raise ValueError(f"m*A has codimension {len(free)}, not 1; the factor is not local")
+    return [lq.field.one() if i == free[0] else lq.field.zero() for i in range(m)]
+
+
 def local_ideal_kernel(lq: LocalQuotient):
     """The local ideal's image in k[x,y]/m^(r+1), as kernel vectors.
 
     A polynomial f of degree <= r lies in the local ideal exactly when
-    f(Nx, Ny) is the zero operator on the factor, so the image is the
-    kernel of the evaluation map on the truncation grid.
+    f(Nx, Ny) is the zero operator on the factor, that is when f(Nx, Ny)u
+    vanishes for a generator u of the factor (``local_unit``), so the image
+    is the kernel of f -> f(Nx, Ny)u on the truncation grid.
     """
     coeff_field = lq.field
-    m = lq.dimension
     r = lq.nilpotency_index
     monos = truncation_monomials(r)
-    words = {(0, 0): identity(m, coeff_field)}
+    words = {(0, 0): local_unit(lq)}
     for a in range(1, r + 1):
-        words[(a, 0)] = mat_mul(words[(a - 1, 0)], lq.mult_x, coeff_field)
+        words[(a, 0)] = mat_vec(lq.mult_x, words[(a - 1, 0)], coeff_field)
     for a in range(r + 1):
         for b in range(1, r + 1 - a):
-            words[(a, b)] = mat_mul(words[(a, b - 1)], lq.mult_y, coeff_field)
+            words[(a, b)] = mat_vec(lq.mult_y, words[(a, b - 1)], coeff_field)
     evaluation = [
-        [words[(mono.a, mono.b)][u][v] for mono in monos]
-        for u in range(m)
-        for v in range(m)
+        [words[(mono.a, mono.b)][u] for mono in monos] for u in range(lq.dimension)
     ]
     return monos, kernel_basis(evaluation, coeff_field)
 
@@ -442,19 +493,14 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
     return rank(image_rows, coeff_field) - rank(shifted_rows, coeff_field)
 
 
-def betti_data(lq: LocalQuotient, local_ideal=None) -> BettiData:
+def betti_data(lq: LocalQuotient) -> BettiData:
     """Socle dimension and minimal generator count, computed independently.
 
     The two routes satisfy socle = e - 1 for every Artinian quotient of
     k[x,y]; disagreement is an engine bug and raises LemmaViolation.
-    When explicit generators of the local-at-origin ideal are passed, the
-    generator count uses them; otherwise it is derived from the operators.
     """
     socle = socle_dimension(lq)
-    if local_ideal is not None:
-        e = minimal_generator_count(local_ideal, lq.nilpotency_index)
-    else:
-        e = generator_count(lq)
+    e = generator_count(lq)
     if socle != e - 1:
         raise LemmaViolation(
             f"socle dimension {socle} != minimal generators {e} - 1 at point {lq.point}"

@@ -8,6 +8,8 @@ decision is therefore exact.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+
 
 def zero_matrix(rows: int, cols: int, field) -> list[list]:
     z = field.zero()
@@ -159,6 +161,27 @@ def solve_in_column_space(columns: list[list], targets: list[list], field) -> li
     return out
 
 
+def _first_dependence(vectors, field) -> list:
+    """The first linear dependence in a sequence of vectors, monic in the last."""
+    zero, one = field.zero(), field.one()
+    # echelon rows: (reduced vector, dependence coefficients, lead index)
+    echelon: list[tuple[list, list, int]] = []
+    for k, vec in enumerate(vectors):
+        comb = [zero] * k + [one]
+        for evec, ecomb, lead in echelon:
+            c = vec[lead]
+            if c:
+                vec = [v - c * w for v, w in zip(vec, evec)]
+                for i, w in enumerate(ecomb):
+                    comb[i] = comb[i] - c * w
+        lead = next((i for i, v in enumerate(vec) if v), None)
+        if lead is None:
+            return comb
+        inv = one / vec[lead]
+        echelon.append(([v * inv for v in vec], [v * inv for v in comb], lead))
+    raise ValueError("no linear dependence found")
+
+
 def minimal_polynomial(matrix: list[list], field) -> list:
     """Coefficients (constant first, monic) of the minimal polynomial.
 
@@ -166,27 +189,18 @@ def minimal_polynomial(matrix: list[list], field) -> list:
     I, M, M**2, ...; Cayley-Hamilton caps the degree at the matrix size.
     """
     n = len(matrix)
-    zero, one = field.zero(), field.one()
-    width = n * n
-    # echelon rows: (reduced flattened power, dependence coefficients, lead index)
-    echelon: list[tuple[list, list, int]] = []
-    power = identity(n, field)
-    for k in range(n + 1):
-        vec = [power[i][j] for i in range(n) for j in range(n)]
-        comb = [zero] * (n + 2)
-        comb[k] = one
-        for evec, ecomb, lead in echelon:
-            c = vec[lead]
-            if c:
-                vec = [v - c * w for v, w in zip(vec, evec)]
-                comb = [v - c * w for v, w in zip(comb, ecomb)]
-        lead = next((i for i in range(width) if vec[i]), None)
-        if lead is None:
-            return comb[: k + 1]
-        inv = one / vec[lead]
-        vec = [v * inv for v in vec]
-        comb = [v * inv for v in comb]
-        echelon.append((vec, comb, lead))
-        if k < n:
-            power = mat_mul(power, matrix, field)
-    raise ValueError("no linear dependence among matrix powers found")
+    powers = accumulate(
+        repeat(matrix, n), lambda p, m: mat_mul(p, m, field), initial=identity(n, field)
+    )
+    return _first_dependence(([v for row in p for v in row] for p in powers), field)
+
+
+def vector_minimal_polynomial(matrix: list[list], vector: list, field) -> list:
+    """Coefficients (constant first, monic) of the least f with f(M)v = 0.
+
+    The first linear dependence among v, Mv, M**2 v, ...; it is the
+    minimal polynomial of M when v generates the space under M.
+    """
+    n = len(matrix)
+    krylov = accumulate(repeat(matrix, n), lambda v, m: mat_vec(m, v, field), initial=vector)
+    return _first_dependence(krylov, field)

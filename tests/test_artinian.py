@@ -4,13 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+import punctual.artinian as artinian
 from punctual.artinian import (
+    LocalQuotient,
     analyze_quotient,
     betti_data,
     generator_count,
     local_component_at,
     local_components,
+    local_ideal_kernel,
     local_ideal_truncation,
+    local_unit,
     minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
@@ -18,15 +22,26 @@ from punctual.artinian import (
     nilpotency_index,
     quotient_basis,
     socle_dimension,
+    truncation_monomials,
 )
 from punctual.errors import NotZeroDimensional, PointNotInSupport
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
-from punctual.linalg import is_zero_matrix, mat_mul, mat_pow
+from punctual.linalg import (
+    identity,
+    is_zero_matrix,
+    kernel_basis,
+    mat_mul,
+    mat_pow,
+    mat_sub,
+    minimal_polynomial,
+    scaled_identity,
+)
 from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, parse_generators
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
+F32003 = PrimeField(32003)
 
 
 def gb_of(text, order=DEFAULT_ORDER, field=QQ):
@@ -336,3 +351,136 @@ def test_analysis_over_prime_field():
     assert {c.point[0].value for c in analysis.components} == {0, 6}
     for component in analysis.components:
         assert component.betti.b2 == 1
+
+
+# Oracles: the word-table and n-th power routines the engine used before it
+# moved to the filtration, the root-multiplicity exponent and the unit vector.
+
+
+def word_table_nilpotency_index(nil_x, nil_y, field):
+    """Least r with every length-r word in {Nx, Ny} zero, from all words."""
+    m = len(nil_x)
+    words = {(0, 0): identity(m, field)}
+    for r in range(1, m + 1):
+        current = {(r, 0): mat_mul(words[(r - 1, 0)], nil_x, field)}
+        for b in range(1, r + 1):
+            current[(r - b, b)] = mat_mul(words[(r - b, b - 1)], nil_y, field)
+        if all(is_zero_matrix(w) for w in current.values()):
+            return r
+        words = current
+    raise ValueError("not jointly nilpotent")
+
+
+def operator_evaluation_kernel(lq):
+    """Kernel of f -> f(Nx, Ny) as an m^2-row evaluation on the truncation."""
+    field, m, r = lq.field, lq.dimension, lq.nilpotency_index
+    monos = truncation_monomials(r)
+    words = {(0, 0): identity(m, field)}
+    for a in range(1, r + 1):
+        words[(a, 0)] = mat_mul(words[(a - 1, 0)], lq.mult_x, field)
+    for a in range(r + 1):
+        for b in range(1, r + 1 - a):
+            words[(a, b)] = mat_mul(words[(a, b - 1)], lq.mult_y, field)
+    evaluation = [
+        [words[(mono.a, mono.b)][u][v] for mono in monos] for u in range(m) for v in range(m)
+    ]
+    return monos, kernel_basis(evaluation, field)
+
+
+ORACLE_CASES = [(text, field) for field in (QQ, F32003) for text in CURATED_CORPUS] + [
+    (f"x^{k}, y^{k}", field) for field in (QQ, F32003) for k in range(1, 6)
+]
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    out = []
+    for text, field in ORACLE_CASES:
+        gb = gb_of(text, field=field)
+        pair = multiplication_matrices(quotient_basis(gb), gb)
+        out.append((text, field, pair, local_components(gb).components))
+    return out
+
+
+def test_filtration_nilpotency_matches_word_table(oracle_cases):
+    for text, field, _, components in oracle_cases:
+        for lq in components:
+            expected = word_table_nilpotency_index(lq.mult_x, lq.mult_y, field)
+            assert nilpotency_index(lq.mult_x, lq.mult_y, field) == expected, text
+
+
+def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
+    for text, field, pair, _ in oracle_cases:
+        for matrix in (pair.on_x, pair.on_y):
+            assert artinian._minimal_polynomial(matrix, field) == (
+                minimal_polynomial(matrix, field)
+            ), text
+
+
+def test_root_multiplicity_power_has_the_full_generalized_kernel(oracle_cases):
+    for text, field, pair, _ in oracle_cases:
+        for matrix in (pair.on_x, pair.on_y):
+            n = len(matrix)
+            for p, s in artinian._eigenvalue_candidates(matrix, field):
+                full = mat_pow(mat_sub(matrix, scaled_identity(p, n, field)), n, field)
+                assert kernel_basis(artinian._primary_power(matrix, p, s, field), field) == (
+                    kernel_basis(full, field)
+                ), text
+
+
+def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
+    for text, _, _, components in oracle_cases:
+        for lq in components:
+            assert local_ideal_kernel(lq) == operator_evaluation_kernel(lq), text
+
+
+def test_local_unit_rejects_non_local_pair():
+    zero = [[Fraction(0)] * 2 for _ in range(2)]
+    lq = LocalQuotient((QQ.zero(), QQ.zero()), 2, zero, zero, 1, QQ)
+    with pytest.raises(ValueError):
+        local_unit(lq)
+
+
+def test_root_search_runs_once_per_coordinate(monkeypatch):
+    calls = []
+    original = artinian._prime_field_roots
+
+    def counted(coeffs, field):
+        calls.append(coeffs)
+        return original(coeffs, field)
+
+    monkeypatch.setattr(artinian, "_prime_field_roots", counted)
+    decomposition = local_components(gb_of("x^2 - 1, y^2 - 1", field=F32003))
+    assert len(decomposition.components) == 4
+    assert len(calls) == 2
+
+
+def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
+    calls = []
+    original = artinian.mat_pow
+    monkeypatch.setattr(artinian, "mat_pow", lambda *args: calls.append(args) or original(*args))
+    gb = gb_of("x^2 - x, y")
+    assert local_component_at(gb, (QQ.from_int(2), QQ.zero())) is None
+    assert calls == []
+    assert local_component_at(gb, (QQ.one(), QQ.zero())).dimension == 1
+    assert len(calls) == 2
+
+
+def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
+    kernels = []
+    original = artinian.kernel_basis
+
+    def recorded(matrix, field):
+        kernels.append(matrix)
+        return original(matrix, field)
+
+    def forbidden(lq):
+        raise AssertionError("generator route called socle_dimension")
+
+    for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4"):
+        lq = one_component(text)
+        monkeypatch.setattr(artinian, "kernel_basis", recorded)
+        monkeypatch.setattr(artinian, "socle_dimension", forbidden)
+        generator_count(lq)
+        monkeypatch.undo()
+        assert kernels and all(k != lq.mult_x + lq.mult_y for k in kernels)

@@ -19,6 +19,7 @@ from punctual.linalg import (
     rref,
     scaled_identity,
     solve_in_column_space,
+    vector_minimal_polynomial,
 )
 
 F101 = PrimeField(101)
@@ -100,6 +101,51 @@ def test_minimal_polynomial_annihilates(entries):
     coeffs = minimal_polynomial(m, F101)
     assert coeffs[-1] == F101.one()
     assert is_zero_matrix(_eval_matrix_poly(coeffs, m, F101))
+
+
+def test_vector_minimal_polynomial_examples():
+    # the cyclic vector of a shift sees the whole minimal polynomial, an
+    # eigenvector only its own factor
+    shift = qmat([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    e0 = [Fraction(1), Fraction(0), Fraction(0)]
+    assert vector_minimal_polynomial(shift, e0, QQ) == minimal_polynomial(shift, QQ)
+    diag = qmat([[1, 0], [0, 2]])
+    assert vector_minimal_polynomial(diag, [Fraction(0), Fraction(1)], QQ) == [
+        Fraction(-2),
+        Fraction(1),
+    ]
+    assert vector_minimal_polynomial(diag, [Fraction(1), Fraction(1)], QQ) == (
+        minimal_polynomial(diag, QQ)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 100), min_size=3, max_size=3), min_size=4, max_size=4
+    )
+)
+def test_vector_minimal_polynomial_is_least(entries):
+    m = [[F101.from_int(v) for v in row] for row in entries[:3]]
+    vector = [F101.from_int(v) for v in entries[3]]
+    coeffs = vector_minimal_polynomial(m, vector, F101)
+    assert coeffs[-1] == F101.one()
+    assert not any(mat_vec(_eval_matrix_poly(coeffs, m, F101), vector, F101))
+    # v, Mv, ..., M^(d-1) v are independent, so no lower degree works
+    krylov = [vector]
+    for _ in range(len(coeffs) - 2):
+        krylov.append(mat_vec(m, krylov[-1], F101))
+    assert rank(krylov, F101) == len(coeffs) - 1
+    # and it divides the minimal polynomial of the matrix: the remainder of
+    # minimal_polynomial(m) by it is zero
+    remainder = minimal_polynomial(m, F101)
+    while len(remainder) >= len(coeffs):
+        lead = remainder[-1]
+        shift = len(remainder) - len(coeffs)
+        for i, c in enumerate(coeffs):
+            remainder[shift + i] = remainder[shift + i] - lead * c
+        remainder.pop()
+    assert not any(remainder)
 
 
 @settings(max_examples=30, deadline=None)
