@@ -80,7 +80,6 @@ from .verify import (
     SamplerConfig,
     SocleCensus,
     VerificationReport,
-    census_report,
     check_degeneration,
     check_multiplicity_formula,
     check_socle_identity,

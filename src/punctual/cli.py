@@ -103,8 +103,11 @@ def _resolve_field(flag_value: str | None, default_spec: str):
 def _read_ideal_text(args) -> str:
     if args.ideal is not None:
         return args.ideal
-    with open(args.file, encoding="utf-8") as handle:
-        content = handle.read()
+    try:
+        with open(args.file, encoding="utf-8") as handle:
+            content = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
     lines = [line.strip() for line in content.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
@@ -265,15 +268,14 @@ def _cmd_verify(args) -> int:
     coeff_field = _resolve_field(args.field, "QQ")
     order = MonomialOrder(args.order, args.vars)
     text = _read_ideal_text(args)
-    # surface parse and dimension problems before running any check
-    gens = parse_generators(text, coeff_field)
-    analyze_quotient(buchberger(gens, order))
+    gb = buchberger(parse_generators(text, coeff_field), order)
+    analysis = analyze_quotient(gb)
     reports = [
-        check_socle_identity(text, coeff_field, order),
-        check_multiplicity_formula(text, coeff_field, order),
+        check_socle_identity(text, gb, analysis),
+        check_multiplicity_formula(text, gb, analysis),
     ]
     try:
-        reports.append(check_degeneration(text, coeff_field))
+        reports.append(check_degeneration(text, gb, analysis))
     except SupportNotLocal as exc:
         reports.append(
             VerificationReport(
@@ -364,8 +366,8 @@ def _cmd_sweep(args) -> int:
         raise ConfigError("--crosscheck-cutoff must be non-negative")
     results = []
     for n in range(lo, hi + 1):
-        report = check_staircase_bound(n, args.crosscheck_cutoff)
         census = socle_census(n)
+        report = check_staircase_bound(census, args.crosscheck_cutoff)
         summary = report.summary
         results.append(
             {

@@ -116,10 +116,11 @@ class PrimeField:
     __slots__ = ("p", "_zero", "_one")
 
     def __init__(self, p: int):
+        # the bound first: trial division on a huge modulus does not finish
+        if isinstance(p, int) and p >= MAX_PRIME:
+            raise ParseError(f"modulus {p} is too large (must be below 2**31)")
         if not isinstance(p, int) or not is_prime(p):
             raise ParseError(f"modulus {p!r} is not prime")
-        if p >= MAX_PRIME:
-            raise ParseError(f"modulus {p} is too large (must be below 2**31)")
         self.p = p
         self._zero = GFElement(0, p)
         self._one = GFElement(1, p)

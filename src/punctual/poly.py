@@ -59,15 +59,17 @@ ORDER_TAGS = ("lex", "deglex", "degrevlex")
 PRECEDENCES = ("xy", "yx")
 
 # Ascending sort keys.  In two variables the graded orders of equal
-# precedence coincide; both tags stay selectable regardless.
+# precedence coincide, so deglex and degrevlex share one key function and
+# orders with the same key function give the same Groebner basis; both
+# tags stay selectable regardless.
 _KEY_FUNCS: dict[tuple[str, str], Callable[[Monomial], tuple[int, int]]] = {
     ("lex", "xy"): lambda m: (m.a, m.b),
     ("lex", "yx"): lambda m: (m.b, m.a),
     ("deglex", "xy"): lambda m: (m.a + m.b, m.a),
     ("deglex", "yx"): lambda m: (m.a + m.b, m.b),
-    ("degrevlex", "xy"): lambda m: (m.a + m.b, -m.b),
-    ("degrevlex", "yx"): lambda m: (m.a + m.b, -m.a),
 }
+_KEY_FUNCS[("degrevlex", "xy")] = _KEY_FUNCS[("deglex", "xy")]
+_KEY_FUNCS[("degrevlex", "yx")] = _KEY_FUNCS[("deglex", "yx")]
 
 
 @dataclass(frozen=True, slots=True)

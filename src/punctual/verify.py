@@ -4,6 +4,12 @@ Each check returns a :class:`VerificationReport` with per-case evidence
 rows and an aggregate verdict.  Reports are deterministic functions of
 their inputs (and seed, for the sampler), so serialized output is
 byte-identical across runs.
+
+The per-ideal checks read one Groebner basis and its ``analyze_quotient``;
+degeneration adds one basis per distinct order (deglex and degrevlex
+coincide in two variables) and still reports all six.  ``socle_census`` is
+the one pass over the partitions of n, and the staircase bound is read off
+it.
 """
 
 from __future__ import annotations
@@ -12,20 +18,20 @@ import random
 from dataclasses import dataclass
 
 from .artinian import (
+    IdealAnalysis,
     analyze_quotient,
-    betti_data,
     generator_count,
     local_component_at,
-    local_components,
     multiplicity_from_socle,
     socle_dimension,
     truncation_monomials,
 )
-from .errors import ConfigError, NotZeroDimensional, ParseError, SupportNotLocal
-from .fields import PrimeField, QQ, is_prime
-from .groebner import buchberger, groebner_from_monomials, initial_ideal
-from .poly import ALL_ORDERS, DEFAULT_ORDER, MonomialOrder, Polynomial, parse_generators
+from .errors import ConfigError, NotZeroDimensional, SupportNotLocal
+from .fields import MAX_PRIME, PrimeField, QQ, is_prime
+from .groebner import GroebnerBasis, buchberger, groebner_from_monomials, initial_ideal
+from .poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial
 from .staircase import (
+    Partition,
     attaining_partition,
     corners,
     monomial_ideal_of,
@@ -110,6 +116,7 @@ class SocleCensus:
     counts: dict
     partition_count: int
     max_attained: int
+    argmax: Partition  # the first partition, in enumeration order, with max_attained
 
 
 @dataclass(frozen=True)
@@ -120,6 +127,9 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # the bound first: trial division on a huge modulus does not finish
+        if self.prime >= MAX_PRIME:
+            raise ConfigError(f"sampler modulus {self.prime} is too large (must be below 2**31)")
         if not is_prime(self.prime):
             raise ConfigError(f"sampler modulus {self.prime} is not prime")
         if self.degree < 1:
@@ -144,50 +154,29 @@ def _point_text(point) -> str:
     return f"({point[0]}, {point[1]})"
 
 
-def _error_report(check: str, inputs: dict, kind: str, exc: Exception) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        inputs=inputs,
-        rows=[],
-        summary={"error_kind": kind, "error": str(exc)},
-        passed=False,
-    )
-
-
-def _decompose(ideal_text: str, coeff_field, order: MonomialOrder):
-    gens = parse_generators(ideal_text, coeff_field)
-    gb = buchberger(gens, order)
-    return gb, local_components(gb)
-
-
 def check_socle_identity(
-    ideal_text: str, coeff_field=QQ, order: MonomialOrder = DEFAULT_ORDER
+    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
 ) -> VerificationReport:
-    """socle dimension = minimal generators - 1 on every rational local factor."""
-    inputs = {"ideal": ideal_text, "field": coeff_field.label, "order": order.label}
-    try:
-        _, decomposition = _decompose(ideal_text, coeff_field, order)
-    except ParseError as exc:
-        return _error_report("socle_vs_generators", inputs, "parse", exc)
-    except NotZeroDimensional as exc:
-        return _error_report("socle_vs_generators", inputs, "not_zero_dimensional", exc)
-    rows = []
-    for lq in decomposition.components:
-        socle = socle_dimension(lq)
-        e = generator_count(lq)
-        rows.append(
-            {
-                "point": _point_text(lq.point),
-                "local_length": lq.dimension,
-                "socle_dim": socle,
-                "generator_count": e,
-                "ok": socle == e - 1,
-            }
-        )
+    """socle dimension = minimal generators - 1 on every rational local factor.
+
+    ``analysis`` is ``analyze_quotient(gb)``; its Betti data already went
+    through both routes, and a disagreement raised LemmaViolation there.
+    """
+    inputs = {"ideal": ideal_text, "field": gb.field.label, "order": gb.order.label}
+    rows = [
+        {
+            "point": _point_text(c.point),
+            "local_length": c.local_length,
+            "socle_dim": c.betti.socle_dim,
+            "generator_count": c.betti.minimal_generators,
+            "ok": c.betti.socle_dim == c.betti.minimal_generators - 1,
+        }
+        for c in analysis.components
+    ]
     summary = {
-        "colength": decomposition.colength,
+        "colength": analysis.colength,
         "components": len(rows),
-        "residual_dimension": decomposition.residual_dimension,
+        "residual_dimension": analysis.residual_dimension,
     }
     return VerificationReport(
         "socle_vs_generators", inputs, rows, summary, all(r["ok"] for r in rows)
@@ -195,41 +184,35 @@ def check_socle_identity(
 
 
 def check_multiplicity_formula(
-    ideal_text: str, coeff_field=QQ, order: MonomialOrder = DEFAULT_ORDER
+    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
 ) -> VerificationReport:
     """multiplicity = b2*(b2+1)/2 with multiplicity <= local length, per factor.
 
     Rows record whether the bound is strict; a strict row is the witness
     that multiplicity and length are different invariants.
     """
-    inputs = {"ideal": ideal_text, "field": coeff_field.label, "order": order.label}
-    try:
-        _, decomposition = _decompose(ideal_text, coeff_field, order)
-    except ParseError as exc:
-        return _error_report("multiplicity_formula", inputs, "parse", exc)
-    except NotZeroDimensional as exc:
-        return _error_report("multiplicity_formula", inputs, "not_zero_dimensional", exc)
+    inputs = {"ideal": ideal_text, "field": gb.field.label, "order": gb.order.label}
     rows = []
-    for lq in decomposition.components:
-        socle = socle_dimension(lq)
-        e = generator_count(lq)
-        mu = multiplicity_from_socle(socle)
+    for c in analysis.components:
+        socle = c.betti.socle_dim
+        e = c.betti.minimal_generators
+        mu = c.multiplicity.multiplicity
         rows.append(
             {
-                "point": _point_text(lq.point),
-                "local_length": lq.dimension,
+                "point": _point_text(c.point),
+                "local_length": c.local_length,
                 "b2": socle,
                 "generator_count": e,
                 "multiplicity": mu,
-                "bounded": mu <= lq.dimension,
-                "strict": mu < lq.dimension,
-                "equals_length": mu == lq.dimension,
-                "ok": socle == e - 1 and mu <= lq.dimension,
+                "bounded": mu <= c.local_length,
+                "strict": mu < c.local_length,
+                "equals_length": mu == c.local_length,
+                "ok": socle == e - 1 and mu <= c.local_length,
             }
         )
     summary = {
-        "colength": decomposition.colength,
-        "residual_dimension": decomposition.residual_dimension,
+        "colength": analysis.colength,
+        "residual_dimension": analysis.residual_dimension,
         "strict_instances": sum(1 for r in rows if r["strict"]),
     }
     return VerificationReport(
@@ -237,48 +220,38 @@ def check_multiplicity_formula(
     )
 
 
-def check_staircase_bound(
-    n: int,
-    crosscheck_cutoff: int = 10,
-    coeff_field=QQ,
-    order: MonomialOrder = DEFAULT_ORDER,
-) -> VerificationReport:
-    """Exhaustive bound check over all partitions of n.
+def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> VerificationReport:
+    """Bound check over all partitions of n, read off the census of n.
 
     The maximal inner corner count must equal the integer bound, the
     constructed attaining partition must reach it, and (for n up to the
     cutoff) the algebra engine must reproduce each partition's corner
     counts and colength.
     """
+    n = census.n
     inputs = {"n": n, "crosscheck_cutoff": crosscheck_cutoff}
     bound = socle_bound(n)
-    rows = []
-    max_b2 = 0
-    argmax = None
-    partition_count = 0
-    mu_bounded = True
+    max_b2 = census.max_attained
+    # b2*(b2+1)/2 increases with b2, so the maximum decides every partition
+    mu_bounded = max_b2 * (max_b2 + 1) // 2 <= n
     crosschecked = n <= crosscheck_cutoff
-    for partition in partitions_of(n):
-        partition_count += 1
-        b2 = corners(partition).inner_count
-        if b2 > max_b2:
-            max_b2, argmax = b2, partition
-        if b2 * (b2 + 1) // 2 > n:
-            mu_bounded = False
-        if crosschecked:
-            gb = groebner_from_monomials(monomial_ideal_of(partition), order, coeff_field)
+    rows = []
+    if crosschecked:
+        for partition in partitions_of(n):
+            c = corners(partition)
+            gb = groebner_from_monomials(monomial_ideal_of(partition), DEFAULT_ORDER, QQ)
             analysis = analyze_quotient(gb)
             component = analysis.components[0]
             ok = (
                 analysis.colength == n
                 and len(analysis.components) == 1
-                and component.betti.b2 == b2
-                and component.betti.minimal_generators == corners(partition).outer_count
+                and component.betti.b2 == c.inner_count
+                and component.betti.minimal_generators == c.outer_count
             )
             rows.append(
                 {
                     "partition": str(partition),
-                    "b2": b2,
+                    "b2": c.inner_count,
                     "engine_b2": component.betti.b2,
                     "engine_generators": component.betti.minimal_generators,
                     "colength": analysis.colength,
@@ -295,10 +268,10 @@ def check_staircase_bound(
         and all(r["ok"] for r in rows)
     )
     summary = {
-        "partition_count": partition_count,
+        "partition_count": census.partition_count,
         "bound": bound,
         "max_b2": max_b2,
-        "argmax": str(argmax),
+        "argmax": str(census.argmax),
         "attaining": str(attaining),
         "attaining_b2": attaining_b2,
         "multiplicity_le_n": mu_bounded,
@@ -308,49 +281,42 @@ def check_staircase_bound(
 
 
 def check_degeneration(
-    ideal_text: str, coeff_field=QQ, orders: tuple[MonomialOrder, ...] = ALL_ORDERS
+    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
 ) -> VerificationReport:
     """Degeneration to the initial ideal preserves colength and cannot
-    decrease the socle dimension, for every requested order.
+    decrease the socle dimension, for every monomial order.
 
     Requires all support at the origin, because the comparison is between
-    local invariants there.
+    local invariants there.  Colength and b2 come from ``analysis``; each
+    distinct key function gets one Groebner basis (``gb`` itself for its
+    own order), and orders sharing one share its row data.
     """
-    inputs = {"ideal": ideal_text, "field": coeff_field.label, "orders": len(orders)}
-    try:
-        base_gb, decomposition = _decompose(ideal_text, coeff_field, DEFAULT_ORDER)
-    except ParseError as exc:
-        return _error_report("initial_degeneration", inputs, "parse", exc)
-    except NotZeroDimensional as exc:
-        return _error_report("initial_degeneration", inputs, "not_zero_dimensional", exc)
+    coeff_field = gb.field
+    inputs = {"ideal": ideal_text, "field": coeff_field.label, "orders": len(ALL_ORDERS)}
     zero = coeff_field.zero()
-    origin_only = (
-        decomposition.residual_dimension == 0
-        and len(decomposition.components) == 1
-        and decomposition.components[0].point == (zero, zero)
-    )
-    if not origin_only:
-        raise SupportNotLocal(
-            f"support of ({ideal_text}) is not concentrated at the origin"
-        )
-    base = decomposition.components[0]
-    base_b2 = betti_data(base).b2
-    gens = parse_generators(ideal_text, coeff_field)
+    if analysis.residual_dimension or [c.point for c in analysis.components] != [(zero, zero)]:
+        raise SupportNotLocal(f"support of ({ideal_text}) is not concentrated at the origin")
+    colength = analysis.colength
+    base_b2 = analysis.components[0].betti.b2
+    degenerations = {}  # key function -> (initial ideal, its analysis)
     rows = []
-    for order in orders:
-        gb = buchberger(gens, order)
-        init = initial_ideal(gb)
-        monomial_gb = groebner_from_monomials(init, order, coeff_field)
-        analysis = analyze_quotient(monomial_gb)
-        init_b2 = analysis.components[0].betti.b2
-        preserved = analysis.colength == decomposition.colength
+    for order in ALL_ORDERS:
+        key = order.key_func()
+        if key not in degenerations:
+            order_gb = gb if key is gb.order.key_func() else buchberger(gb.generators, order)
+            init = initial_ideal(order_gb)
+            monomial_gb = groebner_from_monomials(init, order, coeff_field)
+            degenerations[key] = (init, analyze_quotient(monomial_gb))
+        init, init_analysis = degenerations[key]
+        init_b2 = init_analysis.components[0].betti.b2
+        preserved = init_analysis.colength == colength
         semicontinuous = init_b2 >= base_b2
         rows.append(
             {
                 "order": order.label,
                 "initial_ideal": "; ".join(str(m) for m in init),
-                "colength": decomposition.colength,
-                "initial_colength": analysis.colength,
+                "colength": colength,
+                "initial_colength": init_analysis.colength,
                 "length_preserved": preserved,
                 "b2": base_b2,
                 "initial_b2": init_b2,
@@ -360,7 +326,7 @@ def check_degeneration(
             }
         )
     summary = {
-        "colength": decomposition.colength,
+        "colength": colength,
         "b2": base_b2,
         "strict_orders": sum(1 for r in rows if r["strict"]),
     }
@@ -370,36 +336,24 @@ def check_degeneration(
 
 
 def socle_census(n: int) -> SocleCensus:
-    """Partition counts of n grouped by inner corner count."""
+    """Partition counts of n grouped by inner corner count, from the only
+    pass over the partitions of n that tallies b2."""
     counts: dict[int, int] = {}
     total = 0
+    max_b2, argmax = 0, None
     for partition in partitions_of(n):
         total += 1
         b2 = corners(partition).inner_count
         counts[b2] = counts.get(b2, 0) + 1
+        if b2 > max_b2:
+            max_b2, argmax = b2, partition
     return SocleCensus(
         n=n,
         counts=dict(sorted(counts.items())),
         partition_count=total,
-        max_attained=max(counts),
+        max_attained=max_b2,
+        argmax=argmax,
     )
-
-
-def census_report(n: int) -> VerificationReport:
-    census = socle_census(n)
-    rows = [{"b2": k, "count": v} for k, v in census.counts.items()]
-    bound = socle_bound(n)
-    summary = {
-        "n": n,
-        "partition_count": census.partition_count,
-        "max_b2": census.max_attained,
-        "bound": bound,
-    }
-    passed = (
-        census.max_attained == bound
-        and sum(census.counts.values()) == census.partition_count
-    )
-    return VerificationReport("socle_census", {"n": n}, rows, summary, passed)
 
 
 def random_ideal_trials(cfg: SamplerConfig) -> VerificationReport:

@@ -15,7 +15,7 @@ from punctual.artinian import analyze_quotient, quotient_basis
 from punctual.cli import main
 from punctual.fields import QQ
 from punctual.groebner import buchberger, spolynomial_certificate
-from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial
+from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial, parse_generators
 from punctual.staircase import (
     Partition,
     corners,
@@ -42,6 +42,12 @@ SAMPLER_RUNS = (
     SamplerConfig(prime=32003, degree=3, count=200, seed=7),
     SamplerConfig(prime=7, degree=2, count=100, seed=1),
 )
+
+
+def prepared(text):
+    """The (text, Groebner basis, analysis) triple the checks take, over QQ."""
+    gb = buchberger(parse_generators(text, QQ), DEFAULT_ORDER)
+    return text, gb, analyze_quotient(gb)
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,7 @@ def test_criterion_1_socle_identity_everywhere(monomial_sweep):
     # curated non-monomial corpus over the rationals
     assert len(CURATED_CORPUS) >= 10
     for text in CURATED_CORPUS:
-        report = check_socle_identity(text)
+        report = check_socle_identity(*prepared(text))
         assert report.passed, text
         assert report.rows, text
 
@@ -156,12 +162,12 @@ def test_criterion_3_multiplicity_bounds(monomial_sweep):
     # corpus, per local component
     strict_seen = False
     for text in CURATED_CORPUS:
-        report = check_multiplicity_formula(text)
+        report = check_multiplicity_formula(*prepared(text))
         assert report.passed, text
         strict_seen = strict_seen or report.summary["strict_instances"] > 0
 
     # the recorded strict witness: colength 5 with multiplicity 1
-    witness = check_multiplicity_formula("y, x^5")
+    witness = check_multiplicity_formula(*prepared("y, x^5"))
     row = witness.rows[0]
     assert row["multiplicity"] == 1 and row["local_length"] == 5 and row["strict"]
     assert strict_seen
@@ -173,11 +179,11 @@ def test_criterion_3_multiplicity_bounds(monomial_sweep):
 def test_criterion_4_degeneration_semicontinuity():
     start = time.perf_counter()
     for text in ORIGIN_CORPUS:
-        report = check_degeneration(text, QQ, ALL_ORDERS)
+        report = check_degeneration(*prepared(text))
         assert report.passed, text
         for row in report.rows:
             assert row["length_preserved"] and row["semicontinuous"]
-    pinned = check_degeneration("y - x^2, x^3", QQ, ALL_ORDERS)
+    pinned = check_degeneration(*prepared("y - x^2, x^3"))
     strict = {row["order"]: row for row in pinned.rows}["degrevlex:xy"]
     assert strict["initial_b2"] == 2 and strict["b2"] == 1 and strict["strict"]
     elapsed = time.perf_counter() - start

@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, formats, determinism, golden files."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+import punctual.artinian as artinian
 from punctual.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,6 +51,17 @@ def test_analyze_bad_field(capsys):
     assert code == 2
 
 
+def test_huge_prime_is_refused_before_primality_test(capsys):
+    # 2^61 - 1 is prime; trial division up to its square root would not finish
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze", "--ideal", "x, y", "--field", f"Fp:{2**61 - 1}"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "too large" in err
+
+
 def test_analyze_residual_note(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--ideal", "x^3 - 2*x, y")
     assert code == 0
@@ -63,6 +76,14 @@ def test_analyze_file_input(capsys, tmp_path):
     assert json.loads(out)["colength"] == 3
     code, _, err = run_cli(capsys, "analyze", "--file", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_analyze_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "ideal.txt"
+    path.write_bytes(b"\xff\xfex^2\n")
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err
 
 
 def test_analyze_env_var_field(capsys, monkeypatch):
@@ -103,6 +124,24 @@ def test_verify_command(capsys):
 def test_verify_exit_codes(capsys):
     assert run_cli(capsys, "verify", "--ideal", "x*y")[0] == 3
     assert run_cli(capsys, "verify", "--ideal", "x +")[0] == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize(
+    "ideal,shifted",
+    [
+        ("y, x^5", ("generator_count",)),  # socle != generators - 1
+        ("x^2, x*y, y^2", ("generator_count", "socle_dimension")),  # mu > length
+    ],
+)
+def test_route_disagreement_exits_4(capsys, monkeypatch, command, ideal, shifted):
+    for name in shifted:
+        route = getattr(artinian, name)
+        monkeypatch.setattr(artinian, name, lambda lq, route=route: route(lq) + 1)
+    code, out, err = run_cli(capsys, command, "--ideal", ideal)
+    assert code == 4
+    assert out == ""
+    assert "internal check failure" in err
 
 
 def test_sweep_range(capsys):
@@ -198,3 +237,23 @@ def test_golden_analyze_output(capsys, name, ideal):
     assert code == 0
     expected = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+COMMAND_GOLDEN_CASES = {
+    "verify_origin_only.json": ["verify", "--ideal", "y - x^2, x^3", "--format", "json"],
+    "verify_four_points_lex_yx.json": [
+        "verify", "--ideal", "x^2 - 1, y^2 - 1", "--order", "lex", "--vars", "yx",
+        "--format", "json",
+    ],
+    "verify_socle_two.txt": ["verify", "--ideal", "x^2 + y^3, x*y^3, y^5", "--format", "text"],
+    "sweep_1_8_crosscheck.json": [
+        "sweep", "--n", "1..8", "--crosscheck-cutoff", "8", "--format", "json",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_GOLDEN_CASES))
+def test_golden_command_output(capsys, name):
+    code, out, _ = run_cli(capsys, *COMMAND_GOLDEN_CASES[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")

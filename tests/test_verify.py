@@ -4,14 +4,16 @@ import json
 
 import pytest
 
+from punctual.artinian import analyze_quotient
 from punctual.errors import ConfigError, SupportNotLocal
 from punctual.fields import PrimeField, QQ
-from punctual.poly import MonomialOrder
+from punctual.groebner import buchberger
+from punctual.poly import DEFAULT_ORDER, MonomialOrder, parse_generators
+from punctual.staircase import socle_bound
 from punctual.verify import (
     CURATED_CORPUS,
     ORIGIN_CORPUS,
     SamplerConfig,
-    census_report,
     check_degeneration,
     check_multiplicity_formula,
     check_socle_identity,
@@ -21,68 +23,67 @@ from punctual.verify import (
 )
 
 
+def prepared(text, coeff_field=QQ, order=DEFAULT_ORDER):
+    """The (text, Groebner basis, analysis) triple the checks take."""
+    gb = buchberger(parse_generators(text, coeff_field), order)
+    return text, gb, analyze_quotient(gb)
+
+
 def test_socle_identity_known_cases():
     for text in ("x, y", "x^2, x*y, y^2", "y - x^2, x^3"):
-        report = check_socle_identity(text)
+        report = check_socle_identity(*prepared(text))
         assert report.passed, text
-    rows = check_socle_identity("x^2, x*y, y^2").rows
+    rows = check_socle_identity(*prepared("x^2, x*y, y^2")).rows
     assert rows[0]["socle_dim"] == 2 and rows[0]["generator_count"] == 3
-
-
-def test_socle_identity_surfaces_errors_in_report():
-    report = check_socle_identity("x^2 +")
-    assert not report.passed and report.summary["error_kind"] == "parse"
-    report = check_socle_identity("x")
-    assert not report.passed and report.summary["error_kind"] == "not_zero_dimensional"
 
 
 def test_socle_identity_on_corpus():
     for text in CURATED_CORPUS:
-        report = check_socle_identity(text)
+        report = check_socle_identity(*prepared(text))
         assert report.passed, text
         assert all(row["ok"] for row in report.rows)
 
 
 def test_multiplicity_formula_examples():
-    report = check_multiplicity_formula("x^2, x*y, y^2")
+    report = check_multiplicity_formula(*prepared("x^2, x*y, y^2"))
     row = report.rows[0]
     assert (row["b2"], row["multiplicity"], row["local_length"]) == (2, 3, 3)
     assert report.passed
 
-    report = check_multiplicity_formula("y, x^5")
+    report = check_multiplicity_formula(*prepared("y, x^5"))
     row = report.rows[0]
     assert (row["b2"], row["multiplicity"], row["local_length"]) == (1, 1, 5)
     assert row["strict"] and report.summary["strict_instances"] == 1
 
-    report = check_multiplicity_formula("x, y")
+    report = check_multiplicity_formula(*prepared("x, y"))
     assert report.rows[0]["equals_length"]
 
 
 def test_staircase_bound_small_n():
-    report = check_staircase_bound(3)
+    report = check_staircase_bound(socle_census(3))
     assert report.passed
     assert [row["b2"] for row in report.rows] == [1, 2, 1]
     assert report.summary["max_b2"] == 2 == report.summary["bound"]
     assert report.summary["argmax"] == "(2,1)"
 
-    report = check_staircase_bound(10)
+    report = check_staircase_bound(socle_census(10))
     assert report.passed
     assert report.summary["max_b2"] == 4
     assert report.summary["argmax"] == "(4,3,2,1)"
 
-    report = check_staircase_bound(1)
+    report = check_staircase_bound(socle_census(1))
     assert report.passed and report.summary["max_b2"] == 1
 
 
 def test_staircase_bound_beyond_cutoff_has_no_engine_rows():
-    report = check_staircase_bound(14, crosscheck_cutoff=10)
+    report = check_staircase_bound(socle_census(14), crosscheck_cutoff=10)
     assert report.passed
     assert report.rows == []
     assert not report.summary["crosschecked"]
 
 
 def test_degeneration_known_cases():
-    report = check_degeneration("y - x^2, x^3")
+    report = check_degeneration(*prepared("y - x^2, x^3"))
     assert report.passed
     by_order = {row["order"]: row for row in report.rows}
     strict = by_order["degrevlex:xy"]
@@ -94,22 +95,22 @@ def test_degeneration_known_cases():
 
 
 def test_degeneration_fixed_point_for_monomial_ideals():
-    report = check_degeneration("x^2, x*y, y^2")
+    report = check_degeneration(*prepared("x^2, x*y, y^2"))
     assert report.passed
     assert all(not row["strict"] for row in report.rows)
 
 
 def test_degeneration_requires_local_support():
     with pytest.raises(SupportNotLocal):
-        check_degeneration("x^2 - x, y")
+        check_degeneration(*prepared("x^2 - x, y"))
     with pytest.raises(SupportNotLocal):
-        check_degeneration("x^3 - 2*x, y")
+        check_degeneration(*prepared("x^3 - 2*x, y"))
 
 
 def test_degeneration_across_origin_corpus():
     strict_seen = False
     for text in ORIGIN_CORPUS:
-        report = check_degeneration(text)
+        report = check_degeneration(*prepared(text))
         assert report.passed, text
         strict_seen = strict_seen or any(row["strict"] for row in report.rows)
     assert strict_seen
@@ -119,14 +120,14 @@ def test_census_small_values():
     assert socle_census(3).counts == {1: 2, 2: 1}
     assert socle_census(4).counts == {1: 3, 2: 2}
     assert socle_census(1).counts == {1: 1}
-    report = census_report(4)
-    assert report.passed
-    assert report.rows == [{"b2": 1, "count": 3}, {"b2": 2, "count": 2}]
+    census = socle_census(4)
+    assert census.max_attained == socle_bound(4)
+    assert sum(census.counts.values()) == census.partition_count
+    assert list(census.counts.items()) == [(1, 3), (2, 2)]
+    assert str(census.argmax) == "(3,1)"
 
 
 def test_census_totals_and_max():
-    from punctual.staircase import socle_bound
-
     for n in range(1, 31):
         census = socle_census(n)
         assert sum(census.counts.values()) == census.partition_count
@@ -136,6 +137,8 @@ def test_census_totals_and_max():
 def test_sampler_config_validation():
     with pytest.raises(ConfigError):
         SamplerConfig(prime=6, degree=3, count=1, seed=0)
+    with pytest.raises(ConfigError, match="too large"):
+        SamplerConfig(prime=2**61 - 1, degree=3, count=1, seed=0)
     with pytest.raises(ConfigError):
         SamplerConfig(prime=7, degree=0, count=1, seed=0)
     with pytest.raises(ConfigError):
@@ -174,7 +177,7 @@ def test_sampler_is_deterministic():
 
 
 def test_report_serialization_round_trip():
-    report = check_socle_identity("x^2, x*y, y^2")
+    report = check_socle_identity(*prepared("x^2, x*y, y^2"))
     payload = report.to_jsonable()
     assert json.loads(json.dumps(payload)) == payload
     text = report.to_text()
@@ -182,13 +185,13 @@ def test_report_serialization_round_trip():
 
 
 def test_checks_work_over_prime_fields():
-    report = check_socle_identity("x^2 - 2, y", PrimeField(7))
+    report = check_socle_identity(*prepared("x^2 - 2, y", PrimeField(7)))
     assert report.passed and len(report.rows) == 2
-    report = check_multiplicity_formula("x^2, x*y, y^2", PrimeField(101))
+    report = check_multiplicity_formula(*prepared("x^2, x*y, y^2", PrimeField(101)))
     assert report.passed
 
 
 def test_check_respects_order_argument():
-    report = check_socle_identity("y - x^2, x^3", QQ, MonomialOrder("lex", "yx"))
+    report = check_socle_identity(*prepared("y - x^2, x^3", QQ, MonomialOrder("lex", "yx")))
     assert report.passed
     assert report.inputs["order"] == "lex:yx"
