@@ -21,7 +21,7 @@ from .errors import ConfigError, LemmaViolation, NotZeroDimensional, ParseError,
 from .fields import PrimeField, parse_field
 from .groebner import buchberger
 from .poly import MonomialOrder, parse_generators
-from .staircase import socle_bound
+from .staircase import distinct_part_table, socle_bound
 from .verify import (
     SamplerConfig,
     VerificationReport,
@@ -40,6 +40,12 @@ EXIT_NOT_ZERO_DIMENSIONAL = 3
 EXIT_CHECK_FAILED = 4
 
 FIELD_ENV_VAR = "PUNCTUAL_FIELD"
+
+# census and sweep refuse larger n up front: one table to n = 1000 takes
+# about 0.5 s on a 2-core VM, and the cross-check runs the engine on every
+# partition of n (``sweep --n 1..1000 --crosscheck-cutoff 12`` about 4 s)
+MAX_RANGE_HI = 1000
+MAX_CROSSCHECK_CUTOFF = 12
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -127,6 +133,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ConfigError(f"bad range {text!r}; expected lo..hi") from None
     if not 1 <= lo <= hi:
         raise ConfigError(f"range {text!r} must satisfy 1 <= lo <= hi")
+    if hi > MAX_RANGE_HI:
+        raise ConfigError(f"range {text!r} exceeds the limit n <= {MAX_RANGE_HI}")
     return lo, hi
 
 
@@ -322,9 +330,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     lo, hi = _parse_range(args.n)
+    table = distinct_part_table(hi)
     results = []
     for n in range(lo, hi + 1):
-        census = socle_census(n)
+        census = socle_census(n, table)
         results.append(
             {
                 "n": n,
@@ -364,9 +373,14 @@ def _cmd_sweep(args) -> int:
     lo, hi = _parse_range(args.n)
     if args.crosscheck_cutoff < 0:
         raise ConfigError("--crosscheck-cutoff must be non-negative")
+    if args.crosscheck_cutoff > MAX_CROSSCHECK_CUTOFF:
+        raise ConfigError(
+            f"--crosscheck-cutoff {args.crosscheck_cutoff} exceeds the limit {MAX_CROSSCHECK_CUTOFF}"
+        )
+    table = distinct_part_table(hi)
     results = []
     for n in range(lo, hi + 1):
-        census = socle_census(n)
+        census = socle_census(n, table)
         report = check_staircase_bound(census, args.crosscheck_cutoff)
         summary = report.summary
         results.append(

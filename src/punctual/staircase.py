@@ -4,7 +4,9 @@ A partition's boxes are the standard monomials of its monomial ideal:
 part j+1 counts boxes in row j (powers of y index rows).  Outer corners
 of the staircase are the minimal generators, inner corners sit one step
 in from consecutive outer corners, and there is always exactly one more
-outer corner than inner.
+outer corner than inner.  The inner corner count is the number of
+distinct part sizes, so the census of n by that count is read off a
+generating-function table rather than enumerated.
 """
 
 from __future__ import annotations
@@ -78,6 +80,46 @@ def partitions_of(n: int) -> Iterator[Partition]:
             yield from descend(remaining - part, part, prefix + (part,))
 
     yield from descend(n, n, ())
+
+
+def distinct_part_table(hi: int) -> list[list[int]]:
+    """Row s (0 <= s <= hi) lists at index k the number of partitions of s
+    with exactly k distinct part sizes, up to its last nonzero entry.
+
+    The coefficient table of prod_{i>=1} (1 + t q^i / (1 - q^i)), one part
+    size i at a time: tail[s] counts the partitions of s whose largest part
+    is i, either one i on a partition of s - i with smaller parts (k - 1
+    sizes) or one more i on a partition already in tail[s - i], so
+    tail[s][k] = table[s-i][k-1] + tail[s-i][k], then table[s] += tail[s].
+
+    While building, a row is one integer with a fixed-width field per k
+    (field k at bit k*bits), so adding rows is one integer addition and
+    raising k is one shift.  Every field counts partitions of some s <= hi,
+    hence is at most p(hi) < 2**bits, and no field carries into the next.
+    """
+    if hi < 0:
+        raise ValueError("the table is defined for hi >= 0")
+    partition_counts = [1] + [0] * hi
+    for part in range(1, hi + 1):
+        for total in range(part, hi + 1):
+            partition_counts[total] += partition_counts[total - part]
+    bits = partition_counts[hi].bit_length()
+    table = [1] + [0] * hi  # the empty partition has no part sizes
+    for i in range(1, hi + 1):
+        smaller = table[:]  # partitions with parts < i
+        tail = [0] * i
+        for s in range(i, hi + 1):
+            tail.append((smaller[s - i] << bits) + tail[s - i])
+            table[s] += tail[s]
+    field = (1 << bits) - 1
+    rows = []
+    for packed in table:
+        row = []
+        while packed:
+            row.append(packed & field)
+            packed >>= bits
+        rows.append(row)
+    return rows
 
 
 def monomial_ideal_of(partition: Partition) -> tuple[Monomial, ...]:

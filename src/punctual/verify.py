@@ -7,9 +7,11 @@ byte-identical across runs.
 
 The per-ideal checks read one Groebner basis and its ``analyze_quotient``;
 degeneration adds one basis per distinct order (deglex and degrevlex
-coincide in two variables) and still reports all six.  ``socle_census`` is
-the one pass over the partitions of n, and the staircase bound is read off
-it.
+coincide in two variables) and still reports all six.  ``socle_census``
+reads the census of n from one row of ``distinct_part_table``, so a range
+of n shares one table, and the staircase bound is read off it; the
+enumeration of the partitions of n runs only in ``check_staircase_bound``
+up to the cross-check cutoff, as the second route to the same census.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .artinian import (
     socle_dimension,
     truncation_monomials,
 )
-from .errors import ConfigError, NotZeroDimensional, SupportNotLocal
+from .errors import ConfigError, LemmaViolation, NotZeroDimensional, SupportNotLocal
 from .fields import MAX_PRIME, PrimeField, QQ, is_prime
 from .groebner import GroebnerBasis, buchberger, groebner_from_monomials, initial_ideal
 from .poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial
@@ -34,6 +36,7 @@ from .staircase import (
     Partition,
     attaining_partition,
     corners,
+    distinct_part_table,
     monomial_ideal_of,
     partitions_of,
     socle_bound,
@@ -116,7 +119,7 @@ class SocleCensus:
     counts: dict
     partition_count: int
     max_attained: int
-    argmax: Partition  # the first partition, in enumeration order, with max_attained
+    argmax: Partition  # the first partition in reverse-lex order with max_attained sizes
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,9 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
 
     The maximal inner corner count must equal the integer bound, the
     constructed attaining partition must reach it, and (for n up to the
-    cutoff) the algebra engine must reproduce each partition's corner
-    counts and colength.
+    cutoff) enumerating the partitions of n must reproduce the census
+    (counts, total and argmax) and the algebra engine must reproduce each
+    partition's corner counts and colength.
     """
     n = census.n
     inputs = {"n": n, "crosscheck_cutoff": crosscheck_cutoff}
@@ -236,9 +240,15 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
     mu_bounded = max_b2 * (max_b2 + 1) // 2 <= n
     crosschecked = n <= crosscheck_cutoff
     rows = []
+    census_reproduced = True
     if crosschecked:
+        tally: dict[int, int] = {}
+        best, first_best = 0, None
         for partition in partitions_of(n):
             c = corners(partition)
+            tally[c.inner_count] = tally.get(c.inner_count, 0) + 1
+            if c.inner_count > best:
+                best, first_best = c.inner_count, partition
             gb = groebner_from_monomials(monomial_ideal_of(partition), DEFAULT_ORDER, QQ)
             analysis = analyze_quotient(gb)
             component = analysis.components[0]
@@ -258,6 +268,11 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
                     "ok": ok,
                 }
             )
+        census_reproduced = (
+            sorted(tally.items()) == list(census.counts.items())
+            and len(rows) == census.partition_count
+            and (best, first_best) == (max_b2, census.argmax)
+        )
     attaining = attaining_partition(n)
     attaining_b2 = corners(attaining).inner_count
     passed = (
@@ -265,6 +280,7 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
         and attaining_b2 == bound
         and attaining.size == n
         and mu_bounded
+        and census_reproduced
         and all(r["ok"] for r in rows)
     )
     summary = {
@@ -335,23 +351,33 @@ def check_degeneration(
     )
 
 
-def socle_census(n: int) -> SocleCensus:
-    """Partition counts of n grouped by inner corner count, from the only
-    pass over the partitions of n that tallies b2."""
-    counts: dict[int, int] = {}
-    total = 0
-    max_b2, argmax = 0, None
-    for partition in partitions_of(n):
-        total += 1
-        b2 = corners(partition).inner_count
-        counts[b2] = counts.get(b2, 0) + 1
-        if b2 > max_b2:
-            max_b2, argmax = b2, partition
+def socle_census(n: int, table: list[list[int]] | None = None) -> SocleCensus:
+    """Partition counts of n grouped by inner corner count, read from row n
+    of ``distinct_part_table`` (the inner corner count is the number of
+    distinct part sizes).  ``table`` is such a table built to some hi >= n,
+    shared across a range of n; without it a table is built to n.
+
+    The argmax follows from the largest size count b alone: a first part above
+    n - b(b-1)/2 leaves too little for b - 1 smaller distinct sizes, so the
+    first partition in reverse-lex order with b sizes is that first part
+    followed by (b-1, ..., 1).
+    """
+    row = (distinct_part_table(n) if table is None else table)[n]
+    counts = {k: count for k, count in enumerate(row) if count}
+    b = max(counts)
+    first = n - b * (b - 1) // 2
+    if first < b:
+        raise LemmaViolation(
+            f"census of {n} reports {b} distinct part sizes; no partition of {n} has that many"
+        )
+    argmax = Partition((first,) + tuple(range(b - 1, 0, -1)))
+    if corners(argmax).inner_count != b:
+        raise LemmaViolation(f"census argmax {argmax} does not have {b} inner corners")
     return SocleCensus(
         n=n,
-        counts=dict(sorted(counts.items())),
-        partition_count=total,
-        max_attained=max_b2,
+        counts=counts,
+        partition_count=sum(row),
+        max_attained=b,
         argmax=argmax,
     )
 

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 import punctual.artinian as artinian
+import punctual.cli as cli
+import punctual.staircase as staircase
+import punctual.verify as verify
 from punctual.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -175,6 +178,72 @@ def test_census_command(capsys):
     assert code == 0 and "n=5" in out
 
 
+def test_census_reaches_n_100(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "census", "--n", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out.startswith("n=100 partitions=190569292 max_b2=13 bound=13 ")
+
+
+def test_range_and_cutoff_limits():
+    assert cli.MAX_RANGE_HI == 1000 and cli.MAX_CROSSCHECK_CUTOFF == 12
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["census", "--n", "1001"], "n <= 1000"),
+        (["census", "--n", "1..100000000000"], "n <= 1000"),
+        (["sweep", "--n", "999..1001", "--crosscheck-cutoff", "0"], "n <= 1000"),
+        (["sweep", "--n", "1..100000000000"], "n <= 1000"),
+        (["sweep", "--n", "60", "--crosscheck-cutoff", "60"], "limit 12"),
+        (["sweep", "--n", "5", "--crosscheck-cutoff", "13"], "limit 12"),
+    ],
+)
+def test_oversized_census_and_sweep_are_refused_up_front(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and limit in err
+
+
+def test_limits_are_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RANGE_HI", 40)
+    assert run_cli(capsys, "census", "--n", "40")[0] == 0
+    assert run_cli(capsys, "sweep", "--n", "40", "--crosscheck-cutoff", "12")[0] == 0
+    assert run_cli(capsys, "census", "--n", "41")[0] == 2
+    monkeypatch.setattr(cli, "MAX_CROSSCHECK_CUTOFF", 5)
+    assert run_cli(capsys, "sweep", "--n", "1..6", "--crosscheck-cutoff", "5")[0] == 0
+    assert run_cli(capsys, "sweep", "--n", "1..6", "--crosscheck-cutoff", "6")[0] == 2
+
+
+def test_sweep_exits_4_when_enumeration_disagrees_with_the_table(capsys, monkeypatch):
+    build = staircase.distinct_part_table
+
+    def one_count_changed(hi):
+        table = build(hi)
+        table[5][1] += 1  # 3 partitions of 5 with one part size instead of 2
+        return table
+
+    monkeypatch.setattr(cli, "distinct_part_table", one_count_changed)
+    code, out, _ = run_cli(capsys, "sweep", "--n", "4..6", "--crosscheck-cutoff", "6")
+    assert code == 4
+    assert [line.endswith("verdict=FAIL") for line in out.splitlines()] == [False, True, False]
+
+
+def test_census_and_sweep_beyond_cutoff_never_enumerate(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("partitions_of entered beyond the cutoff")
+
+    monkeypatch.setattr(verify, "partitions_of", refuse)
+    monkeypatch.setattr(staircase, "partitions_of", refuse)
+    assert run_cli(capsys, "census", "--n", "1..38")[0] == 0
+    assert run_cli(capsys, "sweep", "--n", "1..32", "--crosscheck-cutoff", "0")[0] == 0
+    assert run_cli(capsys, "sweep", "--n", "11..40")[0] == 0
+
+
 def test_sample_command(capsys):
     code, out, _ = run_cli(
         capsys, "sample", "--field", "Fp:101", "--degree", "3", "--count", "40", "--seed", "42"
@@ -249,6 +318,9 @@ COMMAND_GOLDEN_CASES = {
     "sweep_1_8_crosscheck.json": [
         "sweep", "--n", "1..8", "--crosscheck-cutoff", "8", "--format", "json",
     ],
+    "census_1_38.json": ["census", "--n", "1..38", "--format", "json"],
+    "census_1_38.csv": ["census", "--n", "1..38", "--format", "csv"],
+    "sweep_1_32.txt": ["sweep", "--n", "1..32", "--crosscheck-cutoff", "0", "--format", "text"],
 }
 
 

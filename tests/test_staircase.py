@@ -16,6 +16,7 @@ from punctual.staircase import (
     Partition,
     attaining_partition,
     corners,
+    distinct_part_table,
     monomial_ideal_of,
     partition_from_boxes,
     partitions_of,
@@ -65,6 +66,13 @@ def test_partition_validation():
     p = Partition((3, 1))
     assert p.size == 4 and p.length == 2 and p.distinct_parts == 2
     assert str(p) == "(3,1)"
+
+
+def test_distinct_part_table_small():
+    assert distinct_part_table(0) == [[1]]
+    assert distinct_part_table(4) == [[1], [0, 1], [0, 2], [0, 2, 1], [0, 3, 2]]
+    with pytest.raises(ValueError):
+        distinct_part_table(-1)
 
 
 def test_partitions_of_small():

@@ -1,15 +1,24 @@
 """The verification harness: reports, determinism, pinned hand-checked values."""
 
+import dataclasses
 import json
 
 import pytest
 
+import punctual.staircase as staircase
+import punctual.verify as verify
 from punctual.artinian import analyze_quotient
-from punctual.errors import ConfigError, SupportNotLocal
+from punctual.errors import ConfigError, LemmaViolation, SupportNotLocal
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, MonomialOrder, parse_generators
-from punctual.staircase import socle_bound
+from punctual.staircase import (
+    Partition,
+    corners,
+    distinct_part_table,
+    partitions_of,
+    socle_bound,
+)
 from punctual.verify import (
     CURATED_CORPUS,
     ORIGIN_CORPUS,
@@ -21,6 +30,35 @@ from punctual.verify import (
     random_ideal_trials,
     socle_census,
 )
+
+
+def census_by_enumeration(n):
+    """The enumeration loop ``socle_census`` ran before the table: counts,
+    total, maximum and first argmax over the partitions of n."""
+    counts = {}
+    total = 0
+    max_b2, argmax = 0, None
+    for partition in partitions_of(n):
+        total += 1
+        b2 = corners(partition).inner_count
+        counts[b2] = counts.get(b2, 0) + 1
+        if b2 > max_b2:
+            max_b2, argmax = b2, partition
+    return dict(sorted(counts.items())), total, max_b2, argmax
+
+
+def pentagonal_partition_counts(hi):
+    """p(0..hi) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * hi
+    for n in range(1, hi + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            p[n] += sign * p[n - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= n:
+                p[n] += sign * p[n - k * (3 * k + 1) // 2]
+            k += 1
+    return p
 
 
 def prepared(text, coeff_field=QQ, order=DEFAULT_ORDER):
@@ -132,6 +170,62 @@ def test_census_totals_and_max():
         census = socle_census(n)
         assert sum(census.counts.values()) == census.partition_count
         assert census.max_attained == socle_bound(n)
+
+
+def test_census_matches_enumeration_oracle():
+    table = distinct_part_table(30)
+    for n in range(1, 31):
+        counts, total, max_b2, argmax = census_by_enumeration(n)
+        for census in (socle_census(n), socle_census(n, table)):
+            assert list(census.counts.items()) == list(counts.items()), n
+            assert census.partition_count == total
+            assert census.max_attained == max_b2
+            assert census.argmax == argmax
+
+
+def test_census_row_sums_are_partition_numbers():
+    p = pentagonal_partition_counts(500)
+    table = distinct_part_table(500)
+    assert [sum(row) for row in table] == p
+    assert p[100] == 190569292 and p[200] == 3972999029388
+    assert socle_census(100, table).partition_count == 190569292
+    assert socle_census(200, table).partition_count == 3972999029388
+    assert socle_census(500, table).max_attained == socle_bound(500)
+
+
+def test_census_rejects_a_maximum_no_partition_reaches(monkeypatch):
+    # row 3 claims one partition with 3 distinct sizes; 1+2+3 > 3
+    rows = [[1], [0, 1], [0, 1, 1], [0, 2, 0, 1]]
+    monkeypatch.setattr(verify, "distinct_part_table", lambda hi: rows)
+    with pytest.raises(LemmaViolation, match="distinct part sizes"):
+        socle_census(3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("counts", {1: 4, 2: 2}),  # one count changed, the total left as it was
+        ("counts", {1: 3, 2: 1, 3: 1}),  # same total, a wrong maximum
+        ("partition_count", 6),
+        ("argmax", Partition((2, 1, 1))),  # reaches the maximum, but is not the first
+    ],
+)
+def test_enumeration_catches_a_wrong_census(field, value):
+    census = socle_census(4)
+    wrong = dataclasses.replace(census, **{field: value})
+    assert check_staircase_bound(census, crosscheck_cutoff=4).passed
+    assert not check_staircase_bound(wrong, crosscheck_cutoff=4).passed
+
+
+def test_beyond_cutoff_never_enumerates(monkeypatch):
+    def refuse(n):
+        raise AssertionError("partitions_of entered beyond the cutoff")
+
+    monkeypatch.setattr(verify, "partitions_of", refuse)
+    monkeypatch.setattr(staircase, "partitions_of", refuse)
+    for n in (11, 14, 38):
+        report = check_staircase_bound(socle_census(n), crosscheck_cutoff=10)
+        assert report.passed and report.rows == []
 
 
 def test_sampler_config_validation():
