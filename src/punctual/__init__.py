@@ -11,24 +11,20 @@ ideals and a verification harness tie the two routes together.
 """
 
 from .artinian import (
-    BettiData,
-    ComponentAnalysis,
     Decomposition,
-    IdealAnalysis,
+    LocalInvariants,
     LocalQuotient,
     MultiplicationPair,
-    MultiplicityData,
     QuotientBasis,
     analyze_quotient,
-    betti_data,
     generator_count,
     local_component_at,
     local_components,
     local_ideal_truncation,
+    local_invariants,
     minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
-    multiplicity_report,
     nilpotency_index,
     quotient_basis,
     socle_dimension,

@@ -17,14 +17,18 @@ invariants come out of exact linear algebra on those operators:
   k[x,y]/m^(r+1): the f with f(Nx, Ny)u = 0 for a u outside m*A.
 
 The socle route reads the joint kernel of the pair, the generator route
-only its joint image, so they are independent; socle = generators - 1 is
-asserted wherever both are computed, and a mismatch raises LemmaViolation
-because it can only mean an engine bug.
+only its joint image, so they are independent.  ``local_invariants`` runs
+both on one factor and returns the flat ``LocalInvariants`` record (the
+multiplicity b2*(b2+1)/2 is read from the socle); it is the one place
+that asserts socle = generators - 1 and multiplicity <= length, and a
+violation raises LemmaViolation because it can only mean an engine bug.
+``analyze_quotient`` is the local split followed by ``local_invariants``
+on every factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -82,44 +86,30 @@ class LocalQuotient:
     field: object
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
-    components: list
+    """Local factors at rational points (``LocalQuotient`` from
+    ``local_components``, ``LocalInvariants`` from ``analyze_quotient``)."""
+
+    components: tuple
     residual_dimension: int
     colength: int
 
 
 @dataclass(frozen=True)
-class BettiData:
-    minimal_generators: int  # e
-    b1: int
-    b2: int
-    socle_dim: int
+class LocalInvariants:
+    """The invariants of one local factor; b1 = generators, b2 = socle."""
 
-
-@dataclass(frozen=True)
-class MultiplicityData:
-    b2: int
-    multiplicity: int
-    local_length: int
-    bounded_by_length: bool
-    equals_length: bool
-
-
-@dataclass(frozen=True)
-class ComponentAnalysis:
     point: tuple
     local_length: int
     nilpotency_index: int
-    betti: BettiData
-    multiplicity: MultiplicityData
+    generators: int
+    socle: int
+    multiplicity: int
 
 
-@dataclass(frozen=True)
-class IdealAnalysis:
-    colength: int
-    components: tuple
-    residual_dimension: int
+def point_text(point) -> str:
+    return f"({point[0]}, {point[1]})"
 
 
 def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
@@ -278,14 +268,21 @@ def nilpotency_index(nil_x: list, nil_y: list, coeff_field) -> int:
     raise ValueError("multiplication operators are not jointly nilpotent")
 
 
-def local_component_at(gb: GroebnerBasis, point: tuple):
-    """The local factor at one rational point, or None if the point is not
-    in the support."""
+def _operators(gb: GroebnerBasis):
+    """The multiplication pair of the quotient, or None for the unit ideal."""
     qb = quotient_basis(gb)
     if qb.dimension == 0:
         return None
     assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
-    pair = multiplication_matrices(qb, gb)
+    return multiplication_matrices(qb, gb)
+
+
+def local_component_at(gb: GroebnerBasis, point: tuple):
+    """The local factor at one rational point, or None if the point is not
+    in the support."""
+    pair = _operators(gb)
+    if pair is None:
+        return None
     coeff_field = gb.field
     powers = []
     for matrix, p in zip((pair.on_x, pair.on_y), point):
@@ -332,12 +329,10 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
     dimension carried by non-rational points is reported as the residual
     and gets no local invariants.
     """
-    qb = quotient_basis(gb)
-    n = qb.dimension
-    if n == 0:
-        return Decomposition(components=[], residual_dimension=0, colength=0)
-    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
-    pair = multiplication_matrices(qb, gb)
+    pair = _operators(gb)
+    if pair is None:
+        return Decomposition(components=(), residual_dimension=0, colength=0)
+    n = len(pair.on_x)
     coeff_field = gb.field
     powers_y = [
         (py, _primary_power(pair.on_y, py, s, coeff_field))
@@ -354,7 +349,7 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
         key=lambda c: (coeff_field.sort_key(c.point[0]), coeff_field.sort_key(c.point[1]))
     )
     residual = n - sum(c.dimension for c in components)
-    return Decomposition(components=components, residual_dimension=residual, colength=n)
+    return Decomposition(components=tuple(components), residual_dimension=residual, colength=n)
 
 
 def socle_dimension(lq: LocalQuotient) -> int:
@@ -493,21 +488,6 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
     return rank(image_rows, coeff_field) - rank(shifted_rows, coeff_field)
 
 
-def betti_data(lq: LocalQuotient) -> BettiData:
-    """Socle dimension and minimal generator count, computed independently.
-
-    The two routes satisfy socle = e - 1 for every Artinian quotient of
-    k[x,y]; disagreement is an engine bug and raises LemmaViolation.
-    """
-    socle = socle_dimension(lq)
-    e = generator_count(lq)
-    if socle != e - 1:
-        raise LemmaViolation(
-            f"socle dimension {socle} != minimal generators {e} - 1 at point {lq.point}"
-        )
-    return BettiData(minimal_generators=e, b1=e, b2=e - 1, socle_dim=socle)
-
-
 def multiplicity_from_socle(b2: int) -> int:
     """The triangular number b2*(b2+1)/2 attached to the socle dimension."""
     if b2 < 1:
@@ -515,41 +495,28 @@ def multiplicity_from_socle(b2: int) -> int:
     return b2 * (b2 + 1) // 2
 
 
-def multiplicity_report(lq: LocalQuotient, betti: BettiData | None = None) -> MultiplicityData:
-    """Multiplicity from the socle dimension, checked against the local length."""
-    if betti is None:
-        betti = betti_data(lq)
-    mu = multiplicity_from_socle(betti.b2)
+def local_invariants(lq: LocalQuotient) -> LocalInvariants:
+    """Socle dimension and generator count by their independent routes, and
+    the multiplicity b2*(b2+1)/2 read from the socle.
+
+    Every Artinian quotient of k[x,y] has socle = e - 1 and multiplicity at
+    most its length; a violation of either is an engine bug and raises
+    LemmaViolation.
+    """
+    socle = socle_dimension(lq)
+    e = generator_count(lq)
+    where = f"at point {point_text(lq.point)}"
+    if socle != e - 1:
+        raise LemmaViolation(f"socle dimension {socle} != minimal generators {e} - 1 {where}")
+    mu = multiplicity_from_socle(socle)
     if mu > lq.dimension:
-        raise LemmaViolation(
-            f"multiplicity {mu} exceeds local length {lq.dimension} at point {lq.point}"
-        )
-    return MultiplicityData(
-        b2=betti.b2,
-        multiplicity=mu,
-        local_length=lq.dimension,
-        bounded_by_length=True,
-        equals_length=mu == lq.dimension,
-    )
+        raise LemmaViolation(f"multiplicity {mu} exceeds local length {lq.dimension} {where}")
+    return LocalInvariants(lq.point, lq.dimension, lq.nilpotency_index, e, socle, mu)
 
 
-def analyze_quotient(gb: GroebnerBasis) -> IdealAnalysis:
-    """Full pipeline: split locally, then Betti data and multiplicity per factor."""
+def analyze_quotient(gb: GroebnerBasis) -> Decomposition:
+    """Full pipeline: split locally, then the invariants of every factor."""
     decomposition = local_components(gb)
-    components = []
-    for lq in decomposition.components:
-        betti = betti_data(lq)
-        components.append(
-            ComponentAnalysis(
-                point=lq.point,
-                local_length=lq.dimension,
-                nilpotency_index=lq.nilpotency_index,
-                betti=betti,
-                multiplicity=multiplicity_report(lq, betti),
-            )
-        )
-    return IdealAnalysis(
-        colength=decomposition.colength,
-        components=tuple(components),
-        residual_dimension=decomposition.residual_dimension,
+    return replace(
+        decomposition, components=tuple(map(local_invariants, decomposition.components))
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -48,7 +49,9 @@ MAX_RANGE_HI = 1000
 MAX_CROSSCHECK_CUTOFF = 12
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="punctual",
         description="Exact local invariants of zero-dimensional ideals in k[x,y].",
@@ -196,13 +199,13 @@ def _analyze_payload(args) -> dict:
                 "point": [str(c.point[0]), str(c.point[1])],
                 "length": c.local_length,
                 "nilpotency": c.nilpotency_index,
-                "generators": c.betti.minimal_generators,
-                "b1": c.betti.b1,
-                "b2": c.betti.b2,
-                "socle": c.betti.socle_dim,
-                "multiplicity": c.multiplicity.multiplicity,
-                "multiplicity_le_length": c.multiplicity.bounded_by_length,
-                "multiplicity_eq_length": c.multiplicity.equals_length,
+                "generators": c.generators,
+                "b1": c.generators,
+                "b2": c.socle,
+                "socle": c.socle,
+                "multiplicity": c.multiplicity,
+                "multiplicity_le_length": c.multiplicity <= c.local_length,
+                "multiplicity_eq_length": c.multiplicity == c.local_length,
             }
             for c in analysis.components
         ],
@@ -491,9 +494,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:

@@ -19,16 +19,12 @@ class GroebnerBasis:
     order: MonomialOrder
     field: object
     generators: tuple[Polynomial, ...]
-    reduced: bool = True
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
         return tuple(g.leading_monomial(self.order) for g in self.generators)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.generators, self.order)
-
-    def contains(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero()
 
     def __iter__(self):
         return iter(self.generators)

@@ -134,10 +134,6 @@ class Polynomial:
         return cls(field)
 
     @classmethod
-    def constant(cls, field, value: int) -> "Polynomial":
-        return cls(field, {UNIT: field.from_int(value)})
-
-    @classmethod
     def monomial(cls, field, mono: Monomial, coeff=None) -> "Polynomial":
         return cls(field, {mono: field.one() if coeff is None else coeff})
 

@@ -5,8 +5,11 @@ rows and an aggregate verdict.  Reports are deterministic functions of
 their inputs (and seed, for the sampler), so serialized output is
 byte-identical across runs.
 
-The per-ideal checks read one Groebner basis and its ``analyze_quotient``;
-degeneration adds one basis per distinct order (deglex and degrevlex
+The per-ideal checks read one Groebner basis and its ``analyze_quotient``,
+whose ``LocalInvariants`` already passed the socle and multiplicity guards
+of ``local_invariants``; their ``ok`` columns compare those invariants
+again, and the sampler calls ``local_invariants`` on each origin factor.
+Degeneration adds one basis per distinct order (deglex and degrevlex
 coincide in two variables) and still reports all six.  ``socle_census``
 reads the census of n from one row of ``distinct_part_table``, so a range
 of n shares one table, and the staircase bound is read off it; the
@@ -20,12 +23,11 @@ import random
 from dataclasses import dataclass
 
 from .artinian import (
-    IdealAnalysis,
+    Decomposition,
     analyze_quotient,
-    generator_count,
     local_component_at,
-    multiplicity_from_socle,
-    socle_dimension,
+    local_invariants,
+    point_text,
     truncation_monomials,
 )
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional, SupportNotLocal
@@ -153,26 +155,22 @@ def format_table(rows: list[dict]) -> list[str]:
     return lines
 
 
-def _point_text(point) -> str:
-    return f"({point[0]}, {point[1]})"
-
-
 def check_socle_identity(
-    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
+    ideal_text: str, gb: GroebnerBasis, analysis: Decomposition
 ) -> VerificationReport:
     """socle dimension = minimal generators - 1 on every rational local factor.
 
-    ``analysis`` is ``analyze_quotient(gb)``; its Betti data already went
+    ``analysis`` is ``analyze_quotient(gb)``; its invariants already went
     through both routes, and a disagreement raised LemmaViolation there.
     """
     inputs = {"ideal": ideal_text, "field": gb.field.label, "order": gb.order.label}
     rows = [
         {
-            "point": _point_text(c.point),
+            "point": point_text(c.point),
             "local_length": c.local_length,
-            "socle_dim": c.betti.socle_dim,
-            "generator_count": c.betti.minimal_generators,
-            "ok": c.betti.socle_dim == c.betti.minimal_generators - 1,
+            "socle_dim": c.socle,
+            "generator_count": c.generators,
+            "ok": c.socle == c.generators - 1,
         }
         for c in analysis.components
     ]
@@ -187,7 +185,7 @@ def check_socle_identity(
 
 
 def check_multiplicity_formula(
-    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
+    ideal_text: str, gb: GroebnerBasis, analysis: Decomposition
 ) -> VerificationReport:
     """multiplicity = b2*(b2+1)/2 with multiplicity <= local length, per factor.
 
@@ -195,24 +193,20 @@ def check_multiplicity_formula(
     that multiplicity and length are different invariants.
     """
     inputs = {"ideal": ideal_text, "field": gb.field.label, "order": gb.order.label}
-    rows = []
-    for c in analysis.components:
-        socle = c.betti.socle_dim
-        e = c.betti.minimal_generators
-        mu = c.multiplicity.multiplicity
-        rows.append(
-            {
-                "point": _point_text(c.point),
-                "local_length": c.local_length,
-                "b2": socle,
-                "generator_count": e,
-                "multiplicity": mu,
-                "bounded": mu <= c.local_length,
-                "strict": mu < c.local_length,
-                "equals_length": mu == c.local_length,
-                "ok": socle == e - 1 and mu <= c.local_length,
-            }
-        )
+    rows = [
+        {
+            "point": point_text(c.point),
+            "local_length": c.local_length,
+            "b2": c.socle,
+            "generator_count": c.generators,
+            "multiplicity": c.multiplicity,
+            "bounded": c.multiplicity <= c.local_length,
+            "strict": c.multiplicity < c.local_length,
+            "equals_length": c.multiplicity == c.local_length,
+            "ok": c.socle == c.generators - 1 and c.multiplicity <= c.local_length,
+        }
+        for c in analysis.components
+    ]
     summary = {
         "colength": analysis.colength,
         "residual_dimension": analysis.residual_dimension,
@@ -255,15 +249,15 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
             ok = (
                 analysis.colength == n
                 and len(analysis.components) == 1
-                and component.betti.b2 == c.inner_count
-                and component.betti.minimal_generators == c.outer_count
+                and component.socle == c.inner_count
+                and component.generators == c.outer_count
             )
             rows.append(
                 {
                     "partition": str(partition),
                     "b2": c.inner_count,
-                    "engine_b2": component.betti.b2,
-                    "engine_generators": component.betti.minimal_generators,
+                    "engine_b2": component.socle,
+                    "engine_generators": component.generators,
                     "colength": analysis.colength,
                     "ok": ok,
                 }
@@ -297,7 +291,7 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
 
 
 def check_degeneration(
-    ideal_text: str, gb: GroebnerBasis, analysis: IdealAnalysis
+    ideal_text: str, gb: GroebnerBasis, analysis: Decomposition
 ) -> VerificationReport:
     """Degeneration to the initial ideal preserves colength and cannot
     decrease the socle dimension, for every monomial order.
@@ -313,7 +307,7 @@ def check_degeneration(
     if analysis.residual_dimension or [c.point for c in analysis.components] != [(zero, zero)]:
         raise SupportNotLocal(f"support of ({ideal_text}) is not concentrated at the origin")
     colength = analysis.colength
-    base_b2 = analysis.components[0].betti.b2
+    base_b2 = analysis.components[0].socle
     degenerations = {}  # key function -> (initial ideal, its analysis)
     rows = []
     for order in ALL_ORDERS:
@@ -324,7 +318,7 @@ def check_degeneration(
             monomial_gb = groebner_from_monomials(init, order, coeff_field)
             degenerations[key] = (init, analyze_quotient(monomial_gb))
         init, init_analysis = degenerations[key]
-        init_b2 = init_analysis.components[0].betti.b2
+        init_b2 = init_analysis.components[0].socle
         preserved = init_analysis.colength == colength
         semicontinuous = init_b2 >= base_b2
         rows.append(
@@ -387,8 +381,10 @@ def random_ideal_trials(cfg: SamplerConfig) -> VerificationReport:
 
     Draws pairs of random polynomials of bounded degree with no constant
     term (so the origin is always in the support), rejects pairs that are
-    not zero-dimensional, and checks the origin factor of each accepted
-    ideal.  Deterministic for a fixed seed.
+    not zero-dimensional, and runs ``local_invariants`` on the origin
+    factor of each accepted ideal, so every accepted draw passed both
+    checks; a failure raises LemmaViolation naming the drawn ideal.
+    Deterministic for a fixed seed.
     """
     coeff_field = PrimeField(cfg.prime)
     rng = random.Random(cfg.seed)
@@ -404,7 +400,6 @@ def random_ideal_trials(cfg: SamplerConfig) -> VerificationReport:
         return Polynomial(coeff_field, terms)
 
     accepted = draws = 0
-    socle_passes = mu_passes = 0
     histogram: dict[int, int] = {}
     limit = 1000 * max(cfg.count, 1)
     while accepted < cfg.count:
@@ -414,21 +409,16 @@ def random_ideal_trials(cfg: SamplerConfig) -> VerificationReport:
         f, g = draw(), draw()
         if f.is_zero() or g.is_zero():
             continue
-        gb = buchberger([f, g], DEFAULT_ORDER)
-        lq = None
         try:
-            lq = local_component_at(gb, origin)
+            lq = local_component_at(buchberger([f, g], DEFAULT_ORDER), origin)
         except NotZeroDimensional:
             continue
         # both generators vanish at the origin, so the factor exists
-        socle = socle_dimension(lq)
-        e = generator_count(lq)
-        mu = multiplicity_from_socle(socle)
+        try:
+            socle = local_invariants(lq).socle
+        except LemmaViolation as exc:
+            raise LemmaViolation(f"{exc} of the drawn ideal ({f}, {g})") from None
         accepted += 1
-        if socle == e - 1:
-            socle_passes += 1
-        if mu <= lq.dimension:
-            mu_passes += 1
         histogram[socle] = histogram.get(socle, 0) + 1
     inputs = {
         "field": coeff_field.label,
@@ -440,9 +430,8 @@ def random_ideal_trials(cfg: SamplerConfig) -> VerificationReport:
         "requested": cfg.count,
         "accepted": accepted,
         "draws": draws,
-        "socle_identity_passes": socle_passes,
-        "multiplicity_bound_passes": mu_passes,
+        "socle_identity_passes": accepted,
+        "multiplicity_bound_passes": accepted,
         "histogram": {str(k): histogram[k] for k in sorted(histogram)},
     }
-    passed = socle_passes == accepted == cfg.count and mu_passes == accepted
-    return VerificationReport("random_trials", inputs, [], summary, passed)
+    return VerificationReport("random_trials", inputs, [], summary, accepted == cfg.count)

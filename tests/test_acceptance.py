@@ -81,8 +81,8 @@ def monomial_sweep():
                     parts=partition.parts,
                     corner_e=c.outer_count,
                     corner_b2=c.inner_count,
-                    engine_e=component.betti.minimal_generators,
-                    engine_b2=component.betti.b2,
+                    engine_e=component.generators,
+                    engine_b2=component.socle,
                     engine_length=analysis.colength,
                     certified=spolynomial_certificate(gb),
                 )
@@ -222,8 +222,8 @@ def test_criterion_6_two_points_are_smooth():
         gens = [Polynomial.monomial(QQ, m) for m in monomial_ideal_of(partition)]
         analysis = analyze_quotient(buchberger(gens, DEFAULT_ORDER))
         component = analysis.components[0]
-        assert component.betti.b2 == 1
-        assert component.multiplicity.multiplicity == 1
+        assert component.socle == 1
+        assert component.multiplicity == 1
     elapsed = time.perf_counter() - start
     _announce(6, "every length-2 scheme has b2 = 1 and multiplicity 1", elapsed)
 

@@ -8,17 +8,16 @@ import punctual.artinian as artinian
 from punctual.artinian import (
     LocalQuotient,
     analyze_quotient,
-    betti_data,
     generator_count,
     local_component_at,
     local_components,
     local_ideal_kernel,
     local_ideal_truncation,
+    local_invariants,
     local_unit,
     minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
-    multiplicity_report,
     nilpotency_index,
     quotient_basis,
     socle_dimension,
@@ -161,7 +160,7 @@ def test_four_rational_points():
 def test_non_rational_support_is_residual():
     decomposition = local_components(gb_of("x^2 - 2, y"))
     assert decomposition.colength == 2
-    assert decomposition.components == []
+    assert decomposition.components == ()
     assert decomposition.residual_dimension == 2
     # same ideal over F7 splits: 3^2 = 2 mod 7
     decomposition = local_components(gb_of("x^2 - 2, y", field=F7))
@@ -270,18 +269,19 @@ def test_local_ideal_truncation_members():
 
 
 def test_betti_data_pinned_cases():
+    # b1 = generators and b2 = socle
     for text, e in (("x, y", 2), ("x^2, x*y, y^2", 3), ("y, x^3", 2)):
-        betti = betti_data(one_component(text))
-        assert betti.minimal_generators == e
-        assert betti.b1 == e and betti.b2 == e - 1
-        assert betti.socle_dim == betti.b2
+        invariants = local_invariants(one_component(text))
+        assert invariants.generators == e
+        assert invariants.socle == e - 1
 
 
 def test_betti_data_translated_fat_point():
     lq = one_component("x^2 - 2*x + 1, x*y + x - y - 1, y^2 + 2*y + 1")
     assert lq.point == (Fraction(1), Fraction(-1))
-    betti = betti_data(lq)
-    assert (betti.minimal_generators, betti.b2, betti.socle_dim) == (3, 2, 2)
+    invariants = local_invariants(lq)
+    assert invariants.point == lq.point
+    assert (invariants.generators, invariants.socle) == (3, 2)
 
 
 def test_multiplicity_formula():
@@ -295,13 +295,13 @@ def test_multiplicity_formula():
 
 
 def test_multiplicity_report_pinned_cases():
-    report = multiplicity_report(one_component("x^2, x*y, y^2"))
-    assert (report.b2, report.multiplicity, report.local_length) == (2, 3, 3)
-    assert report.equals_length
-    report = multiplicity_report(one_component("y, x^5"))
-    assert (report.b2, report.multiplicity, report.local_length) == (1, 1, 5)
-    assert not report.equals_length  # the strict witness
-    report = multiplicity_report(one_component("x, y"))
+    report = local_invariants(one_component("x^2, x*y, y^2"))
+    assert (report.socle, report.multiplicity, report.local_length) == (2, 3, 3)
+    assert report.multiplicity == report.local_length
+    report = local_invariants(one_component("y, x^5"))
+    assert (report.socle, report.multiplicity, report.local_length) == (1, 1, 5)
+    assert report.multiplicity != report.local_length  # the strict witness
+    report = local_invariants(one_component("x, y"))
     assert (report.multiplicity, report.local_length) == (1, 1)
 
 
@@ -309,8 +309,8 @@ def test_multiplicity_bounded_on_corpus():
     for text in CURATED_CORPUS:
         analysis = analyze_quotient(gb_of(text))
         for component in analysis.components:
-            assert component.multiplicity.multiplicity <= component.local_length
-            assert component.multiplicity.multiplicity <= analysis.colength
+            assert component.multiplicity <= component.local_length
+            assert component.multiplicity <= analysis.colength
 
 
 def test_colength_is_order_invariant():
@@ -330,7 +330,7 @@ def test_invariants_are_order_invariant():
             analysis = analyze_quotient(buchberger(gens, order))
             profiles.add(
                 tuple(
-                    (str(c.point[0]), str(c.point[1]), c.local_length, c.betti.b2)
+                    (str(c.point[0]), str(c.point[1]), c.local_length, c.socle)
                     for c in analysis.components
                 )
             )
@@ -350,7 +350,7 @@ def test_analysis_over_prime_field():
     assert analysis.colength == 2
     assert {c.point[0].value for c in analysis.components} == {0, 6}
     for component in analysis.components:
-        assert component.betti.b2 == 1
+        assert component.socle == 1
 
 
 # Oracles: the word-table and n-th power routines the engine used before it

@@ -129,7 +129,10 @@ def test_verify_exit_codes(capsys):
     assert run_cli(capsys, "verify", "--ideal", "x +")[0] == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "verify"])
+SAMPLE_ARGV = ("sample", "--field", "Fp:101", "--count", "5", "--seed", "1")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "verify --field Fp:7", "sample"])
 @pytest.mark.parametrize(
     "ideal,shifted",
     [
@@ -138,13 +141,21 @@ def test_verify_exit_codes(capsys):
     ],
 )
 def test_route_disagreement_exits_4(capsys, monkeypatch, command, ideal, shifted):
+    # sample draws its own ideals; its first accepted draw trips the same guard
     for name in shifted:
         route = getattr(artinian, name)
         monkeypatch.setattr(artinian, name, lambda lq, route=route: route(lq) + 1)
-    code, out, err = run_cli(capsys, command, "--ideal", ideal)
+    argv = SAMPLE_ARGV if command == "sample" else (*command.split(), "--ideal", ideal)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 4
     assert out == ""
     assert "internal check failure" in err
+    assert "at point (0, 0)" in err
+    assert "Fraction(" not in err and "GFElement(" not in err
+    guard = "minimal generators" if len(shifted) == 1 else "exceeds local length"
+    assert guard in err
+    if command == "sample":
+        assert "of the drawn ideal (" in err
 
 
 def test_sweep_range(capsys):
