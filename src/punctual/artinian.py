@@ -5,9 +5,11 @@ commuting multiplication operators on the standard-monomial basis.  All
 invariants come out of exact linear algebra on those operators:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
-  polynomial is the first dependence among [1], M[1], M^2[1], ...; each
-  root p of multiplicity s gives the generalized eigenspace ker (M - p)^s,
-  and the local factors are the nonzero joint kernels of those spaces;
+  polynomial is the first dependence among [1], M[1], M^2[1], ...; its
+  roots in the field come from modular algorithms (``_fp_roots``,
+  ``_rational_roots``), each root p of multiplicity s gives the
+  generalized eigenspace ker (M - p)^s, and the local factors are the
+  nonzero joint kernels of those spaces;
 * each factor is translated to the origin on the matrix side (M - p*Id),
   never by substituting into polynomials;
 * the nilpotency index r is the length of the m-adic filtration
@@ -33,7 +35,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
-from .errors import LemmaViolation, NotZeroDimensional, PointNotInSupport
+from .errors import ConfigError, LemmaViolation, NotZeroDimensional, PointNotInSupport
+from .fields import is_prime
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import (
     identity,
@@ -48,6 +51,11 @@ from .linalg import (
     vector_minimal_polynomial,
 )
 from .poly import Monomial, Polynomial, X, Y
+
+# quotients above this colength are refused before their basis is listed:
+# analyze x^11, y^11 (colength 121) takes 11-12 s on a 2-core VM, x^10, y^10
+# about 5.5 s and x^12, y^12 about 15 s
+MAX_COLENGTH = 121
 
 
 @dataclass(frozen=True)
@@ -112,20 +120,38 @@ def point_text(point) -> str:
     return f"({point[0]}, {point[1]})"
 
 
+def _staircase(lms) -> list[tuple[int, int, int]]:
+    """Steps (first x-exponent, last x-exponent + 1, height) under the
+    leading monomials of a zero-dimensional basis."""
+    steps = []
+    by_x = sorted(lms, key=lambda m: (m.a, m.b))
+    height = by_x[0].b  # the pure power of y
+    for m in by_x[1:]:
+        if m.b < height:
+            steps.append((steps[-1][1] if steps else 0, m.a, height))
+            height = m.b
+    return steps
+
+
 def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
-    """Monomials outside the initial ideal, sorted ascending by gb's order."""
+    """Monomials outside the initial ideal, sorted ascending by gb's order.
+
+    The colength, the area under the staircase, is checked against
+    ``MAX_COLENGTH`` before any monomial is listed.
+    """
     if not is_zero_dimensional(gb):
         raise NotZeroDimensional(
             "leading monomials contain no pure power of x or no pure power of y"
         )
-    lms = gb.leading_monomials()
-    bound_x = min(m.a for m in lms if m.b == 0)
-    bound_y = min(m.b for m in lms if m.a == 0)
+    steps = _staircase(gb.leading_monomials())
+    colength = sum((end - start) * height for start, end, height in steps)
+    if colength > MAX_COLENGTH:
+        raise ConfigError(f"colength {colength} exceeds the limit colength <= {MAX_COLENGTH}")
     standard = [
         Monomial(a, b)
-        for a in range(bound_x)
-        for b in range(bound_y)
-        if not any(lm.divides(Monomial(a, b)) for lm in lms)
+        for start, end, height in steps
+        for a in range(start, end)
+        for b in range(height)
     ]
     standard.sort(key=gb.order.key_func())
     return QuotientBasis(tuple(standard))
@@ -155,67 +181,201 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     return MultiplicationPair(action(X), action(Y))
 
 
-def _divisors(k: int) -> list[int]:
-    k = abs(k)
-    out = []
-    f = 1
-    while f * f <= k:
-        if k % f == 0:
-            out.append(f)
-            if f != k // f:
-                out.append(k // f)
-        f += 1
-    return sorted(out)
+# Roots of one-variable polynomials.  Coefficient lists run constant
+# first; the Fp kernel works on plain ints in [0, p) with no trailing zeros.
 
 
-def _eval_univariate(coeffs, value, zero):
-    acc = zero
+def _trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by b over Fp (b trimmed and nonzero)."""
+    rem = [c % p for c in a]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quotient = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] * inv % p
+        if c:
+            quotient[k] = c
+            for i, bi in enumerate(b):
+                rem[k + i] = (rem[k + i] - c * bi) % p
+    return quotient, _trim(rem[:db])
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd over Fp (a nonzero)."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_mulmod(a: list, b: list, f: list, p: int) -> list:
+    product = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return _fp_divmod(product, f, p)[1]
+
+
+def _fp_powmod(a: list, e: int, f: list, p: int) -> list:
+    """a^e mod f over Fp, by repeated squaring."""
+    result, a = [1], _fp_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _fp_mulmod(result, a, f, p)
+        e >>= 1
+        if e:
+            a = _fp_mulmod(a, a, f, p)
+    return result
+
+
+def _fp_minus(a: list, b: list, p: int) -> list:
+    a = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        a[i] = (a[i] - c) % p
+    return _trim(a)
+
+
+def _fp_split(r: list, p: int, roots: list) -> None:
+    """Collect the roots of r, a monic product of distinct linear factors
+    over Fp with p odd, by equal-degree splitting (Cantor-Zassenhaus).
+
+    gcd(r, (t + a)^((p-1)/2) - 1) keeps the roots at which t + a is a
+    nonzero square.  The shifts a = 0, 1, 2, ... are tried in turn, so the
+    split is deterministic; any two distinct roots are separated by
+    (p - 1)/2 of the p shifts.
+    """
+    if len(r) == 2:
+        roots.append(-r[0] % p)
+        return
+    for a in range(p):
+        half = _fp_minus(_fp_powmod([a, 1], (p - 1) // 2, r, p), [1], p)
+        g = _fp_gcd(r, half, p)
+        if 1 < len(g) < len(r):
+            _fp_split(g, p, roots)
+            _fp_split(_fp_divmod(r, g, p)[0], p, roots)
+            return
+
+
+def _fp_roots(coeffs: list[int], p: int) -> list[int]:
+    """The roots in [0, p), ascending, of a nonzero polynomial over Fp.
+
+    The roots in Fp are those of r = gcd(f, t^p - t), with t^p mod f by
+    repeated squaring, and ``_fp_split`` splits r into its linear factors:
+    the cost is polynomial in the degree and in log p.  For p = 2 the
+    polynomial is evaluated at 0 and 1.
+    """
+    f = _trim([c % p for c in coeffs])
+    if p == 2:
+        return [t for t, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
+    if len(f) < 2:
+        return []
+    f = _fp_gcd(f, [], p)  # monic
+    r = _fp_gcd(f, _fp_minus(_fp_powmod([0, 1], p, f, p), [0, 1], p), p)
+    roots: list[int] = []
+    if len(r) > 1:
+        _fp_split(r, p, roots)
+    return sorted(roots)
+
+
+def _qq_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of Fraction polynomials (b trimmed and nonzero)."""
+    rem = list(a)
+    db = len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = rem[k + db] / b[-1]
+        if c:
+            quotient[k] = c
+            for i, bi in enumerate(b):
+                rem[k + i] -= c * bi
+    return quotient, _trim(rem[:db])
+
+
+def _primitive(coeffs: list) -> list[int]:
+    """The integer polynomial with coprime coefficients proportional to a
+    Fraction polynomial."""
+    denominators = 1
+    for c in coeffs:
+        denominators = denominators * c.denominator // gcd(denominators, c.denominator)
+    ints = [int(c * denominators) for c in coeffs]
+    content = 0
+    for c in ints:
+        content = gcd(content, c)
+    return [c // content for c in ints]
+
+
+def _squarefree_part(coeffs: list[Fraction]) -> list[int]:
+    """f / gcd(f, f') as a primitive integer polynomial, by Euclid over QQ."""
+    a, b = coeffs, _trim([i * c for i, c in enumerate(coeffs)][1:])
+    while b:
+        a, b = b, _qq_divmod(a, b)[1]
+    return _primitive(_qq_divmod(coeffs, a)[0])
+
+
+def _integer_roots(h: list[int]) -> list[int]:
+    """The integer roots of a monic squarefree integer polynomial.
+
+    They lie within the Cauchy bound B = 1 + max |h_i|.  Each root modulo
+    the first prime from 32003 up at which h stays squarefree is a simple
+    root there, so Newton's iteration lifts it until the modulus exceeds
+    2B; the symmetric residue is kept only if h vanishes on it exactly.
+    """
+    bound = 1 + max(abs(c) for c in h[:-1])
+    derivative = [i * c for i, c in enumerate(h)][1:]
+    p = 32003
+    while len(_fp_gcd(h, _trim([c % p for c in derivative]), p)) > 1:
+        p += 2
+        while not is_prime(p):
+            p += 2
+    found = []
+    for z in _fp_roots(h, p):
+        modulus = p
+        while modulus <= 2 * bound:
+            modulus *= modulus
+            slope = _eval_int(derivative, z) % modulus
+            z = (z - _eval_int(h, z) * pow(slope, -1, modulus)) % modulus
+        if z > modulus // 2:
+            z -= modulus
+        if _eval_int(h, z) == 0:
+            found.append(z)
+    return found
+
+
+def _eval_int(coeffs: list[int], value: int) -> int:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * value + c
     return acc
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a polynomial with Fraction coefficients."""
+    """All rational roots, ascending, of a nonzero Fraction polynomial.
+
+    Zero is read off the low coefficients.  Every other root is a root of
+    the squarefree part g = sum g_i t^i with integer coefficients; with
+    d = deg g and c = g_d, the monic h(z) = c^(d-1) g(z/c) has integer
+    coefficients, and t = z/c runs over the rational roots of g as z runs
+    over the integer roots of h (``_integer_roots``, each one confirmed by
+    exact evaluation).
+    """
     v = 0
-    while v < len(coeffs) and coeffs[v] == 0:
+    while not coeffs[v]:
         v += 1
-    roots = set()
-    if v > 0:
-        roots.add(Fraction(0))
+    roots = [Fraction(0)] if v else []
     core = coeffs[v:]
     if len(core) > 1:
-        denom_lcm = 1
-        for c in core:
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = [int(c * denom_lcm) for c in core]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        if g > 1:
-            ints = [c // g for c in ints]
-        constant, leading = ints[0], ints[-1]
-        zero = Fraction(0)
-        for p in _divisors(constant):
-            for q in _divisors(leading):
-                for candidate in (Fraction(p, q), Fraction(-p, q)):
-                    if candidate not in roots and _eval_univariate(core, candidate, zero) == 0:
-                        roots.add(candidate)
+        g = _squarefree_part(core)
+        d, c = len(g) - 1, g[-1]
+        h = [g_i * c ** (d - 1 - i) for i, g_i in enumerate(g[:-1])] + [1]
+        roots.extend(Fraction(z, c) for z in _integer_roots(h))
     return sorted(roots)
-
-
-def _prime_field_roots(coeffs, coeff_field) -> list:
-    """Roots in Fp by scanning the field; linear in p, fine for small moduli."""
-    p = coeff_field.characteristic
-    ints = [c.value for c in coeffs]
-    roots = []
-    for t in range(p):
-        acc = 0
-        for c in reversed(ints):
-            acc = (acc * t + c) % p
-        if acc == 0:
-            roots.append(coeff_field.from_int(t))
-    return roots
 
 
 def _root_multiplicity(coeffs, root) -> int:
@@ -240,7 +400,8 @@ def _eigenvalue_candidates(matrix, coeff_field) -> list:
     if coeff_field.characteristic == 0:
         roots = _rational_roots(coeffs)
     else:
-        roots = _prime_field_roots(coeffs, coeff_field)
+        residues = _fp_roots([c.value for c in coeffs], coeff_field.characteristic)
+        roots = [coeff_field.from_int(t) for t in residues]
     return [(p, _root_multiplicity(coeffs, p)) for p in roots]
 
 
@@ -301,14 +462,18 @@ def _component_at(pair: MultiplicationPair, point: tuple, nil_x, nil_y, coeff_fi
     if not kernel:
         return None
     m = len(kernel)
-    columns = [[vec[i] for vec in kernel] for i in range(n)]
-    targets_x = [mat_vec(pair.on_x, vec, coeff_field) for vec in kernel]
-    targets_y = [mat_vec(pair.on_y, vec, coeff_field) for vec in kernel]
-    coords_x = solve_in_column_space(columns, targets_x, coeff_field)
-    coords_y = solve_in_column_space(columns, targets_y, coeff_field)
-    # restricted action, columns indexed by the kernel basis
-    local_x = [[coords_x[j][i] for j in range(m)] for i in range(m)]
-    local_y = [[coords_y[j][i] for j in range(m)] for i in range(m)]
+    if m == n:
+        # the echelon basis of the whole space is the identity
+        local_x, local_y = pair.on_x, pair.on_y
+    else:
+        columns = [[vec[i] for vec in kernel] for i in range(n)]
+        targets_x = [mat_vec(pair.on_x, vec, coeff_field) for vec in kernel]
+        targets_y = [mat_vec(pair.on_y, vec, coeff_field) for vec in kernel]
+        coords_x = solve_in_column_space(columns, targets_x, coeff_field)
+        coords_y = solve_in_column_space(columns, targets_y, coeff_field)
+        # restricted action, columns indexed by the kernel basis
+        local_x = [[coords_x[j][i] for j in range(m)] for i in range(m)]
+        local_y = [[coords_y[j][i] for j in range(m)] for i in range(m)]
     translated_x = mat_sub(local_x, scaled_identity(px, m, coeff_field))
     translated_y = mat_sub(local_y, scaled_identity(py, m, coeff_field))
     r = nilpotency_index(translated_x, translated_y, coeff_field)

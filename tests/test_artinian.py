@@ -73,6 +73,16 @@ def test_quotient_basis_is_a_staircase():
                 assert Monomial(m.a, m.b - 1) in monomials
 
 
+def test_staircase_area_is_the_colength():
+    cases = list(CURATED_CORPUS) + ["x, y", "x, y, x - 1", "x^3, x^2*y, x*y^3, y^5", "y^2, x^7"]
+    for text in cases:
+        for order in ALL_ORDERS:
+            gb = gb_of(text, order)
+            steps = artinian._staircase(gb.leading_monomials())
+            area = sum((end - start) * height for start, end, height in steps)
+            assert area == quotient_basis(gb).dimension, (text, order)
+
+
 def test_quotient_basis_rejects_positive_dimension():
     with pytest.raises(NotZeroDimensional):
         quotient_basis(gb_of("x"))
@@ -443,16 +453,41 @@ def test_local_unit_rejects_non_local_pair():
 
 def test_root_search_runs_once_per_coordinate(monkeypatch):
     calls = []
-    original = artinian._prime_field_roots
+    original = artinian._fp_roots
 
-    def counted(coeffs, field):
+    def counted(coeffs, p):
         calls.append(coeffs)
-        return original(coeffs, field)
+        return original(coeffs, p)
 
-    monkeypatch.setattr(artinian, "_prime_field_roots", counted)
+    monkeypatch.setattr(artinian, "_fp_roots", counted)
     decomposition = local_components(gb_of("x^2 - 1, y^2 - 1", field=F32003))
     assert len(decomposition.components) == 4
     assert len(calls) == 2
+
+
+def test_factor_on_the_whole_quotient_is_not_restricted(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("restricted a factor that is the whole quotient")
+
+    fat_point_at_1_2 = "x^2 - 2*x + 1, x*y - 2*x - y + 2, y^2 - 4*y + 4"
+    for text, field in ((fat_point_at_1_2, QQ), ("x^3, y^2 - x", F7)):
+        gb = gb_of(text, field=field)
+        pair = multiplication_matrices(quotient_basis(gb), gb)
+        monkeypatch.setattr(artinian, "solve_in_column_space", refuse)
+        (lq,) = local_components(gb).components
+        monkeypatch.undo()
+        n = len(pair.on_x)
+        assert lq.dimension == n
+        assert lq.mult_x == mat_sub(pair.on_x, scaled_identity(lq.point[0], n, field))
+        assert lq.mult_y == mat_sub(pair.on_y, scaled_identity(lq.point[1], n, field))
+    # with two points each factor is a proper subspace and is restricted
+    calls = []
+    original = artinian.solve_in_column_space
+    monkeypatch.setattr(
+        artinian, "solve_in_column_space", lambda *args: calls.append(args) or original(*args)
+    )
+    assert len(local_components(gb_of("x^2 - 1, y")).components) == 2
+    assert len(calls) == 4
 
 
 def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):

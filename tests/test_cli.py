@@ -65,6 +65,43 @@ def test_huge_prime_is_refused_before_primality_test(capsys):
     assert "too large" in err
 
 
+@pytest.mark.parametrize(
+    "argv,point",
+    [
+        (["--ideal", "x-1, y-2", "--field", "Fp:2147483647"], ["1", "2"]),
+        (
+            ["--ideal", "x - 1000000000000000000000000000057, y"],
+            ["1000000000000000000000000000057", "0"],
+        ),
+    ],
+)
+def test_root_search_is_fast_for_a_huge_field_or_root(capsys, argv, point):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", *argv, "--format", "json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["colength"] == 1 and payload["residual_dimension"] == 0
+    assert [c["point"] for c in payload["components"]] == [point]
+
+
+def test_oversized_quotient_is_refused_before_its_basis_is_listed(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", "--ideal", "x^99999999, y")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: colength 99999999 exceeds the limit colength <= 121\n"
+
+
+def test_colength_limit_is_inclusive(capsys, monkeypatch):
+    assert artinian.MAX_COLENGTH == 121
+    monkeypatch.setattr(artinian, "MAX_COLENGTH", 9)
+    assert run_cli(capsys, "analyze", "--ideal", "x^3, y^3")[0] == 0
+    assert run_cli(capsys, "verify", "--ideal", "x^3, x*y, y^4")[0] == 0
+    code, out, err = run_cli(capsys, "analyze", "--ideal", "x^5, y^2")
+    assert code == 2 and out == "" and "colength 10 exceeds the limit colength <= 9" in err
+
+
 def test_analyze_residual_note(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--ideal", "x^3 - 2*x, y")
     assert code == 0
