@@ -38,7 +38,7 @@ from .errors import (
     PunctualError,
     SupportNotLocal,
 )
-from .fields import GFElement, PrimeField, QQ, RationalField, parse_field
+from .fields import PrimeField, QQ, RationalField, parse_field
 from .groebner import (
     GroebnerBasis,
     buchberger,

@@ -378,11 +378,12 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _root_multiplicity(coeffs, root) -> int:
+def _root_multiplicity(coeffs, root, coeff_field) -> int:
     """How often (t - root) divides the polynomial, by synthetic division."""
+    reduce = coeff_field.reduce
     s = 0
     while True:
-        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: acc * root + c)
+        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: reduce(acc * root + c))
         if remainder:
             return s
         coeffs, s = quotient[::-1], s + 1
@@ -400,14 +401,13 @@ def _eigenvalue_candidates(matrix, coeff_field) -> list:
     if coeff_field.characteristic == 0:
         roots = _rational_roots(coeffs)
     else:
-        residues = _fp_roots([c.value for c in coeffs], coeff_field.characteristic)
-        roots = [coeff_field.from_int(t) for t in residues]
-    return [(p, _root_multiplicity(coeffs, p)) for p in roots]
+        roots = _fp_roots(coeffs, coeff_field.characteristic)
+    return [(p, _root_multiplicity(coeffs, p, coeff_field)) for p in roots]
 
 
 def _primary_power(matrix, root, s: int, coeff_field) -> list:
     """(M - root)^s; its kernel is the generalized eigenspace of the root."""
-    shifted = mat_sub(matrix, scaled_identity(root, len(matrix), coeff_field))
+    shifted = mat_sub(matrix, scaled_identity(root, len(matrix), coeff_field), coeff_field)
     return mat_pow(shifted, s, coeff_field)
 
 
@@ -447,7 +447,7 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     coeff_field = gb.field
     powers = []
     for matrix, p in zip((pair.on_x, pair.on_y), point):
-        s = _root_multiplicity(_minimal_polynomial(matrix, coeff_field), p)
+        s = _root_multiplicity(_minimal_polynomial(matrix, coeff_field), p, coeff_field)
         if s == 0:
             return None
         powers.append(_primary_power(matrix, p, s, coeff_field))
@@ -474,8 +474,8 @@ def _component_at(pair: MultiplicationPair, point: tuple, nil_x, nil_y, coeff_fi
         # restricted action, columns indexed by the kernel basis
         local_x = [[coords_x[j][i] for j in range(m)] for i in range(m)]
         local_y = [[coords_y[j][i] for j in range(m)] for i in range(m)]
-    translated_x = mat_sub(local_x, scaled_identity(px, m, coeff_field))
-    translated_y = mat_sub(local_y, scaled_identity(py, m, coeff_field))
+    translated_x = mat_sub(local_x, scaled_identity(px, m, coeff_field), coeff_field)
+    translated_y = mat_sub(local_y, scaled_identity(py, m, coeff_field), coeff_field)
     r = nilpotency_index(translated_x, translated_y, coeff_field)
     return LocalQuotient(
         point=point,
@@ -510,9 +510,7 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
             lq = _component_at(pair, (px, py), nil_x, nil_y, coeff_field)
             if lq is not None:
                 components.append(lq)
-    components.sort(
-        key=lambda c: (coeff_field.sort_key(c.point[0]), coeff_field.sort_key(c.point[1]))
-    )
+    components.sort(key=lambda c: c.point)
     residual = n - sum(c.dimension for c in components)
     return Decomposition(components=tuple(components), residual_dimension=residual, colength=n)
 
@@ -623,7 +621,7 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
     r = nilpotency
     monos = truncation_monomials(r)
     index = {mono: i for i, mono in enumerate(monos)}
-    zero = coeff_field.zero()
+    zero, reduce = coeff_field.zero(), coeff_field.reduce
 
     def truncate_rows(polys_as_rows):
         rows = []
@@ -632,7 +630,7 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
             for mono, c in source:
                 if mono.degree <= r:
                     i = index[mono]
-                    row[i] = row[i] + c
+                    row[i] = reduce(row[i] + c)
             if any(row):
                 rows.append(row)
         return rows

@@ -1,10 +1,12 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Elements are plain values supporting the arithmetic operators: the
-rationals use ``fractions.Fraction`` (always normalized, positive
-denominator), prime fields use :class:`GFElement` residues reduced into
-``[0, p)``.  Field objects mint constants, convert integers, and supply a
-deterministic sort key.  No float is ever created anywhere downstream.
+Elements are plain values supporting ``+ - *``, ``==``, ordering and
+truthiness: the rationals use ``fractions.Fraction`` (always normalized,
+positive denominator), a prime field uses ints in ``[0, p)``.  Field objects
+mint constants, convert integers, and supply the two operations where the
+fields differ: every kernel stores a value through ``reduce`` (the identity
+over QQ, ``% p`` over Fp) and divides only through ``inv``.  No float is
+ever created anywhere downstream.
 """
 
 from __future__ import annotations
@@ -30,58 +32,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class GFElement:
-    """A residue modulo a prime, kept reduced into [0, p)."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _same_field(self, other: "GFElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(f"mixed moduli {self.modulus} and {other.modulus}")
-
-    def __add__(self, other: "GFElement") -> "GFElement":
-        self._same_field(other)
-        return GFElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "GFElement") -> "GFElement":
-        self._same_field(other)
-        return GFElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "GFElement") -> "GFElement":
-        self._same_field(other)
-        return GFElement(self.value * other.value, self.modulus)
-
-    def __truediv__(self, other: "GFElement") -> "GFElement":
-        self._same_field(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero residue")
-        return GFElement(self.value * pow(other.value, -1, self.modulus), self.modulus)
-
-    def __neg__(self) -> "GFElement":
-        return GFElement(-self.value, self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GFElement):
-            return NotImplemented
-        return self.value == other.value and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"GFElement({self.value}, {self.modulus})"
-
-
 class RationalField:
     """The rational numbers; elements are ``fractions.Fraction`` values."""
 
@@ -97,8 +47,11 @@ class RationalField:
     def from_int(self, k: int) -> Fraction:
         return Fraction(k)
 
-    def sort_key(self, element: Fraction) -> Fraction:
-        return element
+    def reduce(self, x: Fraction) -> Fraction:
+        return x
+
+    def inv(self, x: Fraction) -> Fraction:
+        return 1 / x
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)
@@ -111,9 +64,10 @@ class RationalField:
 
 
 class PrimeField:
-    """The field with p elements, p an odd-or-even prime below 2**31."""
+    """The field with p elements, p a prime below 2**31; elements are ints
+    in [0, p)."""
 
-    __slots__ = ("p", "_zero", "_one")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         # the bound first: trial division on a huge modulus does not finish
@@ -122,8 +76,6 @@ class PrimeField:
         if not isinstance(p, int) or not is_prime(p):
             raise ParseError(f"modulus {p!r} is not prime")
         self.p = p
-        self._zero = GFElement(0, p)
-        self._one = GFElement(1, p)
 
     @property
     def characteristic(self) -> int:
@@ -133,17 +85,22 @@ class PrimeField:
     def label(self) -> str:
         return f"Fp:{self.p}"
 
-    def zero(self) -> GFElement:
-        return self._zero
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> GFElement:
-        return self._one
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, k: int) -> GFElement:
-        return GFElement(k, self.p)
+    def from_int(self, k: int) -> int:
+        return k % self.p
 
-    def sort_key(self, element: GFElement) -> int:
-        return element.value
+    def reduce(self, x: int) -> int:
+        return x % self.p
+
+    def inv(self, x: int) -> int:
+        if not x % self.p:
+            raise ZeroDivisionError("division by zero residue")
+        return pow(x, -1, self.p)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p

@@ -40,8 +40,11 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     monomial of the running remainder, using the first basis element
     (in sequence order) whose leading monomial divides it.
     """
+    inv, reduce = f.field.inv, f.field.reduce
+    for g in basis:
+        f._check_field(g)
     reducers = [
-        (g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis if g
+        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
     ]
     if not reducers or not f:
         return f
@@ -50,21 +53,21 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     while True:
         target = None
         for m in sorted(work, key=key, reverse=True):
-            for lm, lc, g in reducers:
+            for lm, lc_inv, g in reducers:
                 if lm.divides(m):
-                    target = (m, lm, lc, g)
+                    target = (m, lm, lc_inv, g)
                     break
             if target:
                 break
         if target is None:
             break
-        m, lm, lc, g = target
-        factor = work[m] / lc
+        m, lm, lc_inv, g = target
+        factor = reduce(work[m] * lc_inv)
         shift = m.divided_by(lm)
         for mg, cg in g.terms.items():
             mm = mg * shift
             prev = work.get(mm)
-            value = prev - factor * cg if prev is not None else -(factor * cg)
+            value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
             if value:
                 work[mm] = value
             else:
@@ -76,9 +79,9 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     lm_f = f.leading_monomial(order)
     lm_g = g.leading_monomial(order)
     l = lm_f.lcm(lm_g)
-    one = f.field.one()
-    left = f.times_term(l.divided_by(lm_f), one / f.leading_coefficient(order))
-    right = g.times_term(l.divided_by(lm_g), one / g.leading_coefficient(order))
+    inv = f.field.inv
+    left = f.times_term(l.divided_by(lm_f), inv(f.leading_coefficient(order)))
+    right = g.times_term(l.divided_by(lm_g), inv(g.leading_coefficient(order)))
     return left - right
 
 

@@ -1,9 +1,11 @@
 """Dense exact linear algebra over the coefficient fields.
 
 Matrices are lists of row lists whose entries are field elements
-(Fraction or GFElement).  Pivoting always takes the first nonzero entry,
-the only sound choice for exact arithmetic, and every rank or kernel
-decision is therefore exact.
+(Fraction, or int in [0, p)).  Every stored entry goes through the
+field's ``reduce`` and every division through its ``inv``, so one kernel
+serves both fields.  Pivoting always takes the first nonzero entry, the
+only sound choice for exact arithmetic, and every rank or kernel decision
+is therefore exact.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ def scaled_identity(factor, n: int, field) -> list[list]:
     return [[factor if i == j else z for j in range(n)] for i in range(n)]
 
 
-def mat_sub(a: list[list], b: list[list]) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def mat_sub(a: list[list], b: list[list], field) -> list[list]:
+    reduce = field.reduce
+    return [[reduce(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a: list[list], b: list[list], field) -> list[list]:
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0
-    zero = field.zero()
+    zero, reduce = field.zero(), field.reduce
     bt = [[b[i][j] for i in range(k)] for j in range(m)]
     out = []
     for row in a:
@@ -43,20 +46,20 @@ def mat_mul(a: list[list], b: list[list], field) -> list[list]:
             for x, y in zip(row, col):
                 if x and y:
                     acc = acc + x * y
-            out_row.append(acc)
+            out_row.append(reduce(acc))
         out.append(out_row)
     return out
 
 
 def mat_vec(a: list[list], v: list, field) -> list:
-    zero = field.zero()
+    zero, reduce = field.zero(), field.reduce
     out = []
     for row in a:
         acc = zero
         for x, y in zip(row, v):
             if x and y:
                 acc = acc + x * y
-        out.append(acc)
+        out.append(reduce(acc))
     return out
 
 
@@ -82,7 +85,7 @@ def rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
     rows = [row[:] for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    one = field.one()
+    one, inv, reduce = field.one(), field.inv, field.reduce
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -96,13 +99,13 @@ def rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
         if pv != one:
-            inv = one / pv
-            rows[r] = [v * inv for v in rows[r]]
+            scale = inv(pv)
+            rows[r] = [reduce(v * scale) for v in rows[r]]
         lead = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], lead)]
+                rows[i] = [reduce(v - f * w) if w else v for v, w in zip(rows[i], lead)]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -133,7 +136,7 @@ def kernel_basis(matrix: list[list], field) -> list[list]:
         for i, p in enumerate(pivots):
             c = reduced[i][free]
             if c:
-                v[p] = -c
+                v[p] = field.reduce(-c)
         basis.append(v)
     return basis
 
@@ -163,7 +166,7 @@ def solve_in_column_space(columns: list[list], targets: list[list], field) -> li
 
 def _first_dependence(vectors, field) -> list:
     """The first linear dependence in a sequence of vectors, monic in the last."""
-    zero, one = field.zero(), field.one()
+    zero, one, reduce = field.zero(), field.one(), field.reduce
     # echelon rows: (reduced vector, dependence coefficients, lead index)
     echelon: list[tuple[list, list, int]] = []
     for k, vec in enumerate(vectors):
@@ -171,14 +174,16 @@ def _first_dependence(vectors, field) -> list:
         for evec, ecomb, lead in echelon:
             c = vec[lead]
             if c:
-                vec = [v - c * w for v, w in zip(vec, evec)]
+                vec = [reduce(v - c * w) if w else v for v, w in zip(vec, evec)]
                 for i, w in enumerate(ecomb):
-                    comb[i] = comb[i] - c * w
+                    comb[i] = reduce(comb[i] - c * w)
         lead = next((i for i, v in enumerate(vec) if v), None)
         if lead is None:
             return comb
-        inv = one / vec[lead]
-        echelon.append(([v * inv for v in vec], [v * inv for v in comb], lead))
+        scale = field.inv(vec[lead])
+        echelon.append(
+            ([reduce(v * scale) for v in vec], [reduce(v * scale) for v in comb], lead)
+        )
     raise ValueError("no linear dependence found")
 
 

@@ -126,7 +126,7 @@ class Polynomial:
             for mono, coeff in items:
                 if mono in data:
                     coeff = data[mono] + coeff
-                data[mono] = coeff
+                data[mono] = field.reduce(coeff)
         self.terms = {m: c for m, c in data.items() if c}
 
     @classmethod
@@ -149,10 +149,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
+        reduce = self.field.reduce
         data = dict(self.terms)
         for m, c in other.terms.items():
             if m in data:
-                s = data[m] + c
+                s = reduce(data[m] + c)
                 if s:
                     data[m] = s
                 else:
@@ -166,16 +167,17 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
+        reduce = self.field.reduce
         data = dict(self.terms)
         for m, c in other.terms.items():
             if m in data:
-                s = data[m] - c
+                s = reduce(data[m] - c)
                 if s:
                     data[m] = s
                 else:
                     del data[m]
             else:
-                data[m] = -c
+                data[m] = reduce(-c)
         out = Polynomial.__new__(Polynomial)
         out.field = self.field
         out.terms = data
@@ -184,23 +186,25 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         out = Polynomial.__new__(Polynomial)
         out.field = self.field
-        out.terms = {m: -c for m, c in self.terms.items()}
+        reduce = self.field.reduce
+        out.terms = {m: reduce(-c) for m, c in self.terms.items()}
         return out
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
+        reduce = self.field.reduce
         data: dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = m1 * m2
                 if m in data:
-                    s = data[m] + c1 * c2
+                    s = reduce(data[m] + c1 * c2)
                     if s:
                         data[m] = s
                     else:
                         del data[m]
                 else:
-                    data[m] = c1 * c2
+                    data[m] = reduce(c1 * c2)
         out = Polynomial.__new__(Polynomial)
         out.field = self.field
         out.terms = data
@@ -211,7 +215,8 @@ class Polynomial:
             return Polynomial(self.field)
         out = Polynomial.__new__(Polynomial)
         out.field = self.field
-        out.terms = {m: c * factor for m, c in self.terms.items()}
+        reduce = self.field.reduce
+        out.terms = {m: reduce(c * factor) for m, c in self.terms.items()}
         return out
 
     def times_term(self, mono: Monomial, coeff=None) -> "Polynomial":
@@ -221,7 +226,8 @@ class Polynomial:
         if coeff is None:
             out.terms = {m * mono: c for m, c in self.terms.items()}
         elif coeff:
-            out.terms = {m * mono: c * coeff for m, c in self.terms.items()}
+            reduce = self.field.reduce
+            out.terms = {m * mono: reduce(c * coeff) for m, c in self.terms.items()}
         else:
             out.terms = {}
         return out
@@ -253,22 +259,22 @@ class Polynomial:
         lc = self.leading_coefficient(order)
         if lc == self.field.one():
             return self
-        inv = self.field.one() / lc
-        return self.scaled(inv)
+        return self.scaled(self.field.inv(lc))
 
     def evaluate(self, px, py):
         """Exact evaluation at a point given by two field elements."""
+        reduce = self.field.reduce
         total = self.field.zero()
         powers_x: dict[int, object] = {0: self.field.one()}
         powers_y: dict[int, object] = {0: self.field.one()}
 
         def power(cache, base, e):
             if e not in cache:
-                cache[e] = power(cache, base, e - 1) * base
+                cache[e] = reduce(power(cache, base, e - 1) * base)
             return cache[e]
 
         for m, c in self.terms.items():
-            total = total + c * power(powers_x, px, m.a) * power(powers_y, py, m.b)
+            total = reduce(total + c * power(powers_x, px, m.a) * power(powers_y, py, m.b))
         return total
 
     def __eq__(self, other: object) -> bool:

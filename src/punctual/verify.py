@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 from .artinian import (
+    MAX_COLENGTH,
     Decomposition,
     analyze_quotient,
     local_component_at,
@@ -139,6 +141,12 @@ class SamplerConfig:
             raise ConfigError(f"sampler modulus {self.prime} is not prime")
         if self.degree < 1:
             raise ConfigError("sampler degree must be at least 1")
+        # by Bezout two curves of degree <= d meet in colength <= d^2; refuse
+        # before any draw, since Buchberger runs before the colength check
+        if self.degree * self.degree > MAX_COLENGTH:
+            raise ConfigError(
+                f"sampler degree {self.degree} exceeds the limit degree <= {isqrt(MAX_COLENGTH)}"
+            )
         if self.count < 0:
             raise ConfigError("sampler count must be non-negative")
 

@@ -314,6 +314,19 @@ def test_sample_zero_count(capsys):
     assert "accepted: 0 of 0" in out
 
 
+@pytest.mark.parametrize("degree", ["12", str(10**6)])
+def test_sample_degree_above_the_colength_limit_is_refused(capsys, degree):
+    # two curves of degree d meet in colength up to d^2, so d = 11 is the
+    # largest degree under MAX_COLENGTH = 121
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sample", "--degree", degree, "--count", "1", "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: sampler degree {degree} exceeds the limit degree <= 11\n"
+    code, out, _ = run_cli(capsys, "sample", "--degree", "11", "--count", "0", "--seed", "1")
+    assert code == 0 and "accepted: 0 of 0" in out
+
+
 def test_sample_requires_seed(capsys):
     code, _, _ = run_cli(capsys, "sample", "--count", "5")
     assert code == 2
@@ -369,6 +382,21 @@ COMMAND_GOLDEN_CASES = {
     "census_1_38.json": ["census", "--n", "1..38", "--format", "json"],
     "census_1_38.csv": ["census", "--n", "1..38", "--format", "csv"],
     "sweep_1_32.txt": ["sweep", "--n", "1..32", "--crosscheck-cutoff", "0", "--format", "text"],
+    # prime fields: root order, point sort, and coefficients printed as residues
+    "analyze_four_points_fp7.json": [
+        "analyze", "--ideal", "x^2 - 1, y^2 - 1", "--field", "Fp:7", "--format", "json",
+    ],
+    "analyze_translated_fp7.txt": [
+        "analyze", "--ideal", "x^2 - 2*x + 1, x*y + x - y - 1, y^2 + 2*y + 1",
+        "--field", "Fp:7",
+    ],
+    "verify_fp32003.csv": [
+        "verify", "--ideal", "x^3, x*y - y^3, y^4", "--field", "Fp:32003", "--format", "csv",
+    ],
+    "sample_fp101_deg3.json": [
+        "sample", "--field", "Fp:101", "--degree", "3", "--count", "20", "--seed", "7",
+        "--format", "json",
+    ],
 }
 
 

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from punctual.errors import ParseError
-from punctual.fields import GFElement, PrimeField, QQ, is_prime, parse_field
+from punctual.fields import PrimeField, QQ, is_prime, parse_field
+from punctual.groebner import normal_form
+from punctual.poly import DEFAULT_ORDER, parse_polynomial
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -33,23 +35,34 @@ def test_prime_check():
 
 
 def test_gf_reduction_invariant():
-    e = GFElement(10, 7)
-    assert e.value == 3
-    assert GFElement(-1, 7).value == 6
-    assert str(GFElement(12, 7)) == "5"
+    e = F7.from_int(10)
+    assert type(e) is int and e == 3
+    assert F7.from_int(-1) == 6
+    assert str(F7.from_int(12)) == "5"
+    assert F7.reduce(-8) == 6 and F7.reduce(6) == 6
 
 
 def test_gf_arithmetic():
     a, b = F7.from_int(3), F7.from_int(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == 2  # 3 * 5^-1 = 3 * 3 = 9 = 2
-    assert (-a).value == 4
+    assert F7.reduce(a + b) == 1
+    assert F7.reduce(a - b) == 5
+    assert F7.reduce(a * b) == 1
+    assert F7.reduce(a * F7.inv(b)) == 2  # 3 * 5^-1 = 3 * 3 = 9 = 2
+    assert F7.reduce(-a) == 4
     with pytest.raises(ZeroDivisionError):
-        a / F7.zero()
+        F7.inv(F7.zero())
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero())
+    assert QQ.inv(QQ.from_int(-4)) == Fraction(-1, 4)
+    assert QQ.reduce(Fraction(3, 4)) == Fraction(3, 4)
+
+
+def test_mixed_moduli_meet_only_in_polynomials():
+    x7, x101 = parse_polynomial("x", F7), parse_polynomial("x", F101)
     with pytest.raises(ValueError):
-        a + F101.from_int(3)
+        x7 + x101
+    with pytest.raises(ValueError):
+        normal_form(x7, [x101], DEFAULT_ORDER)
 
 
 def test_rationals_stay_normalized():
@@ -62,14 +75,15 @@ def test_rationals_stay_normalized():
 
 @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
 def test_gf_field_axioms(a, b, c):
+    r = F101.reduce
     x, y, z = (F101.from_int(v) for v in (a, b, c))
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x + F101.zero() == x
-    assert x * F101.one() == x
+    assert r(r(x + y) + z) == r(x + r(y + z))
+    assert r(r(x * y) * z) == r(x * r(y * z))
+    assert r(x * r(y + z)) == r(r(x * y) + r(x * z))
+    assert r(x + F101.zero()) == x
+    assert r(x * F101.one()) == x
     if y:
-        assert (x / y) * y == x
+        assert r(r(x * F101.inv(y)) * y) == x
 
 
 @given(

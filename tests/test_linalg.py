@@ -36,7 +36,7 @@ def test_mat_mul_and_pow():
     assert mat_pow(b, 2, QQ) == identity(2, QQ)
     assert mat_pow(a, 0, QQ) == identity(2, QQ)
     assert mat_vec(a, [Fraction(1), Fraction(1)], QQ) == [Fraction(3), Fraction(7)]
-    assert is_zero_matrix(mat_sub(a, a))
+    assert is_zero_matrix(mat_sub(a, a, QQ))
     assert scaled_identity(Fraction(3), 2, QQ) == qmat([[3, 0], [0, 3]])
 
 
@@ -86,7 +86,7 @@ def _eval_matrix_poly(coeffs, m, field):
     for c in reversed(coeffs[:-1]):
         acc = mat_mul(acc, m, field)
         for i in range(len(m)):
-            acc[i][i] = acc[i][i] + c
+            acc[i][i] = field.reduce(acc[i][i] + c)
     return acc
 
 
@@ -143,7 +143,7 @@ def test_vector_minimal_polynomial_is_least(entries):
         lead = remainder[-1]
         shift = len(remainder) - len(coeffs)
         for i, c in enumerate(coeffs):
-            remainder[shift + i] = remainder[shift + i] - lead * c
+            remainder[shift + i] = F101.reduce(remainder[shift + i] - lead * c)
         remainder.pop()
     assert not any(remainder)
 

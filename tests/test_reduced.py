@@ -1,0 +1,120 @@
+"""Every value a kernel stores is a reduced field element: over Fp an int in
+[0, p), over QQ a Fraction (so no division of two ints ever yields a float)."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from punctual.artinian import local_components, multiplication_matrices, quotient_basis
+from punctual.fields import PrimeField, QQ
+from punctual.groebner import buchberger, normal_form, spolynomial
+from punctual.linalg import (
+    kernel_basis,
+    mat_mul,
+    mat_sub,
+    mat_vec,
+    rref,
+    solve_in_column_space,
+    vector_minimal_polynomial,
+)
+from punctual.poly import ALL_ORDERS, Monomial, Polynomial
+
+FIELDS = [QQ] + [PrimeField(p) for p in (2, 3, 7, 101, 32003)]
+coefficients = st.integers(-40, 40)
+
+
+def reduced(value, field) -> bool:
+    if field == QQ:
+        return type(value) is Fraction
+    return type(value) is int and 0 <= value < field.p
+
+
+def assert_reduced(values, field, what):
+    bad = [v for v in values if not reduced(v, field)]
+    assert not bad, f"{what} over {field}: unreduced {bad[:3]}"
+
+
+def entries(matrix):
+    return [v for row in matrix for v in row]
+
+
+@st.composite
+def polynomials(draw, field, max_degree):
+    monos = [Monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
+    chosen = draw(st.lists(st.sampled_from(monos)))
+    return Polynomial(field, {m: field.from_int(draw(coefficients)) for m in chosen})
+
+
+@st.composite
+def zero_dimensional_ideals(draw):
+    """x^a + lower, y^b + lower and one product of random polynomials: the
+    leading forms x^a and y^b have no common zero, so the ideal is
+    zero-dimensional of colength at most a*b in every order, and the sums,
+    products and differences run the polynomial arithmetic."""
+    field = draw(st.sampled_from(FIELDS))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x_power = Polynomial.monomial(field, Monomial(a, 0)) + draw(polynomials(field, a - 1))
+    y_power = Polynomial.monomial(field, Monomial(0, b)) - draw(polynomials(field, b - 1))
+    extra = draw(polynomials(field, 2)) * draw(polynomials(field, 2)) - draw(polynomials(field, 3))
+    return field, [x_power, y_power, -extra]
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_dimensional_ideals(), st.sampled_from(ALL_ORDERS), st.data())
+def test_engine_stores_reduced_values(case, order, data):
+    field, gens = case
+    for g in gens:
+        assert_reduced(g.terms.values(), field, "generator")
+    f, g = gens[2], data.draw(polynomials(field, 3))
+    for name, p in (("sum", f + g), ("difference", f - g), ("product", f * g)):
+        assert_reduced(p.terms.values(), field, name)
+    if f:
+        assert_reduced(f.monic(order).terms.values(), field, "monic")
+        point = (field.from_int(data.draw(coefficients)), field.from_int(data.draw(coefficients)))
+        assert_reduced([f.evaluate(*point)], field, "evaluate")
+    gb = buchberger(gens, order)
+    for p in gb.generators:
+        assert_reduced(p.terms.values(), field, "Groebner basis")
+    if len(gb) > 1:
+        s = spolynomial(gb.generators[0], gb.generators[1], order)
+        assert_reduced(s.terms.values(), field, "S-polynomial")
+    assert_reduced(normal_form(g, gb.generators, order).terms.values(), field, "normal form")
+    pair = multiplication_matrices(quotient_basis(gb), gb)
+    assert_reduced(entries(pair.on_x) + entries(pair.on_y), field, "multiplication matrix")
+    for lq in local_components(gb).components:
+        assert_reduced(lq.point, field, "point")
+        assert_reduced(entries(lq.mult_x) + entries(lq.mult_y), field, "local factor")
+
+
+@st.composite
+def matrices(draw):
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.builds(field.from_int, coefficients)
+    row = st.lists(cell, min_size=cols, max_size=cols)
+    return field, draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(), st.data())
+def test_linear_algebra_returns_reduced_values(case, data):
+    field, m = case
+    n = len(m[0])
+    reduced_rows, pivots = rref(m, field)
+    assert_reduced(entries(reduced_rows), field, "rref")
+    assert_reduced(entries(kernel_basis(m, field)), field, "kernel basis")
+    assert_reduced(entries(mat_sub(m, reduced_rows, field)), field, "mat_sub")
+    transpose = [list(col) for col in zip(*m)]
+    assert_reduced(entries(mat_mul(m, transpose, field)), field, "mat_mul")
+    # the pivot columns of m are independent and span every other column
+    columns = [[row[p] for p in pivots] for row in m]
+    targets = [[row[j] for row in m] for j in range(n) if j not in pivots]
+    if pivots and targets:
+        coords = solve_in_column_space(columns, targets, field)
+        assert_reduced(entries(coords), field, "solve_in_column_space")
+    square = [row[:] for row in (m * n)[:n]]
+    vector = data.draw(st.lists(st.builds(field.from_int, coefficients), min_size=n, max_size=n))
+    assert_reduced(mat_vec(square, vector, field), field, "mat_vec")
+    if any(vector):
+        coeffs = vector_minimal_polynomial(square, vector, field)
+        assert_reduced(coeffs, field, "vector_minimal_polynomial")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from punctual.artinian import _fp_roots, _rational_roots, _root_multiplicity
+from punctual.fields import QQ
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 101)
 
@@ -101,7 +102,7 @@ def test_rational_roots_match_sympy(coeffs):
     assert roots == sorted(expected)
     for root in roots:
         assert evaluate(coeffs, root) == 0
-        assert _root_multiplicity(coeffs, root) == expected[root]
+        assert _root_multiplicity(coeffs, root, QQ) == expected[root]
 
 
 def test_rational_roots_of_large_and_non_monic_polynomials():
@@ -122,4 +123,4 @@ def test_rational_roots_when_the_first_prime_merges_two_roots():
     assert _rational_roots(coeffs) == [Fraction(1), Fraction(32004)]
     repeated = times_linear(coeffs, Fraction(1))
     assert _rational_roots(repeated) == [Fraction(1), Fraction(32004)]
-    assert _root_multiplicity(repeated, Fraction(1)) == 2
+    assert _root_multiplicity(repeated, Fraction(1), QQ) == 2
