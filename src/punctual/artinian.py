@@ -7,54 +7,54 @@ invariants come out of exact linear algebra on those operators:
 * the quotient is cyclic on the class of 1, so each operator's minimal
   polynomial is the first dependence among [1], M[1], M^2[1], ...; its
   roots in the field come from modular algorithms (``_fp_roots``,
-  ``_rational_roots``), each root p of multiplicity s gives the
-  generalized eigenspace ker (M - p)^s, and the local factors are the
-  nonzero joint kernels of those spaces;
-* each factor is translated to the origin on the matrix side (M - p*Id),
-  never by substituting into polynomials;
-* the nilpotency index r is the length of the m-adic filtration
-  V_0 = A, V_(k+1) = Nx V_k + Ny V_k;
-* the socle dimension is the kernel of the stacked translated pair;
+  ``_rational_roots``);
+* a root p splits the minimal polynomial as (t - p)^s * g, and g(M) is
+  invertible on the factors whose coordinate is p and zero on all others,
+  non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
+  local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
+* the words Nx^a Ny^b w in the operators translated on the matrix side,
+  N = M - p*Id, span A_p: the nilpotency index r is the first degree at
+  which they all vanish and the local length is their rank;
+* the socle dimension is the kernel of the stacked translated pair (a
+  vector killed by both lies in A_p);
 * the minimal generator count of the local ideal comes from its image in
-  k[x,y]/m^(r+1): the f with f(Nx, Ny)u = 0 for a u outside m*A.
+  k[x,y]/m^(r+1): the f with f(Nx, Ny)w = 0.
 
-The socle route reads the joint kernel of the pair, the generator route
-only its joint image, so they are independent.  ``local_invariants`` runs
-both on one factor and returns the flat ``LocalInvariants`` record (the
-multiplicity b2*(b2+1)/2 is read from the socle); it is the one place
-that asserts socle = generators - 1 and multiplicity <= length, and a
-violation raises LemmaViolation because it can only mean an engine bug.
-``analyze_quotient`` is the local split followed by ``local_invariants``
-on every factor.
+The socle route reads the joint kernel of the pair and never w, the
+generator route only the words on w, so they are independent.
+``local_invariants`` runs both on one factor and returns the flat
+``LocalInvariants`` record (the multiplicity b2*(b2+1)/2 is read from the
+socle); it is the one place that asserts socle = generators - 1 and
+multiplicity <= length, and a violation raises LemmaViolation because it
+can only mean an engine bug.  ``analyze_quotient`` is the local split
+followed by ``local_invariants`` on every factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional, PointNotInSupport
 from .fields import is_prime
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import (
-    identity,
     kernel_basis,
-    mat_pow,
     mat_sub,
     mat_vec,
     rank,
-    rref,
     scaled_identity,
-    solve_in_column_space,
     vector_minimal_polynomial,
 )
 from .poly import Monomial, Polynomial, X, Y
 
 # quotients above this colength are refused before their basis is listed:
-# analyze x^11, y^11 (colength 121) takes 11-12 s on a 2-core VM, x^10, y^10
-# about 5.5 s and x^12, y^12 about 15 s
+# on a 2-core VM analyze takes about 0.2 s on x^11, y^11 (colength 121),
+# 0.15 s on x^10, y^10 and 0.3 s on x^12, y^12; dense operators cost more,
+# about 1.5 s for (x - 1)^11, (y - 2)^11 and 11 s for the 121 points of
+# an 11 x 11 grid
 MAX_COLENGTH = 121
 
 
@@ -79,11 +79,14 @@ class MultiplicationPair:
 
 @dataclass
 class LocalQuotient:
-    """One local factor of the quotient at a rational support point.
+    """One local factor A_p of the quotient at a rational support point p.
 
-    The multiplication pair is already translated to the origin, so both
-    matrices are nilpotent; ``nilpotency_index`` is the least r for which
-    every length-r product of them vanishes.
+    ``mult_x`` and ``mult_y`` are the multiplication operators of the whole
+    quotient translated to p (N = M - p*Id), and ``generator`` is the
+    vector w = g_x(Mx) g_y(My)[1] with A_p = k[x,y] w.  The words
+    Nx^a Ny^b w span A_p: ``dimension`` (the local length) is their rank
+    and ``nilpotency_index`` the least r at which all words of degree r
+    vanish.
     """
 
     point: tuple
@@ -92,6 +95,7 @@ class LocalQuotient:
     mult_y: list
     nilpotency_index: int
     field: object
+    generator: list
 
 
 @dataclass(frozen=True)
@@ -378,55 +382,80 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _root_multiplicity(coeffs, root, coeff_field) -> int:
-    """How often (t - root) divides the polynomial, by synthetic division."""
+def _cofactor(coeffs, root, coeff_field):
+    """The g with coeffs = (t - root)^s * g and g(root) != 0, by synthetic
+    division, or None if root is not a root."""
     reduce = coeff_field.reduce
-    s = 0
+    cofactor = None
     while True:
         *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: reduce(acc * root + c))
         if remainder:
-            return s
-        coeffs, s = quotient[::-1], s + 1
+            return cofactor
+        coeffs = cofactor = quotient[::-1]
+
+
+def _class_of_one(n: int, coeff_field) -> list:
+    return [coeff_field.one()] + [coeff_field.zero()] * (n - 1)
 
 
 def _minimal_polynomial(matrix, coeff_field) -> list:
     """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0."""
-    one = [coeff_field.one()] + [coeff_field.zero()] * (len(matrix) - 1)
-    return vector_minimal_polynomial(matrix, one, coeff_field)
+    return vector_minimal_polynomial(matrix, _class_of_one(len(matrix), coeff_field), coeff_field)
 
 
 def _eigenvalue_candidates(matrix, coeff_field) -> list:
-    """(root, multiplicity) for each root in the field of the minimal polynomial."""
+    """(root, cofactor) for each root in the field of the minimal polynomial."""
     coeffs = _minimal_polynomial(matrix, coeff_field)
     if coeff_field.characteristic == 0:
         roots = _rational_roots(coeffs)
     else:
         roots = _fp_roots(coeffs, coeff_field.characteristic)
-    return [(p, _root_multiplicity(coeffs, p, coeff_field)) for p in roots]
+    return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots]
 
 
-def _primary_power(matrix, root, s: int, coeff_field) -> list:
-    """(M - root)^s; its kernel is the generalized eigenspace of the root."""
-    shifted = mat_sub(matrix, scaled_identity(root, len(matrix), coeff_field), coeff_field)
-    return mat_pow(shifted, s, coeff_field)
+def _horner(coeffs, matrix, vector, coeff_field) -> list:
+    """f(M) v for a monic f, by Horner's rule."""
+    reduce = coeff_field.reduce
+    acc = vector
+    for c in reversed(coeffs[:-1]):
+        acc = [
+            reduce(a + c * v) if c and v else a
+            for a, v in zip(mat_vec(matrix, acc, coeff_field), vector)
+        ]
+    return acc
 
 
-def nilpotency_index(nil_x: list, nil_y: list, coeff_field) -> int:
-    """Least r such that every product of r factors from {Nx, Ny} vanishes.
+def _words(nil_x, nil_y, generator, coeff_field):
+    """The words Nx^a Ny^b w by degree k = a + b; layer k lists them for
+    a = 0..k, the order of ``truncation_monomials``."""
+    layer = [generator]
+    while True:
+        yield layer
+        layer = [mat_vec(nil_y, v, coeff_field) for v in layer] + [
+            mat_vec(nil_x, layer[-1], coeff_field)
+        ]
+
+
+def _flat_words(nil_x, nil_y, generator, coeff_field, degree: int) -> list:
+    """The words of degree < degree, ordered like ``truncation_monomials``."""
+    layers = islice(_words(nil_x, nil_y, generator, coeff_field), degree)
+    return [v for layer in layers for v in layer]
+
+
+def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> int:
+    """Least r such that every product of r factors from {Nx, Ny} kills w,
+    hence the whole factor k[x,y] w.
 
     Mixed products matter: for the pair coming from (x^2, y^2) both pure
     squares vanish while Nx*Ny does not, so the index is 3 there.  The
-    length-k products span V_k in V_0 = A, V_(k+1) = Nx V_k + Ny V_k.
+    index of a factor is at most its length, so the words must all vanish
+    by degree n.
     """
-    m = len(nil_x)
-    basis = identity(m, coeff_field)
-    for r in range(1, m + 1):
-        images = [mat_vec(nil, v, coeff_field) for nil in (nil_x, nil_y) for v in basis]
-        reduced, pivots = rref(images, coeff_field)
-        if not pivots:
+    for r, layer in enumerate(_words(nil_x, nil_y, generator, coeff_field)):
+        if not any(map(any, layer)):
             return r
-        basis = reduced[: len(pivots)]
-    raise ValueError("multiplication operators are not jointly nilpotent")
+        if r == len(generator):
+            raise ValueError("multiplication operators are not jointly nilpotent")
 
 
 def _operators(gb: GroebnerBasis):
@@ -445,69 +474,63 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     if pair is None:
         return None
     coeff_field = gb.field
-    powers = []
+    generator = _class_of_one(len(pair.on_x), coeff_field)
     for matrix, p in zip((pair.on_x, pair.on_y), point):
-        s = _root_multiplicity(_minimal_polynomial(matrix, coeff_field), p, coeff_field)
-        if s == 0:
+        cofactor = _cofactor(_minimal_polynomial(matrix, coeff_field), p, coeff_field)
+        if cofactor is None:
             return None
-        powers.append(_primary_power(matrix, p, s, coeff_field))
-    return _component_at(pair, point, *powers, coeff_field)
+        generator = _horner(cofactor, matrix, generator, coeff_field)
+    nil_x, nil_y = (_translated(m, p, coeff_field) for m, p in zip((pair.on_x, pair.on_y), point))
+    return _component_at(point, nil_x, nil_y, generator, coeff_field)
 
 
-def _component_at(pair: MultiplicationPair, point: tuple, nil_x, nil_y, coeff_field):
-    """The factor on the joint kernel of the two primary powers, or None."""
-    px, py = point
-    n = len(pair.on_x)
-    kernel = kernel_basis(nil_x + nil_y, coeff_field)
-    if not kernel:
+def _translated(matrix, p, coeff_field) -> list:
+    return mat_sub(matrix, scaled_identity(p, len(matrix), coeff_field), coeff_field)
+
+
+def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
+    """The factor k[x,y] w generated by w = g_x(Mx) g_y(My)[1], or None if
+    w = 0 (the point is not in the support)."""
+    if not any(generator):
         return None
-    m = len(kernel)
-    if m == n:
-        # the echelon basis of the whole space is the identity
-        local_x, local_y = pair.on_x, pair.on_y
-    else:
-        columns = [[vec[i] for vec in kernel] for i in range(n)]
-        targets_x = [mat_vec(pair.on_x, vec, coeff_field) for vec in kernel]
-        targets_y = [mat_vec(pair.on_y, vec, coeff_field) for vec in kernel]
-        coords_x = solve_in_column_space(columns, targets_x, coeff_field)
-        coords_y = solve_in_column_space(columns, targets_y, coeff_field)
-        # restricted action, columns indexed by the kernel basis
-        local_x = [[coords_x[j][i] for j in range(m)] for i in range(m)]
-        local_y = [[coords_y[j][i] for j in range(m)] for i in range(m)]
-    translated_x = mat_sub(local_x, scaled_identity(px, m, coeff_field), coeff_field)
-    translated_y = mat_sub(local_y, scaled_identity(py, m, coeff_field), coeff_field)
-    r = nilpotency_index(translated_x, translated_y, coeff_field)
+    r = nilpotency_index(nil_x, nil_y, generator, coeff_field)
+    words = _flat_words(nil_x, nil_y, generator, coeff_field, r)
     return LocalQuotient(
         point=point,
-        dimension=m,
-        mult_x=translated_x,
-        mult_y=translated_y,
+        dimension=rank(words, coeff_field),
+        mult_x=nil_x,
+        mult_y=nil_y,
         nilpotency_index=r,
         field=coeff_field,
+        generator=generator,
     )
 
 
 def local_components(gb: GroebnerBasis) -> Decomposition:
     """Split the quotient into local factors at rational support points.
 
-    Points are located as joint eigenvalues of the commuting pair; any
-    dimension carried by non-rational points is reported as the residual
-    and gets no local invariants.
+    Points are located as joint eigenvalues of the commuting pair: each
+    pair of roots (px, py) gives w = g_x(Mx) g_y(My)[1], and a nonzero w
+    generates the factor at (px, py).  Any dimension carried by
+    non-rational points is reported as the residual and gets no local
+    invariants.
     """
     pair = _operators(gb)
     if pair is None:
         return Decomposition(components=(), residual_dimension=0, colength=0)
     n = len(pair.on_x)
     coeff_field = gb.field
-    powers_y = [
-        (py, _primary_power(pair.on_y, py, s, coeff_field))
-        for py, s in _eigenvalue_candidates(pair.on_y, coeff_field)
+    one = _class_of_one(n, coeff_field)
+    roots_y = [
+        (py, _translated(pair.on_y, py, coeff_field), _horner(g, pair.on_y, one, coeff_field))
+        for py, g in _eigenvalue_candidates(pair.on_y, coeff_field)
     ]
     components = []
-    for px, s in _eigenvalue_candidates(pair.on_x, coeff_field):
-        nil_x = _primary_power(pair.on_x, px, s, coeff_field)
-        for py, nil_y in powers_y:
-            lq = _component_at(pair, (px, py), nil_x, nil_y, coeff_field)
+    for px, g in _eigenvalue_candidates(pair.on_x, coeff_field):
+        nil_x = _translated(pair.on_x, px, coeff_field)
+        for py, nil_y, image in roots_y:
+            generator = _horner(g, pair.on_x, image, coeff_field)
+            lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
             if lq is not None:
                 components.append(lq)
     components.sort(key=lambda c: c.point)
@@ -516,7 +539,11 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
 
 
 def socle_dimension(lq: LocalQuotient) -> int:
-    """Dimension of the joint kernel of the translated pair (stacked 2n x n)."""
+    """Dimension of the joint kernel of the translated pair (stacked 2n x n).
+
+    A vector killed by both Nx and Ny lies in the factor, so the kernel on
+    the whole quotient is the socle of the factor.
+    """
     stacked = [row[:] for row in lq.mult_x] + [row[:] for row in lq.mult_y]
     return len(kernel_basis(stacked, lq.field))
 
@@ -526,38 +553,18 @@ def truncation_monomials(max_degree: int) -> list[Monomial]:
     return [Monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
 
 
-def local_unit(lq: LocalQuotient) -> list:
-    """A coordinate vector outside m*A (the span of the columns of Nx and
-    Ny), hence a generator of the factor: the single free coordinate."""
-    m = lq.dimension
-    columns = [[nil[i][j] for i in range(m)] for nil in (lq.mult_x, lq.mult_y) for j in range(m)]
-    free = sorted(set(range(m)) - set(rref(columns, lq.field)[1]))
-    if len(free) != 1:
-        raise ValueError(f"m*A has codimension {len(free)}, not 1; the factor is not local")
-    return [lq.field.one() if i == free[0] else lq.field.zero() for i in range(m)]
-
-
 def local_ideal_kernel(lq: LocalQuotient):
     """The local ideal's image in k[x,y]/m^(r+1), as kernel vectors.
 
     A polynomial f of degree <= r lies in the local ideal exactly when
-    f(Nx, Ny) is the zero operator on the factor, that is when f(Nx, Ny)u
-    vanishes for a generator u of the factor (``local_unit``), so the image
-    is the kernel of f -> f(Nx, Ny)u on the truncation grid.
+    f(Nx, Ny) is the zero operator on the factor, that is when f(Nx, Ny)w
+    vanishes for its generator w, so the image is the kernel of
+    f -> f(Nx, Ny)w on the truncation grid.
     """
-    coeff_field = lq.field
     r = lq.nilpotency_index
-    monos = truncation_monomials(r)
-    words = {(0, 0): local_unit(lq)}
-    for a in range(1, r + 1):
-        words[(a, 0)] = mat_vec(lq.mult_x, words[(a - 1, 0)], coeff_field)
-    for a in range(r + 1):
-        for b in range(1, r + 1 - a):
-            words[(a, b)] = mat_vec(lq.mult_y, words[(a, b - 1)], coeff_field)
-    evaluation = [
-        [words[(mono.a, mono.b)][u] for mono in monos] for u in range(lq.dimension)
-    ]
-    return monos, kernel_basis(evaluation, coeff_field)
+    words = _flat_words(lq.mult_x, lq.mult_y, lq.generator, lq.field, r + 1)
+    evaluation = [list(row) for row in zip(*words)]
+    return truncation_monomials(r), kernel_basis(evaluation, lq.field)
 
 
 def local_ideal_truncation(lq: LocalQuotient) -> list[Polynomial]:

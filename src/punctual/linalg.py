@@ -13,11 +13,6 @@ from __future__ import annotations
 from itertools import accumulate, repeat
 
 
-def zero_matrix(rows: int, cols: int, field) -> list[list]:
-    z = field.zero()
-    return [[z] * cols for _ in range(rows)]
-
-
 def identity(n: int, field) -> list[list]:
     z, o = field.zero(), field.one()
     return [[o if i == j else z for j in range(n)] for i in range(n)]
@@ -53,11 +48,13 @@ def mat_mul(a: list[list], b: list[list], field) -> list[list]:
 
 def mat_vec(a: list[list], v: list, field) -> list:
     zero, reduce = field.zero(), field.reduce
+    support = [(j, y) for j, y in enumerate(v) if y]
     out = []
     for row in a:
         acc = zero
-        for x, y in zip(row, v):
-            if x and y:
+        for j, y in support:
+            x = row[j]
+            if x:
                 acc = acc + x * y
         out.append(reduce(acc))
     return out
@@ -74,10 +71,6 @@ def mat_pow(a: list[list], k: int, field) -> list[list]:
         if k:
             base = mat_mul(base, base, field)
     return result
-
-
-def is_zero_matrix(a: list[list]) -> bool:
-    return all(not entry for row in a for entry in row)
 
 
 def rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
@@ -139,29 +132,6 @@ def kernel_basis(matrix: list[list], field) -> list[list]:
                 v[p] = field.reduce(-c)
         basis.append(v)
     return basis
-
-
-def solve_in_column_space(columns: list[list], targets: list[list], field) -> list[list]:
-    """Coordinates of each target vector in the span of the given columns.
-
-    ``columns`` is an n x m matrix whose m columns are independent.
-    Raises ValueError if some target lies outside their span.
-    """
-    n = len(columns)
-    m = len(columns[0]) if n else 0
-    augmented = [columns[i][:] + [t[i] for t in targets] for i in range(n)]
-    reduced, pivots = rref(augmented, field)
-    for p in pivots:
-        if p >= m:
-            raise ValueError("target vector outside the column space")
-    zero = field.zero()
-    out = []
-    for t_index in range(len(targets)):
-        v = [zero] * m
-        for i, p in enumerate(pivots):
-            v[p] = reduced[i][m + t_index]
-        out.append(v)
-    return out
 
 
 def _first_dependence(vectors, field) -> list:

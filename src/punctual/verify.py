@@ -46,6 +46,10 @@ from .staircase import (
     socle_bound,
 )
 
+# one draw at degree 11 over Fp:32003 takes about 2.5 s on a 2-core VM, so
+# the largest accepted run takes about 40 minutes
+MAX_SAMPLE_COUNT = 1000
+
 # Non-monomial ideals over QQ exercised by the test suite: curvilinear
 # chains, complete intersections, non-complete-intersections with socle
 # dimension 2, a translated fat point, multi-point supports, and one
@@ -149,6 +153,10 @@ class SamplerConfig:
             )
         if self.count < 0:
             raise ConfigError("sampler count must be non-negative")
+        if self.count > MAX_SAMPLE_COUNT:
+            raise ConfigError(
+                f"sampler count {self.count} exceeds the limit count <= {MAX_SAMPLE_COUNT}"
+            )
 
 
 def format_table(rows: list[dict]) -> list[str]:

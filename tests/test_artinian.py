@@ -1,12 +1,15 @@
 """Quotient bases, local splitting, socle and generator counts, multiplicity."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import is_zero_matrix
+from hypothesis import given, settings, strategies as st
 
 import punctual.artinian as artinian
+import punctual.linalg as linalg
 from punctual.artinian import (
-    LocalQuotient,
     analyze_quotient,
     generator_count,
     local_component_at,
@@ -14,7 +17,6 @@ from punctual.artinian import (
     local_ideal_kernel,
     local_ideal_truncation,
     local_invariants,
-    local_unit,
     minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
@@ -28,15 +30,17 @@ from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
 from punctual.linalg import (
     identity,
-    is_zero_matrix,
     kernel_basis,
     mat_mul,
     mat_pow,
     mat_sub,
+    mat_vec,
     minimal_polynomial,
+    rank,
+    rref,
     scaled_identity,
 )
-from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, parse_generators
+from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, Polynomial, X, Y, parse_generators
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -228,24 +232,33 @@ def test_nilpotency_index_mixed_words():
 
 def test_nilpotency_invariants_on_corpus():
     for text in CURATED_CORPUS:
-        for lq in local_components(gb_of(text)).components:
+        gb = gb_of(text)
+        pair = multiplication_matrices(quotient_basis(gb), gb)
+        for lq in local_components(gb).components:
             r = lq.nilpotency_index
             assert 1 <= r <= lq.dimension
-            assert is_zero_matrix(mat_pow(lq.mult_x, r, QQ))
-            assert is_zero_matrix(mat_pow(lq.mult_y, r, QQ))
-            if r > 1:
-                # some length r-1 word survives
-                powers_x = [mat_pow(lq.mult_x, i, QQ) for i in range(r)]
-                powers_y = [mat_pow(lq.mult_y, i, QQ) for i in range(r)]
-                assert any(
-                    not is_zero_matrix(mat_mul(powers_x[i], powers_y[r - 1 - i], QQ))
-                    for i in range(r)
-                )
+            # on the factor (the generalized eigenspace) every length-r word
+            # vanishes and some length r-1 word survives
+            space = generalized_eigenspace(pair, lq.point, QQ)
+            powers_x = [mat_pow(lq.mult_x, i, QQ) for i in range(r + 1)]
+            powers_y = [mat_pow(lq.mult_y, i, QQ) for i in range(r + 1)]
+            for length, vanishes in ((r, True), (r - 1, False)):
+                words = [mat_mul(powers_x[i], powers_y[length - i], QQ) for i in range(length + 1)]
+                images = [mat_vec(word, v, QQ) for word in words for v in space]
+                assert (not any(map(any, images))) == vanishes, text
 
 
-def test_nilpotency_index_rejects_non_nilpotent():
+def test_nilpotency_index_rejects_non_nilpotent(monkeypatch):
     with pytest.raises(ValueError):
-        nilpotency_index([[Fraction(1)]], [[Fraction(0)]], QQ)
+        nilpotency_index([[Fraction(1)]], [[Fraction(0)]], [Fraction(1)], QQ)
+    # the word loop gives up by degree n + 1: layers 1..3 of a 2 x 2 pair
+    # take 2 + 3 + 4 products
+    calls = []
+    monkeypatch.setattr(artinian, "mat_vec", lambda *args: calls.append(1) or mat_vec(*args))
+    shift_plus_one = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+    with pytest.raises(ValueError):
+        nilpotency_index(shift_plus_one, shift_plus_one, [Fraction(1), Fraction(0)], QQ)
+    assert len(calls) <= 9
 
 
 def test_minimal_generator_count_pinned_cases():
@@ -363,38 +376,66 @@ def test_analysis_over_prime_field():
         assert component.socle == 1
 
 
-# Oracles: the word-table and n-th power routines the engine used before it
-# moved to the filtration, the root-multiplicity exponent and the unit vector.
+# Oracles: the generalized eigenspace of a point (the joint kernel of the
+# n-th powers of the translated pair), and the word-table and operator
+# evaluation routines restricted to it.
 
 
-def word_table_nilpotency_index(nil_x, nil_y, field):
-    """Least r with every length-r word in {Nx, Ny} zero, from all words."""
-    m = len(nil_x)
-    words = {(0, 0): identity(m, field)}
-    for r in range(1, m + 1):
+def generalized_eigenspace(pair, point, field):
+    """Echelon basis of the joint kernel of (Mx - px)^n and (My - py)^n."""
+    n = len(pair.on_x)
+    powers = [
+        mat_pow(mat_sub(matrix, scaled_identity(p, n, field), field), n, field)
+        for matrix, p in zip((pair.on_x, pair.on_y), point)
+    ]
+    return kernel_basis(powers[0] + powers[1], field)
+
+
+def word_table_nilpotency_index(nil_x, nil_y, space, field):
+    """Least r with every length-r word in {Nx, Ny} zero on the space."""
+    n = len(nil_x)
+    words = {(0, 0): identity(n, field)}
+    for r in range(1, n + 1):
         current = {(r, 0): mat_mul(words[(r - 1, 0)], nil_x, field)}
         for b in range(1, r + 1):
             current[(r - b, b)] = mat_mul(words[(r - b, b - 1)], nil_y, field)
-        if all(is_zero_matrix(w) for w in current.values()):
+        if all(not any(mat_vec(w, v, field)) for w in current.values() for v in space):
             return r
         words = current
     raise ValueError("not jointly nilpotent")
 
 
-def operator_evaluation_kernel(lq):
-    """Kernel of f -> f(Nx, Ny) as an m^2-row evaluation on the truncation."""
-    field, m, r = lq.field, lq.dimension, lq.nilpotency_index
+def operator_evaluation_kernel(lq, space):
+    """Kernel of f -> f(Nx, Ny) on the space, evaluated on every basis vector."""
+    field, n, r = lq.field, len(lq.mult_x), lq.nilpotency_index
     monos = truncation_monomials(r)
-    words = {(0, 0): identity(m, field)}
+    words = {(0, 0): identity(n, field)}
     for a in range(1, r + 1):
         words[(a, 0)] = mat_mul(words[(a - 1, 0)], lq.mult_x, field)
     for a in range(r + 1):
         for b in range(1, r + 1 - a):
             words[(a, b)] = mat_mul(words[(a, b - 1)], lq.mult_y, field)
+    images = {mono: [mat_vec(words[(mono.a, mono.b)], v, field) for v in space] for mono in monos}
     evaluation = [
-        [words[(mono.a, mono.b)][u][v] for mono in monos] for u in range(m) for v in range(m)
+        [images[mono][k][u] for mono in monos] for k in range(len(space)) for u in range(n)
     ]
     return monos, kernel_basis(evaluation, field)
+
+
+def row_space(vectors, field):
+    reduced, pivots = rref(vectors, field)
+    return reduced[: len(pivots)]
+
+
+def cyclic_span(lq):
+    """Echelon basis of the smallest space holding w and closed under Nx, Ny."""
+    basis = row_space([lq.generator], lq.field)
+    while True:
+        images = [mat_vec(nil, v, lq.field) for nil in (lq.mult_x, lq.mult_y) for v in basis]
+        grown = row_space(basis + images, lq.field)
+        if len(grown) == len(basis):
+            return grown
+        basis = grown
 
 
 ORACLE_CASES = [(text, field) for field in (QQ, F32003) for text in CURATED_CORPUS] + [
@@ -408,15 +449,20 @@ def oracle_cases():
     for text, field in ORACLE_CASES:
         gb = gb_of(text, field=field)
         pair = multiplication_matrices(quotient_basis(gb), gb)
-        out.append((text, field, pair, local_components(gb).components))
+        components = [
+            (lq, generalized_eigenspace(pair, lq.point, field))
+            for lq in local_components(gb).components
+        ]
+        out.append((text, field, pair, components))
     return out
 
 
-def test_filtration_nilpotency_matches_word_table(oracle_cases):
+def test_word_nilpotency_matches_word_table(oracle_cases):
     for text, field, _, components in oracle_cases:
-        for lq in components:
-            expected = word_table_nilpotency_index(lq.mult_x, lq.mult_y, field)
-            assert nilpotency_index(lq.mult_x, lq.mult_y, field) == expected, text
+        for lq, space in components:
+            expected = word_table_nilpotency_index(lq.mult_x, lq.mult_y, space, field)
+            assert lq.nilpotency_index == expected, text
+            assert nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field) == expected, text
 
 
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
@@ -427,28 +473,19 @@ def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
             ), text
 
 
-def test_root_multiplicity_power_has_the_full_generalized_kernel(oracle_cases):
-    for text, field, pair, _ in oracle_cases:
-        for matrix in (pair.on_x, pair.on_y):
-            n = len(matrix)
-            for p, s in artinian._eigenvalue_candidates(matrix, field):
-                full = mat_pow(mat_sub(matrix, scaled_identity(p, n, field), field), n, field)
-                assert kernel_basis(artinian._primary_power(matrix, p, s, field), field) == (
-                    kernel_basis(full, field)
-                ), text
+def test_generator_words_span_the_generalized_eigenspace(oracle_cases):
+    for text, field, _, components in oracle_cases:
+        for lq, space in components:
+            assert lq.dimension == len(space), text
+            assert cyclic_span(lq) == row_space(space, field), text
 
 
 def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
+    # w = g_x(Mx) g_y(My)[1] is a unit of the factor, so f(Nx, Ny)w = 0
+    # exactly when f(Nx, Ny) kills the whole factor
     for text, _, _, components in oracle_cases:
-        for lq in components:
-            assert local_ideal_kernel(lq) == operator_evaluation_kernel(lq), text
-
-
-def test_local_unit_rejects_non_local_pair():
-    zero = [[Fraction(0)] * 2 for _ in range(2)]
-    lq = LocalQuotient((QQ.zero(), QQ.zero()), 2, zero, zero, 1, QQ)
-    with pytest.raises(ValueError):
-        local_unit(lq)
+        for lq, space in components:
+            assert local_ideal_kernel(lq) == operator_evaluation_kernel(lq, space), text
 
 
 def test_root_search_runs_once_per_coordinate(monkeypatch):
@@ -465,40 +502,45 @@ def test_root_search_runs_once_per_coordinate(monkeypatch):
     assert len(calls) == 2
 
 
-def test_factor_on_the_whole_quotient_is_not_restricted(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("restricted a factor that is the whole quotient")
-
+def test_factor_on_the_whole_quotient_is_not_restricted():
     fat_point_at_1_2 = "x^2 - 2*x + 1, x*y - 2*x - y + 2, y^2 - 4*y + 4"
     for text, field in ((fat_point_at_1_2, QQ), ("x^3, y^2 - x", F7)):
         gb = gb_of(text, field=field)
         pair = multiplication_matrices(quotient_basis(gb), gb)
-        monkeypatch.setattr(artinian, "solve_in_column_space", refuse)
         (lq,) = local_components(gb).components
-        monkeypatch.undo()
         n = len(pair.on_x)
         assert lq.dimension == n
         assert lq.mult_x == mat_sub(pair.on_x, scaled_identity(lq.point[0], n, field), field)
         assert lq.mult_y == mat_sub(pair.on_y, scaled_identity(lq.point[1], n, field), field)
-    # with two points each factor is a proper subspace and is restricted
-    calls = []
-    original = artinian.solve_in_column_space
-    monkeypatch.setattr(
-        artinian, "solve_in_column_space", lambda *args: calls.append(args) or original(*args)
-    )
-    assert len(local_components(gb_of("x^2 - 1, y")).components) == 2
-    assert len(calls) == 4
+    # with two points each factor is a proper subspace, generated by its w
+    # inside the whole quotient's translated operators
+    gb = gb_of("x^2 - 1, y")
+    pair = multiplication_matrices(quotient_basis(gb), gb)
+    components = local_components(gb).components
+    assert len(components) == 2
+    for lq in components:
+        assert lq.dimension == 1
+        assert lq.mult_x == mat_sub(pair.on_x, scaled_identity(lq.point[0], 2, QQ), QQ)
+        assert rank([lq.generator] + generalized_eigenspace(pair, lq.point, QQ), QQ) == 1
 
 
 def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     calls = []
-    original = artinian.mat_pow
-    monkeypatch.setattr(artinian, "mat_pow", lambda *args: calls.append(args) or original(*args))
+    for module, name in (
+        (linalg, "mat_pow"),
+        (linalg, "mat_mul"),
+        (artinian, "_horner"),
+        (artinian, "nilpotency_index"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _n=name, _f=original: calls.append(_n) or _f(*args)
+        )
     gb = gb_of("x^2 - x, y")
     assert local_component_at(gb, (QQ.from_int(2), QQ.zero())) is None
     assert calls == []
     assert local_component_at(gb, (QQ.one(), QQ.zero())).dimension == 1
-    assert len(calls) == 2
+    assert sorted(calls) == ["_horner", "_horner", "nilpotency_index"]
 
 
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
@@ -519,3 +561,70 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
         generator_count(lq)
         monkeypatch.undo()
         assert kernels and all(k != lq.mult_x + lq.mult_y for k in kernels)
+
+
+def test_socle_route_never_reads_the_generator():
+    for text in ("x^2, x*y, y^2", "x^2 - 1, y^2 - 1", "x^3 - 2*x, y"):
+        for lq in local_components(gb_of(text)).components:
+            assert socle_dimension(replace(lq, generator=None)) == socle_dimension(lq), text
+
+
+def non_square(field):
+    """A nonzero element that is not a square (2 over QQ)."""
+    if field == QQ:
+        return QQ.from_int(2)
+    squares = {field.reduce(a * a) for a in range(field.p)}
+    return next(d for d in range(1, field.p) if d not in squares)
+
+
+def minus(field, mono, value):
+    return Polynomial(field, {mono: field.one(), Monomial(0, 0): -value})
+
+
+@st.composite
+def split_ideals(draw):
+    """Generators prod (x - a)^e * q(x), prod (y - b)^f and a third one.
+
+    The rational support lies in the grid of the a and b; q is 1 or an
+    irreducible quadratic (x^2 - d, or x^2 + x + 1 over F2), whose points
+    are not rational, so the residual can be positive.
+    """
+    field = draw(st.sampled_from([QQ] + [PrimeField(p) for p in (2, 3, 7, 101)]))
+    element = st.builds(field.from_int, st.integers(-3, 3))
+    xs = draw(st.lists(element, min_size=1, max_size=2, unique=True))
+    ys = draw(st.lists(element, min_size=1, max_size=2, unique=True))
+    x_part = y_part = Polynomial.monomial(field, Monomial(0, 0))
+    for a in xs:
+        for _ in range(draw(st.integers(1, 2))):
+            x_part = x_part * minus(field, X, a)
+    for b in ys:
+        for _ in range(draw(st.integers(1, 2))):
+            y_part = y_part * minus(field, Y, b)
+    if draw(st.booleans()):
+        if field == PrimeField(2):
+            quadratic = Polynomial(field, {Monomial(2, 0): 1, X: 1, Monomial(0, 0): 1})
+        else:
+            quadratic = minus(field, Monomial(2, 0), non_square(field))
+        x_part = x_part * quadratic
+    # the third generator vanishes on the line x = a of one of the a, so it
+    # cuts the support without emptying it
+    monos = truncation_monomials(2)
+    third = Polynomial(field, {m: draw(element) for m in draw(st.lists(st.sampled_from(monos)))})
+    third = third * minus(field, X, draw(st.sampled_from(xs)))
+    return field, [x_part, y_part, third], [(a, b) for a in xs for b in ys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_ideals(), st.sampled_from(ALL_ORDERS))
+def test_local_lengths_match_generalized_eigenspaces(case, order):
+    field, gens, grid = case
+    gb = buchberger(gens, order)
+    decomposition = local_components(gb)
+    n = decomposition.colength
+    pair = multiplication_matrices(quotient_basis(gb), gb)
+    lengths = {lq.point: lq.dimension for lq in decomposition.components}
+    assert set(lengths) <= set(grid)
+    oracle = {point: len(generalized_eigenspace(pair, point, field)) for point in grid}
+    for point in grid:
+        assert lengths.get(point, 0) == oracle[point], point
+    assert decomposition.residual_dimension == n - sum(oracle.values())

@@ -327,6 +327,16 @@ def test_sample_degree_above_the_colength_limit_is_refused(capsys, degree):
     assert code == 0 and "accepted: 0 of 0" in out
 
 
+def test_sample_count_above_its_limit_is_refused(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sample", "--count", str(10**12), "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == f"error: sampler count {10**12} exceeds the limit count <= 1000\n"
+    code, out, _ = run_cli(capsys, "sample", "--degree", "1", "--count", "1000", "--seed", "1")
+    assert code == 0 and "accepted: 1000 of 1000" in out
+
+
 def test_sample_requires_seed(capsys):
     code, _, _ = run_cli(capsys, "sample", "--count", "5")
     assert code == 2

@@ -1,14 +1,13 @@
-"""Exact linear algebra: rank, kernel, restriction, minimal polynomials."""
+"""Exact linear algebra: rank, kernel, minimal polynomials."""
 
 from fractions import Fraction
 
-import pytest
+from conftest import is_zero_matrix
 from hypothesis import given, settings, strategies as st
 
 from punctual.fields import PrimeField, QQ
 from punctual.linalg import (
     identity,
-    is_zero_matrix,
     kernel_basis,
     mat_mul,
     mat_pow,
@@ -18,7 +17,6 @@ from punctual.linalg import (
     rank,
     rref,
     scaled_identity,
-    solve_in_column_space,
     vector_minimal_polynomial,
 )
 
@@ -58,15 +56,6 @@ def test_kernel_basis_is_exact():
         assert all(val == 0 for val in mat_vec(m, v, QQ))
     full = qmat([[1, 0], [0, 1]])
     assert kernel_basis(full, QQ) == []
-
-
-def test_solve_in_column_space():
-    columns = qmat([[1, 0], [1, 1], [0, 2]])
-    target = [Fraction(3), Fraction(4), Fraction(2)]
-    coords = solve_in_column_space(columns, [target], QQ)[0]
-    assert coords == [Fraction(3), Fraction(1)]
-    with pytest.raises(ValueError):
-        solve_in_column_space(columns, [[Fraction(1), Fraction(0), Fraction(1)]], QQ)
 
 
 def test_minimal_polynomial_examples():
@@ -159,3 +148,17 @@ def test_kernel_dimension_complements_rank(entries):
     assert rank(m, QQ) + len(kernel_basis(m, QQ)) == 4
     for v in kernel_basis(m, QQ):
         assert all(val == 0 for val in mat_vec(m, v, QQ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.lists(st.sampled_from([0, 0, 1, -2]), min_size=4, max_size=4),
+)
+def test_mat_vec_matches_mat_mul(entries, vector):
+    # mat_vec reads only the nonzero entries of the vector
+    for field in (QQ, F101):
+        m = [[field.from_int(v) for v in row] for row in entries]
+        v = [field.from_int(c) for c in vector]
+        column = mat_mul(m, [[c] for c in v], field)
+        assert mat_vec(m, v, field) == [row[0] for row in column]

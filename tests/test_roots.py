@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punctual.artinian import _fp_roots, _rational_roots, _root_multiplicity
+from punctual.artinian import _cofactor, _fp_roots, _rational_roots
 from punctual.fields import QQ
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 101)
@@ -34,6 +34,22 @@ def evaluate(coeffs, value):
     for c in reversed(coeffs):
         acc = acc * value + c
     return acc
+
+
+def root_multiplicity(coeffs, root):
+    """The s with coeffs = (t - root)^s * g and g(root) != 0, where g is
+    the cofactor the local split uses (None when root is not a root)."""
+    g = _cofactor(coeffs, root, QQ)
+    if g is None:
+        assert evaluate(coeffs, root) != 0
+        return 0
+    assert evaluate(g, root) != 0
+    s = len(coeffs) - len(g)
+    product = g
+    for _ in range(s):
+        product = times_linear(product, root)
+    assert product == coeffs
+    return s
 
 
 @st.composite
@@ -102,7 +118,7 @@ def test_rational_roots_match_sympy(coeffs):
     assert roots == sorted(expected)
     for root in roots:
         assert evaluate(coeffs, root) == 0
-        assert _root_multiplicity(coeffs, root, QQ) == expected[root]
+        assert root_multiplicity(coeffs, root) == expected[root]
 
 
 def test_rational_roots_of_large_and_non_monic_polynomials():
@@ -123,4 +139,5 @@ def test_rational_roots_when_the_first_prime_merges_two_roots():
     assert _rational_roots(coeffs) == [Fraction(1), Fraction(32004)]
     repeated = times_linear(coeffs, Fraction(1))
     assert _rational_roots(repeated) == [Fraction(1), Fraction(32004)]
-    assert _root_multiplicity(repeated, Fraction(1), QQ) == 2
+    assert root_multiplicity(repeated, Fraction(1)) == 2
+    assert root_multiplicity(repeated, Fraction(2)) == 0
