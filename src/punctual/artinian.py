@@ -14,11 +14,15 @@ invariants come out of exact linear algebra on those operators:
   local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
 * the words Nx^a Ny^b w in the operators translated on the matrix side,
   N = M - p*Id, span A_p: the nilpotency index r is the first degree at
-  which they all vanish and the local length is their rank;
-* the socle dimension is the kernel of the stacked translated pair (a
-  vector killed by both lies in A_p);
-* the minimal generator count of the local ideal comes from its image in
-  k[x,y]/m^(r+1): the f with f(Nx, Ny)w = 0.
+  which they all vanish;
+* the local ideal's image in k[x,y]/m^(r+1) is the kernel of
+  f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, taken once
+  per factor; that map is onto A_p, so the local length is (r+1)(r+2)/2
+  minus the dimension of the image;
+* the socle dimension is n minus the rank of the stacked translated pair
+  (a vector killed by both lies in A_p);
+* the minimal generator count of the local ideal is dim I/mI of that
+  image.
 
 The socle route reads the joint kernel of the pair and never w, the
 generator route only the words on w, so they are independent.
@@ -84,9 +88,12 @@ class LocalQuotient:
     ``mult_x`` and ``mult_y`` are the multiplication operators of the whole
     quotient translated to p (N = M - p*Id), and ``generator`` is the
     vector w = g_x(Mx) g_y(My)[1] with A_p = k[x,y] w.  The words
-    Nx^a Ny^b w span A_p: ``dimension`` (the local length) is their rank
-    and ``nilpotency_index`` the least r at which all words of degree r
-    vanish.
+    Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r at which
+    all words of degree r vanish.  ``local_ideal`` is the echelon kernel
+    of f -> f(Nx, Ny)w on the monomials of degree <= r (coefficient
+    vectors ordered like ``truncation_monomials(r)``), the image of the
+    local ideal in k[x,y]/m^(r+1), and ``dimension`` (the local length) is
+    the number of those monomials minus its size.
     """
 
     point: tuple
@@ -96,6 +103,7 @@ class LocalQuotient:
     nilpotency_index: int
     field: object
     generator: list
+    local_ideal: list
 
 
 @dataclass(frozen=True)
@@ -436,12 +444,6 @@ def _words(nil_x, nil_y, generator, coeff_field):
         ]
 
 
-def _flat_words(nil_x, nil_y, generator, coeff_field, degree: int) -> list:
-    """The words of degree < degree, ordered like ``truncation_monomials``."""
-    layers = islice(_words(nil_x, nil_y, generator, coeff_field), degree)
-    return [v for layer in layers for v in layer]
-
-
 def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> int:
     """Least r such that every product of r factors from {Nx, Ny} kills w,
     hence the whole factor k[x,y] w.
@@ -494,15 +496,18 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
     if not any(generator):
         return None
     r = nilpotency_index(nil_x, nil_y, generator, coeff_field)
-    words = _flat_words(nil_x, nil_y, generator, coeff_field, r)
+    layers = islice(_words(nil_x, nil_y, generator, coeff_field), r + 1)
+    words = [v for layer in layers for v in layer]
+    local_ideal = kernel_basis([list(row) for row in zip(*words)], coeff_field)
     return LocalQuotient(
         point=point,
-        dimension=rank(words, coeff_field),
+        dimension=len(words) - len(local_ideal),
         mult_x=nil_x,
         mult_y=nil_y,
         nilpotency_index=r,
         field=coeff_field,
         generator=generator,
+        local_ideal=local_ideal,
     )
 
 
@@ -539,13 +544,13 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
 
 
 def socle_dimension(lq: LocalQuotient) -> int:
-    """Dimension of the joint kernel of the translated pair (stacked 2n x n).
+    """Dimension of the joint kernel of the translated pair: n minus the
+    rank of the stacked 2n x n matrix.
 
     A vector killed by both Nx and Ny lies in the factor, so the kernel on
     the whole quotient is the socle of the factor.
     """
-    stacked = [row[:] for row in lq.mult_x] + [row[:] for row in lq.mult_y]
-    return len(kernel_basis(stacked, lq.field))
+    return len(lq.mult_x) - rank(lq.mult_x + lq.mult_y, lq.field)
 
 
 def truncation_monomials(max_degree: int) -> list[Monomial]:
@@ -559,12 +564,10 @@ def local_ideal_kernel(lq: LocalQuotient):
     A polynomial f of degree <= r lies in the local ideal exactly when
     f(Nx, Ny) is the zero operator on the factor, that is when f(Nx, Ny)w
     vanishes for its generator w, so the image is the kernel of
-    f -> f(Nx, Ny)w on the truncation grid.
+    f -> f(Nx, Ny)w on the truncation grid: ``lq.local_ideal``, computed
+    with the factor.
     """
-    r = lq.nilpotency_index
-    words = _flat_words(lq.mult_x, lq.mult_y, lq.generator, lq.field, r + 1)
-    evaluation = [list(row) for row in zip(*words)]
-    return truncation_monomials(r), kernel_basis(evaluation, lq.field)
+    return truncation_monomials(lq.nilpotency_index), lq.local_ideal
 
 
 def local_ideal_truncation(lq: LocalQuotient) -> list[Polynomial]:

@@ -10,6 +10,7 @@ golden tests and the permutation-invariance property possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .poly import Monomial, MonomialOrder, Polynomial
 
@@ -26,19 +27,16 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.generators, self.order)
 
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """Remainder of f on division by the basis.
 
-    Deterministic rule: always reduce the order-largest reducible
-    monomial of the running remainder, using the first basis element
-    (in sequence order) whose leading monomial divides it.
+    One descending pass: each monomial of the running remainder is visited
+    once, largest first.  If a leading monomial divides it, it is reduced
+    by the first such basis element (in sequence order), which only adds
+    smaller monomials; otherwise it moves to the remainder for good.  This
+    is the rule "always reduce the order-largest reducible monomial", so
+    the result is the same for any divisor list, Groebner basis or not.
     """
     inv, reduce = f.field.inv, f.field.reduce
     for g in basis:
@@ -46,22 +44,26 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     reducers = [
         (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
     ]
-    if not reducers or not f:
-        return f
     key = order.key_func()
+
+    def descending(m: Monomial) -> tuple:
+        high, low = key(m)
+        return -high, -low, m
+
     work = dict(f.terms)
-    while True:
-        target = None
-        for m in sorted(work, key=key, reverse=True):
-            for lm, lc_inv, g in reducers:
-                if lm.divides(m):
-                    target = (m, lm, lc_inv, g)
-                    break
-            if target:
+    pending = [descending(m) for m in work]
+    heapify(pending)
+    remainder = {}
+    while pending:
+        m = heappop(pending)[2]
+        if m not in work:  # cancelled since it was pushed
+            continue
+        for lm, lc_inv, g in reducers:
+            if lm.divides(m):
                 break
-        if target is None:
-            break
-        m, lm, lc_inv, g = target
+        else:
+            remainder[m] = work.pop(m)
+            continue
         factor = reduce(work[m] * lc_inv)
         shift = m.divided_by(lm)
         for mg, cg in g.terms.items():
@@ -69,10 +71,12 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
             prev = work.get(mm)
             value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
             if value:
+                if prev is None:
+                    heappush(pending, descending(mm))
                 work[mm] = value
             else:
                 work.pop(mm, None)
-    return Polynomial(f.field, work)
+    return Polynomial(f.field, remainder)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -85,7 +89,7 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     return left - right
 
 
-def buchberger(generators, order: MonomialOrder = None) -> GroebnerBasis:
+def buchberger(generators, order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal spanned by the generators.
 
     Idempotent, and independent of the order in which generators are
@@ -95,40 +99,30 @@ def buchberger(generators, order: MonomialOrder = None) -> GroebnerBasis:
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator (possibly zero) to fix the field")
-    if order is None:
-        from .poly import DEFAULT_ORDER
-
-        order = DEFAULT_ORDER
     coeff_field = generators[0].field
-    basis = [g.monic(order) for g in generators if g]
-    if not basis:
-        return GroebnerBasis(order=order, field=coeff_field, generators=())
-
     key = order.key_func()
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    basis: list[Polynomial] = []
+    lms: list[Monomial] = []
+    # normal selection: smallest lcm of leading monomials first, then (i, j)
+    pairs: list[tuple] = []
+
+    def add(g: Polynomial) -> None:
+        lm = g.leading_monomial(order)
+        for i, other in enumerate(lms):
+            heappush(pairs, (key(other.lcm(lm)), i, len(lms)))
+        basis.append(g)
+        lms.append(lm)
+
+    for g in generators:
+        if g:
+            add(g.monic(order))
     while pairs:
-        # normal selection: smallest lcm of leading monomials first
-        best = min(
-            range(len(pairs)),
-            key=lambda t: (
-                key(
-                    basis[pairs[t][0]]
-                    .leading_monomial(order)
-                    .lcm(basis[pairs[t][1]].leading_monomial(order))
-                ),
-                pairs[t],
-            ),
-        )
-        i, j = pairs.pop(best)
-        lm_i = basis[i].leading_monomial(order)
-        lm_j = basis[j].leading_monomial(order)
-        if lm_i.coprime_with(lm_j):
+        _, i, j = heappop(pairs)
+        if lms[i].coprime_with(lms[j]):
             continue
         remainder = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
         if remainder:
-            basis.append(remainder.monic(order))
-            new = len(basis) - 1
-            pairs.extend((k, new) for k in range(new))
+            add(remainder.monic(order))
     return _reduce_basis(basis, order, coeff_field)
 
 

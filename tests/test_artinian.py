@@ -544,23 +544,30 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
 
 
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
-    kernels = []
-    original = artinian.kernel_basis
-
-    def recorded(matrix, field):
-        kernels.append(matrix)
-        return original(matrix, field)
-
+    # every elimination of the generator route, in the split (the local
+    # ideal's kernel) and in generator_count, is recorded; none may be the
+    # stacked translated pair that the socle route eliminates
     def forbidden(lq):
         raise AssertionError("generator route called socle_dimension")
 
-    for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4"):
-        lq = one_component(text)
-        monkeypatch.setattr(artinian, "kernel_basis", recorded)
+    for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4", "x^2 - 1, y^2 - 1"):
+        gb = gb_of(text)
+        eliminated = []
+        for name in ("kernel_basis", "rank"):
+            original = getattr(artinian, name)
+            monkeypatch.setattr(
+                artinian,
+                name,
+                lambda matrix, field, _f=original: eliminated.append(matrix) or _f(matrix, field),
+            )
         monkeypatch.setattr(artinian, "socle_dimension", forbidden)
-        generator_count(lq)
+        components = local_components(gb).components
+        for lq in components:
+            generator_count(lq)
         monkeypatch.undo()
-        assert kernels and all(k != lq.mult_x + lq.mult_y for k in kernels)
+        assert components and eliminated, text
+        for lq in components:
+            assert all(matrix != lq.mult_x + lq.mult_y for matrix in eliminated), text
 
 
 def test_socle_route_never_reads_the_generator():

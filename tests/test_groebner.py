@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import punctual.groebner as groebner
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import (
     buchberger,
@@ -15,6 +16,7 @@ from punctual.groebner import (
     spolynomial_certificate,
 )
 from punctual.poly import (
+    ALL_ORDERS,
     DEFAULT_ORDER,
     Monomial,
     MonomialOrder,
@@ -174,3 +176,90 @@ def test_division_correctness(gens, f):
     lms = gb.leading_monomials()
     for m in r.terms:
         assert not any(lm.divides(m) for lm in lms)
+
+
+def sorted_every_step_normal_form(f, basis, order):
+    """Reference division: re-sort the running remainder at every step and
+    reduce its order-largest reducible monomial by the first basis element
+    (in sequence order) whose leading monomial divides it."""
+    inv, reduce = f.field.inv, f.field.reduce
+    reducers = [
+        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
+    ]
+    key = order.key_func()
+    work = dict(f.terms)
+    while True:
+        target = None
+        for m in sorted(work, key=key, reverse=True):
+            for lm, lc_inv, g in reducers:
+                if lm.divides(m):
+                    target = (m, lm, lc_inv, g)
+                    break
+            if target:
+                break
+        if target is None:
+            return Polynomial(f.field, work)
+        m, lm, lc_inv, g = target
+        factor = reduce(work[m] * lc_inv)
+        shift = m.divided_by(lm)
+        for mg, cg in g.terms.items():
+            mm = mg * shift
+            prev = work.get(mm)
+            value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
+            if value:
+                work[mm] = value
+            else:
+                work.pop(mm, None)
+
+
+@st.composite
+def division_cases(draw):
+    """A polynomial and a divisor list that is in general no Groebner basis:
+    non-monic divisors, possibly a zero divisor, and possibly two divisors
+    with the same leading monomial but different leading coefficients and
+    tails."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), F101]))
+    order = draw(st.sampled_from(ALL_ORDERS))
+    coefficient = st.builds(field.from_int, st.integers(-9, 9))
+
+    def poly(max_exponent, min_size=0):
+        monos = st.builds(Monomial, st.integers(0, max_exponent), st.integers(0, max_exponent))
+        terms = draw(st.dictionaries(monos, coefficient, min_size=min_size, max_size=5))
+        return Polynomial(field, terms)
+
+    divisors = [poly(2, min_size=1) for _ in range(draw(st.integers(0, 3)))]
+    nonzero = [d for d in divisors if d]
+    if nonzero and draw(st.booleans()):
+        d = draw(st.sampled_from(nonzero))
+        lm, key = d.leading_monomial(order), order.key_func()
+        tail = {m: c for m, c in poly(2).terms.items() if key(m) < key(lm)}
+        lead = draw(coefficient.filter(bool))
+        divisors.insert(draw(st.integers(0, len(divisors))), Polynomial(field, {lm: lead, **tail}))
+    if draw(st.booleans()):
+        divisors.insert(draw(st.integers(0, len(divisors))), Polynomial.zero(field))
+    return poly(5), divisors, order
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_cases())
+def test_single_pass_division_matches_sorted_every_step(case):
+    f, divisors, order = case
+    assert normal_form(f, divisors, order) == sorted_every_step_normal_form(f, divisors, order)
+
+
+def test_spair_sequence_is_pinned(monkeypatch):
+    # spolynomial calls per Buchberger run, measured with the list-scan pair
+    # selection that the lcm-keyed heap replaced; the same selection order
+    # forms the same S-polynomials
+    cases = (
+        ("x^3 + 2*x*y - y^2 + x, y^3 - x^2*y + 3*x*y + y", LEX_XY, 14),
+        ("x^3 + x^2*y - 2*x*y^2 + y^3 + x - y, x^2*y + 3*x*y^2 - y^3 + x^2 + 2*y", DEFAULT_ORDER, 5),
+        ("x^3, x^2*y, x*y^2 - x^2, y^4", DEFAULT_ORDER, 5),
+    )
+    calls = []
+    original = groebner.spolynomial
+    monkeypatch.setattr(groebner, "spolynomial", lambda *args: calls.append(args) or original(*args))
+    for text, order, expected in cases:
+        calls.clear()
+        gb_of(text, order)
+        assert len(calls) == expected, text

@@ -74,7 +74,7 @@ def test_engine_stores_reduced_values(case, order, data):
     gb = buchberger(gens, order)
     for p in gb.generators:
         assert_reduced(p.terms.values(), field, "Groebner basis")
-    if len(gb) > 1:
+    if len(gb.generators) > 1:
         s = spolynomial(gb.generators[0], gb.generators[1], order)
         assert_reduced(s.terms.values(), field, "S-polynomial")
     assert_reduced(normal_form(g, gb.generators, order).terms.values(), field, "normal form")
@@ -84,6 +84,7 @@ def test_engine_stores_reduced_values(case, order, data):
         assert_reduced(lq.point, field, "point")
         assert_reduced(entries(lq.mult_x) + entries(lq.mult_y), field, "local factor")
         assert_reduced(lq.generator, field, "local generator")
+        assert_reduced(entries(lq.local_ideal), field, "local ideal")
 
 
 @st.composite
