@@ -487,6 +487,10 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
 
 
 def _translated(matrix, p, coeff_field) -> list:
+    """M - p*Id; at p = 0 the matrix itself, shared, since no operator is
+    ever mutated."""
+    if not p:
+        return matrix
     return mat_sub(matrix, scaled_identity(p, len(matrix), coeff_field), coeff_field)
 
 

@@ -5,11 +5,18 @@ generators, no monomial of any generator divisible by the leading
 monomial of another, generators listed ascending by leading monomial.
 For a fixed ideal and order that basis is unique, which is what makes the
 golden tests and the permutation-invariance property possible.
+
+Division reads a reducer list: one ``(leading monomial, inverse leading
+coefficient, polynomial)`` triple per divisor, made once per basis rather
+than once per division.  Buchberger keeps such a list for the elements it
+still needs and prunes its pairs with the Gebauer-Moeller criteria, so
+most S-polynomials that would reduce to zero are never formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .poly import Monomial, MonomialOrder, Polynomial
@@ -21,15 +28,28 @@ class GroebnerBasis:
     field: object
     generators: tuple[Polynomial, ...]
 
+    @cached_property
+    def reducers(self) -> tuple:
+        """One ``(lm, 1/lc, g)`` triple per generator, computed once."""
+        return tuple(_reducer(g, self.order) for g in self.generators)
+
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
+        return tuple(lm for lm, _, _ in self.reducers)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.generators, self.order)
+        if f.field != self.field:
+            raise ValueError("polynomials over different fields")
+        return _divide(f, self.reducers, self.order)
+
+
+def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
+    lm = g.leading_monomial(order)
+    return lm, g.field.inv(g.terms[lm]), g
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Remainder of f on division by the basis.
+    """Remainder of f on division by the basis, a sequence of polynomials
+    over f's field in any order (zero ones are ignored).
 
     One descending pass: each monomial of the running remainder is visited
     once, largest first.  If a leading monomial divides it, it is reduced
@@ -37,13 +57,16 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     smaller monomials; otherwise it moves to the remainder for good.  This
     is the rule "always reduce the order-largest reducible monomial", so
     the result is the same for any divisor list, Groebner basis or not.
+    The reducer list is built here on every call; ``GroebnerBasis`` and
+    ``buchberger`` keep theirs and divide by it directly.
     """
-    inv, reduce = f.field.inv, f.field.reduce
     for g in basis:
         f._check_field(g)
-    reducers = [
-        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
-    ]
+    return _divide(f, [_reducer(g, order) for g in basis if g], order)
+
+
+def _divide(f: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
+    reduce = f.field.reduce
     key = order.key_func()
 
     def descending(m: Monomial) -> tuple:
@@ -95,44 +118,70 @@ def buchberger(generators, order: MonomialOrder) -> GroebnerBasis:
     Idempotent, and independent of the order in which generators are
     listed.  Zero generators are dropped; if everything is zero the
     result is the empty basis of the zero ideal.
+
+    Each new element h goes through the Gebauer-Moeller update (Becker-
+    Weispfenning, *Groebner Bases*, UPDATE).  Of its new pairs, one whose
+    lcm is divisible by the lcm of another new pair is dropped (the chain
+    criterion); coprime pairs are dropped only after that, so they can
+    still eliminate others.  A pending pair (i, j) is dropped when lm(h)
+    divides its lcm and neither lcm(i, h) nor lcm(j, h) equals it.  An
+    element whose leading monomial lm(h) divides leaves the reducer list,
+    though its pending pairs stay.  Pairs are popped smallest lcm first,
+    then by (i, j), and S-polynomials are divided by the reducer list.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator (possibly zero) to fix the field")
     coeff_field = generators[0].field
+    for g in generators:
+        generators[0]._check_field(g)
     key = order.key_func()
-    basis: list[Polynomial] = []
-    lms: list[Monomial] = []
-    # normal selection: smallest lcm of leading monomials first, then (i, j)
-    pairs: list[tuple] = []
+    entries: list[tuple] = []  # (lm, 1/lc, g) of every element added; pairs index it
+    active: list[int] = []  # the elements still needed, in insertion order
+    reducers: list[tuple] = []  # entries[i] for i in active
+    pairs: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
 
-    def add(g: Polynomial) -> None:
-        lm = g.leading_monomial(order)
-        for i, other in enumerate(lms):
-            heappush(pairs, (key(other.lcm(lm)), i, len(lms)))
-        basis.append(g)
-        lms.append(lm)
+    def add(h: Polynomial) -> None:
+        nonlocal pairs, active, reducers
+        entry = _reducer(h, order)
+        lm_h, j = entry[0], len(entries)
+        candidates = [(entries[i][0].lcm(lm_h), i) for i in active]
+        new = []  # survivors of the chain criterion, coprime pairs included
+        for idx, (l, i) in enumerate(candidates):
+            others = candidates[idx + 1 :] + new
+            if entries[i][0].coprime_with(lm_h) or not any(o.divides(l) for o, _ in others):
+                new.append((l, i))
+        pairs = [
+            pair
+            for pair in pairs
+            if not lm_h.divides(pair[3])
+            or entries[pair[1]][0].lcm(lm_h) == pair[3]
+            or entries[pair[2]][0].lcm(lm_h) == pair[3]
+        ]
+        heapify(pairs)
+        for l, i in new:
+            if not entries[i][0].coprime_with(lm_h):
+                heappush(pairs, (key(l), i, j, l))
+        entries.append(entry)
+        active = [i for i in active if not lm_h.divides(entries[i][0])] + [j]
+        reducers = [entries[i] for i in active]
 
     for g in generators:
         if g:
             add(g.monic(order))
     while pairs:
-        _, i, j = heappop(pairs)
-        if lms[i].coprime_with(lms[j]):
-            continue
-        remainder = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        _, i, j, _ = heappop(pairs)
+        remainder = _divide(spolynomial(entries[i][2], entries[j][2], order), reducers, order)
         if remainder:
             add(remainder.monic(order))
-    return _reduce_basis(basis, order, coeff_field)
+    return _reduce_basis(reducers, order, coeff_field)
 
 
-def _reduce_basis(basis, order, coeff_field) -> GroebnerBasis:
+def _reduce_basis(reducers, order, coeff_field) -> GroebnerBasis:
     key = order.key_func()
-    by_lm = sorted(basis, key=lambda g: key(g.leading_monomial(order)))
     kept: list[Polynomial] = []
     kept_lms: list[Monomial] = []
-    for g in by_lm:
-        lm = g.leading_monomial(order)
+    for lm, _, g in sorted(reducers, key=lambda r: key(r[0])):
         if any(other.divides(lm) for other in kept_lms):
             continue
         kept.append(g)

@@ -46,8 +46,8 @@ from .staircase import (
     socle_bound,
 )
 
-# one draw at degree 11 over Fp:32003 takes about 2.5 s on a 2-core VM, so
-# the largest accepted run takes about 40 minutes
+# one draw at degree 11 over Fp:32003 takes about 1 s on a 2-core VM, so
+# the largest accepted run takes about 17 minutes
 MAX_SAMPLE_COUNT = 1000
 
 # Non-monomial ideals over QQ exercised by the test suite: curvilinear

@@ -524,6 +524,33 @@ def test_factor_on_the_whole_quotient_is_not_restricted():
         assert rank([lq.generator] + generalized_eigenspace(pair, lq.point, QQ), QQ) == 1
 
 
+def test_translation_at_the_origin_shares_the_operator(monkeypatch):
+    # M - p*Id is M itself at p = 0 and equals mat_sub(M, p*Id) elsewhere
+    pairs = []
+    original = artinian.multiplication_matrices
+    monkeypatch.setattr(
+        artinian, "multiplication_matrices", lambda *args: pairs.append(original(*args)) or pairs[-1]
+    )
+    for field in (QQ, F7):
+        gb = gb_of("x^2 - x, y^2 - 2*y", field=field)
+        origin = (field.zero(), field.zero())
+        components = local_components(gb).components
+        at_origin = local_component_at(gb, origin)
+        whole, at = pairs
+        assert {lq.point for lq in components} == {
+            (field.from_int(a), field.from_int(b)) for a in (0, 1) for b in (0, 2)
+        }
+        n = len(whole.on_x)
+        for lq, pair in [(lq, whole) for lq in components] + [(at_origin, at)]:
+            for matrix, p, translated in (
+                (pair.on_x, lq.point[0], lq.mult_x),
+                (pair.on_y, lq.point[1], lq.mult_y),
+            ):
+                assert translated == mat_sub(matrix, scaled_identity(p, n, field), field)
+                assert (translated is matrix) == (p == 0)
+        pairs.clear()
+
+
 def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     calls = []
     for module, name in (

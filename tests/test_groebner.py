@@ -1,7 +1,10 @@
 """Division and Buchberger: hand oracles, certificates, canonicality."""
 
 import random
+from fractions import Fraction
+from heapq import heappop, heappush
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import punctual.groebner as groebner
@@ -248,18 +251,142 @@ def test_single_pass_division_matches_sorted_every_step(case):
 
 
 def test_spair_sequence_is_pinned(monkeypatch):
-    # spolynomial calls per Buchberger run, measured with the list-scan pair
-    # selection that the lcm-keyed heap replaced; the same selection order
-    # forms the same S-polynomials
+    # spolynomial calls per Buchberger run with the Gebauer-Moeller pair
+    # update, then without the criteria (only coprime pairs skipped), the
+    # count before the update: 14, 5, 5 and 13.  The last case is a `sample`
+    # draw: two dense degree-4 polynomials with no constant term.
+    dense_sample_pair = (
+        "31*x + 39*y + 14*x^2 + 93*x*y + 51*y^2 + 62*x^3 + 20*x^2*y + 12*x*y^2"
+        " + 9*y^3 + 3*x^4 + 52*x^3*y + 71*x^2*y^2 + 38*x*y^3 + 98*y^4,"
+        " 8*x + 29*y + 67*x^2 + 69*x*y + 47*y^2 + 36*x^3 + 23*x^2*y + 14*x*y^2"
+        " + 34*y^3 + 28*x^4 + 4*x^3*y + 83*x^2*y^2 + 34*x*y^3 + 35*y^4"
+    )
     cases = (
-        ("x^3 + 2*x*y - y^2 + x, y^3 - x^2*y + 3*x*y + y", LEX_XY, 14),
-        ("x^3 + x^2*y - 2*x*y^2 + y^3 + x - y, x^2*y + 3*x*y^2 - y^3 + x^2 + 2*y", DEFAULT_ORDER, 5),
-        ("x^3, x^2*y, x*y^2 - x^2, y^4", DEFAULT_ORDER, 5),
+        ("x^3 + 2*x*y - y^2 + x, y^3 - x^2*y + 3*x*y + y", LEX_XY, QQ, 6, 14),
+        (
+            "x^3 + x^2*y - 2*x*y^2 + y^3 + x - y, x^2*y + 3*x*y^2 - y^3 + x^2 + 2*y",
+            DEFAULT_ORDER,
+            QQ,
+            3,
+            5,
+        ),
+        ("x^3, x^2*y, x*y^2 - x^2, y^4", DEFAULT_ORDER, QQ, 3, 5),
+        (dense_sample_pair, DEFAULT_ORDER, PrimeField(32003), 5, 13),
     )
     calls = []
     original = groebner.spolynomial
     monkeypatch.setattr(groebner, "spolynomial", lambda *args: calls.append(args) or original(*args))
-    for text, order, expected in cases:
+    for text, order, field, expected, without_criteria in cases:
         calls.clear()
-        gb_of(text, order)
-        assert len(calls) == expected, text
+        gb = gb_of(text, order, field)
+        assert len(calls) == expected < without_criteria, text
+        calls.clear()
+        assert gb.generators == criteria_free_buchberger(parse_generators(text, field), order)
+        assert len(calls) == without_criteria, text
+
+
+def criteria_free_buchberger(generators, order):
+    """Reference Buchberger, without pair criteria: every pair of basis
+    elements is queued, coprime ones are skipped when popped, and each
+    S-polynomial is divided by the whole basis.  The result is minimalized
+    and each element reduced by the others, giving the reduced basis."""
+    key = order.key_func()
+    basis, lms, pairs = [], [], []
+
+    def add(g):
+        lm = g.leading_monomial(order)
+        for i, other in enumerate(lms):
+            heappush(pairs, (key(other.lcm(lm)), i, len(lms)))
+        basis.append(g)
+        lms.append(lm)
+
+    for g in generators:
+        if g:
+            add(g.monic(order))
+    while pairs:
+        _, i, j = heappop(pairs)
+        if lms[i].coprime_with(lms[j]):
+            continue
+        s_poly = groebner.spolynomial(basis[i], basis[j], order)
+        remainder = sorted_every_step_normal_form(s_poly, basis, order)
+        if remainder:
+            add(remainder.monic(order))
+    minimal = []
+    for g in sorted(basis, key=lambda g: key(g.leading_monomial(order))):
+        if not any(m.leading_monomial(order).divides(g.leading_monomial(order)) for m in minimal):
+            minimal.append(g)
+    return tuple(
+        sorted_every_step_normal_form(g, minimal[:idx] + minimal[idx + 1 :], order).monic(order)
+        for idx, g in enumerate(minimal)
+    )
+
+
+@st.composite
+def ideal_cases(draw):
+    """Generator lists that exercise the pair update: zero generators,
+    duplicates, non-monic elements, and a term multiple of another
+    generator, so that one leading monomial divides another and, depending
+    on the shuffled order, prunes the reducer list or is minimalized away
+    at the end."""
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7), F101]))
+    order = draw(st.sampled_from(ALL_ORDERS))
+    coefficient = st.builds(field.from_int, st.integers(-9, 9))
+    monos = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3))
+
+    def poly():
+        return Polynomial(field, draw(st.dictionaries(monos, coefficient, max_size=4)))
+
+    gens = [poly() for _ in range(draw(st.integers(1, 3)))]
+    nonzero = [g for g in gens if g]
+    if nonzero and draw(st.booleans()):
+        g = draw(st.sampled_from(nonzero))
+        shift = draw(st.builds(Monomial, st.integers(0, 1), st.integers(0, 1)))
+        gens.append(g.times_term(shift, draw(coefficient.filter(bool))))
+    if draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    if draw(st.booleans()):
+        gens.append(Polynomial.zero(field))
+    return draw(st.permutations(gens)), order
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_cases())
+def test_pair_criteria_match_criteria_free_loop(case):
+    gens, order = case
+    assert buchberger(gens, order).generators == criteria_free_buchberger(gens, order)
+
+
+def _sympy_reduced_basis(gens, order, sympy):
+    """sympy's reduced basis of the same ideal, as monic punctual polynomials."""
+    x, y = sympy.symbols("x y")
+    field = gens[0].field
+    variables = (x, y) if order.precedence == "xy" else (y, x)
+    tag = {"lex": "lex", "deglex": "grlex", "degrevlex": "grevlex"}[order.tag]
+
+    def coefficient(c):
+        return sympy.Rational(c.numerator, c.denominator) if field is QQ else c
+
+    exprs = [sum((coefficient(c) * x**m.a * y**m.b for m, c in g.terms.items()), sympy.S.Zero) for g in gens]
+    options = {} if field is QQ else {"modulus": field.p}
+    basis = sympy.groebner(exprs, *variables, order=tag, **options)
+    out = []
+    for expr in basis.exprs:
+        # sympy gives residues mod p symmetrically, in (-p/2, p/2]
+        terms = {
+            Monomial(a, b): Fraction(c.p, c.q) if field is QQ else int(c) % field.p
+            for (a, b), c in sympy.Poly(expr, x, y, **options).terms()
+        }
+        out.append(Polynomial(field, terms).monic(order))
+    key = order.key_func()
+    return tuple(sorted(out, key=lambda g: key(g.leading_monomial(order))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_cases())
+def test_buchberger_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    gens, order = case
+    if not any(gens):
+        assert buchberger(gens, order).generators == ()
+        return
+    assert buchberger(gens, order).generators == _sympy_reduced_basis(gens, order, sympy)
