@@ -8,6 +8,13 @@ invariants (colength, socle dimension, minimal generator count, Betti
 numbers, the triangular multiplicity attached to the socle) come out of
 exact rank and kernel computations.  Staircase combinatorics of monomial
 ideals and a verification harness tie the two routes together.
+
+``nilpotency_index`` returns the index r of a local factor together with
+the words Nx^a Ny^b w of degree <= r that span it, built in one pass;
+the factor's local ideal is read off those words.  The slower oracles
+the tests check the package against (an explicit-generator count,
+reducedness and staircase checks, the origin corpus) live with the tests
+and are not exported.
 """
 
 from .artinian import (
@@ -20,9 +27,7 @@ from .artinian import (
     generator_count,
     local_component_at,
     local_components,
-    local_ideal_truncation,
     local_invariants,
-    minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
     nilpotency_index,
@@ -34,7 +39,6 @@ from .errors import (
     LemmaViolation,
     NotZeroDimensional,
     ParseError,
-    PointNotInSupport,
     PunctualError,
     SupportNotLocal,
 )
@@ -44,7 +48,6 @@ from .groebner import (
     buchberger,
     groebner_from_monomials,
     initial_ideal,
-    is_reduced,
     is_zero_dimensional,
     normal_form,
     spolynomial,
@@ -65,14 +68,11 @@ from .staircase import (
     attaining_partition,
     corners,
     monomial_ideal_of,
-    partition_from_boxes,
     partitions_of,
     socle_bound,
-    staircase_witness,
 )
 from .verify import (
     CURATED_CORPUS,
-    ORIGIN_CORPUS,
     SamplerConfig,
     SocleCensus,
     VerificationReport,

@@ -14,11 +14,11 @@ invariants come out of exact linear algebra on those operators:
   local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
 * the words Nx^a Ny^b w in the operators translated on the matrix side,
   N = M - p*Id, span A_p: the nilpotency index r is the first degree at
-  which they all vanish;
+  which they all vanish, and the words are built once, in that search;
 * the local ideal's image in k[x,y]/m^(r+1) is the kernel of
-  f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, taken once
-  per factor; that map is onto A_p, so the local length is (r+1)(r+2)/2
-  minus the dimension of the image;
+  f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, read off
+  those words once per factor; that map is onto A_p, so the local length
+  is (r+1)(r+2)/2 minus the dimension of the image;
 * the socle dimension is n minus the rank of the stacked translated pair
   (a vector killed by both lies in A_p);
 * the minimal generator count of the local ideal is dim I/mI of that
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, count
 from math import gcd
 
-from .errors import ConfigError, LemmaViolation, NotZeroDimensional, PointNotInSupport
+from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import is_prime
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import (
@@ -89,11 +89,14 @@ class LocalQuotient:
     quotient translated to p (N = M - p*Id), and ``generator`` is the
     vector w = g_x(Mx) g_y(My)[1] with A_p = k[x,y] w.  The words
     Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r at which
-    all words of degree r vanish.  ``local_ideal`` is the echelon kernel
-    of f -> f(Nx, Ny)w on the monomials of degree <= r (coefficient
-    vectors ordered like ``truncation_monomials(r)``), the image of the
-    local ideal in k[x,y]/m^(r+1), and ``dimension`` (the local length) is
-    the number of those monomials minus its size.
+    all words of degree r vanish; the function of that name returns r
+    together with the words of degree <= r, built in one pass.
+    ``local_ideal`` is the echelon kernel of f -> f(Nx, Ny)w on the
+    monomials of degree <= r, read off those same words (coefficient
+    vectors ordered like ``truncation_monomials(r)``): the image of the
+    local ideal in k[x,y]/m^(r+1), which ``generator_count`` reads
+    directly.  ``dimension`` (the local length) is the number of those
+    monomials minus its size.
     """
 
     point: tuple
@@ -433,31 +436,27 @@ def _horner(coeffs, matrix, vector, coeff_field) -> list:
     return acc
 
 
-def _words(nil_x, nil_y, generator, coeff_field):
-    """The words Nx^a Ny^b w by degree k = a + b; layer k lists them for
-    a = 0..k, the order of ``truncation_monomials``."""
-    layer = [generator]
-    while True:
-        yield layer
+def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> tuple[int, list]:
+    """Least r such that every product of r factors from {Nx, Ny} kills w,
+    hence the whole factor k[x,y] w, and the words Nx^a Ny^b w of degree
+    <= r in the order of ``truncation_monomials(r)``.
+
+    The words are built once, layer by layer: layer k lists Nx^a Ny^(k-a) w
+    for a = 0..k.  Mixed products matter: for the pair coming from
+    (x^2, y^2) both pure squares vanish while Nx*Ny does not, so the index
+    is 3 there.  The index of a factor is at most its length, so the words
+    must all vanish by degree n.
+    """
+    words, layer = [], [generator]
+    for r in count():
+        words += layer
+        if not any(map(any, layer)):
+            return r, words
+        if r == len(generator):
+            raise ValueError("multiplication operators are not jointly nilpotent")
         layer = [mat_vec(nil_y, v, coeff_field) for v in layer] + [
             mat_vec(nil_x, layer[-1], coeff_field)
         ]
-
-
-def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> int:
-    """Least r such that every product of r factors from {Nx, Ny} kills w,
-    hence the whole factor k[x,y] w.
-
-    Mixed products matter: for the pair coming from (x^2, y^2) both pure
-    squares vanish while Nx*Ny does not, so the index is 3 there.  The
-    index of a factor is at most its length, so the words must all vanish
-    by degree n.
-    """
-    for r, layer in enumerate(_words(nil_x, nil_y, generator, coeff_field)):
-        if not any(map(any, layer)):
-            return r
-        if r == len(generator):
-            raise ValueError("multiplication operators are not jointly nilpotent")
 
 
 def _operators(gb: GroebnerBasis):
@@ -499,9 +498,7 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
     w = 0 (the point is not in the support)."""
     if not any(generator):
         return None
-    r = nilpotency_index(nil_x, nil_y, generator, coeff_field)
-    layers = islice(_words(nil_x, nil_y, generator, coeff_field), r + 1)
-    words = [v for layer in layers for v in layer]
+    r, words = nilpotency_index(nil_x, nil_y, generator, coeff_field)
     local_ideal = kernel_basis([list(row) for row in zip(*words)], coeff_field)
     return LocalQuotient(
         point=point,
@@ -562,39 +559,20 @@ def truncation_monomials(max_degree: int) -> list[Monomial]:
     return [Monomial(a, d - a) for d in range(max_degree + 1) for a in range(d + 1)]
 
 
-def local_ideal_kernel(lq: LocalQuotient):
-    """The local ideal's image in k[x,y]/m^(r+1), as kernel vectors.
-
-    A polynomial f of degree <= r lies in the local ideal exactly when
-    f(Nx, Ny) is the zero operator on the factor, that is when f(Nx, Ny)w
-    vanishes for its generator w, so the image is the kernel of
-    f -> f(Nx, Ny)w on the truncation grid: ``lq.local_ideal``, computed
-    with the factor.
-    """
-    return truncation_monomials(lq.nilpotency_index), lq.local_ideal
-
-
-def local_ideal_truncation(lq: LocalQuotient) -> list[Polynomial]:
-    """The kernel above, rendered as honest polynomials."""
-    monos, kernel = local_ideal_kernel(lq)
-    return [
-        Polynomial(lq.field, {monos[i]: c for i, c in enumerate(vec) if c})
-        for vec in kernel
-    ]
-
-
 def generator_count(lq: LocalQuotient) -> int:
     """Minimal generators of the local ideal, via its truncated image.
 
+    The image is ``lq.local_ideal``, computed with the factor: f of degree
+    <= r lies in the local ideal exactly when f(Nx, Ny)w vanishes.
     e = dim(I/mI) computed as dim(image) - dim(m * image); the shifts by
     x and y stay inside the truncation because products that leave degree
     r are zero there.
     """
-    monos, kernel = local_ideal_kernel(lq)
+    kernel, r = lq.local_ideal, lq.nilpotency_index
     if not kernel:
         raise ValueError("local ideal image is empty; quotient is not Artinian local")
     coeff_field = lq.field
-    r = monos[-1].degree
+    monos = truncation_monomials(r)
     index = {mono: i for i, mono in enumerate(monos)}
     zero = coeff_field.zero()
     shifted_rows = []
@@ -613,56 +591,6 @@ def generator_count(lq: LocalQuotient) -> int:
             if nonzero:
                 shifted_rows.append(row)
     return len(kernel) - rank(shifted_rows, coeff_field)
-
-
-def minimal_generator_count(generators, nilpotency: int) -> int:
-    """Minimal generator count of a local-at-origin ideal given generators.
-
-    Works in the truncation k[x,y]/m^(r+1) with r = nilpotency: the image
-    of the ideal is spanned by monomial multiples of the generators
-    together with all degree-r monomials (which lie in the ideal since
-    m^r does), and e = rank(image) - rank(m * image).
-    """
-    gens = [g for g in generators if g]
-    if not gens:
-        raise ValueError("no nonzero generators")
-    coeff_field = gens[0].field
-    for g in gens:
-        if g.constant_term:
-            raise PointNotInSupport(
-                "a generator has nonzero constant term, so the origin is not a support point"
-            )
-    r = nilpotency
-    monos = truncation_monomials(r)
-    index = {mono: i for i, mono in enumerate(monos)}
-    zero, reduce = coeff_field.zero(), coeff_field.reduce
-
-    def truncate_rows(polys_as_rows):
-        rows = []
-        for source in polys_as_rows:
-            row = [zero] * len(monos)
-            for mono, c in source:
-                if mono.degree <= r:
-                    i = index[mono]
-                    row[i] = reduce(row[i] + c)
-            if any(row):
-                rows.append(row)
-        return rows
-
-    products = []
-    for g in gens:
-        for mono in monos:
-            products.append([(mg * mono, cg) for mg, cg in g.terms.items()])
-    one = coeff_field.one()
-    padding = [[(mono, one)] for mono in monos if mono.degree == r]
-    image_rows = truncate_rows(products + padding)
-
-    shifted = []
-    for source in products + padding:
-        for dx, dy in ((1, 0), (0, 1)):
-            shifted.append([(Monomial(m.a + dx, m.b + dy), c) for m, c in source])
-    shifted_rows = truncate_rows(shifted)
-    return rank(image_rows, coeff_field) - rank(shifted_rows, coeff_field)
 
 
 def multiplicity_from_socle(b2: int) -> int:

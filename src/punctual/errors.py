@@ -17,10 +17,6 @@ class SupportNotLocal(PunctualError):
     """An operation that needs all support at the origin saw other points."""
 
 
-class PointNotInSupport(PunctualError):
-    """A local computation was requested at a point where the ideal does not vanish."""
-
-
 class LemmaViolation(PunctualError):
     """Two independent routes to the same invariant disagreed.
 

@@ -225,20 +225,6 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     return any(m.b == 0 for m in lms) and any(m.a == 0 for m in lms)
 
 
-def is_reduced(gb: GroebnerBasis) -> bool:
-    """Check the reducedness contract directly (used by the test suite)."""
-    one = gb.field.one()
-    lms = gb.leading_monomials()
-    for g, lm in zip(gb.generators, lms):
-        if g.leading_coefficient(gb.order) != one:
-            return False
-        for m in g.terms:
-            for other in lms:
-                if other != lm and other.divides(m):
-                    return False
-    return True
-
-
 def spolynomial_certificate(gb: GroebnerBasis) -> bool:
     """Every pairwise S-polynomial reduces to zero against the basis."""
     gens = gb.generators

@@ -321,7 +321,11 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # past int()'s digit limit, or a digit like '²' it refuses
+                raise ParseError(f"unreadable integer of {j - i} digits at position {i}") from None
+            tokens.append(("int", value, i))
             i = j
         elif ch in "xy":
             tokens.append(("var", ch, i))

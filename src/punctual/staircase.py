@@ -172,40 +172,14 @@ def socle_bound(n: int) -> int:
     return k
 
 
-def staircase_witness(b: int) -> Partition:
-    """The partition (b, b-1, ..., 1); its inner corner count is exactly b."""
-    if b < 1:
-        raise ValueError("witness is defined for b >= 1")
-    return Partition(tuple(range(b, 0, -1)))
-
-
 def attaining_partition(n: int) -> Partition:
     """A partition of n whose inner corner count meets socle_bound(n).
 
-    Start from the staircase witness for the bound and absorb the excess
-    into the largest part; all parts stay distinct, so the count is kept.
+    Start from the staircase (b, b-1, ..., 1) for the bound b, whose inner
+    corner count is exactly b, and absorb the excess into the largest
+    part; all parts stay distinct, so the count is kept.
     """
     b = socle_bound(n)
     excess = n - b * (b + 1) // 2
     parts = (b + excess,) + tuple(range(b - 1, 0, -1))
     return Partition(parts)
-
-
-def partition_from_boxes(monomials) -> Partition:
-    """Recover the partition from a staircase set of standard monomials."""
-    rows: dict[int, int] = {}
-    for m in monomials:
-        rows[m.b] = rows.get(m.b, 0) + 1
-    if not rows:
-        raise ValueError("no boxes")
-    parts = []
-    for j in range(len(rows)):
-        if j not in rows:
-            raise ValueError("rows are not contiguous from the bottom")
-        parts.append(rows[j])
-    if any(a < b for a, b in zip(parts, parts[1:])):
-        raise ValueError("row lengths are not weakly decreasing")
-    expected = {(i, j) for j, width in enumerate(parts) for i in range(width)}
-    if {(m.a, m.b) for m in monomials} != expected:
-        raise ValueError("boxes are not left-justified")
-    return Partition(tuple(parts))

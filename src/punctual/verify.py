@@ -74,24 +74,6 @@ CURATED_CORPUS: tuple[str, ...] = (
     "x^3, x^2*y, x*y^2 - x^2, y^4",
 )
 
-# The subset supported only at the origin, where degeneration comparisons
-# are meaningful.
-ORIGIN_CORPUS: tuple[str, ...] = (
-    "y - x^2, x^3",
-    "x^2 + y^2, x*y",
-    "x^2 - y^2, x*y",
-    "y^2 - x^3, x^2*y",
-    "x^2 + x*y, y^2",
-    "y - x^2, x^4",
-    "x^2 - y, y^2",
-    "x^3 - y, y^3",
-    "x^2 - y^3, x*y^2, y^4",
-    "x^3, x*y - y^3, y^4",
-    "x^2 + y^3, x*y^3, y^5",
-    "x^3, x^2*y, x*y^2 - x^2, y^4",
-)
-
-
 @dataclass
 class VerificationReport:
     check: str

@@ -10,6 +10,7 @@ import time
 from dataclasses import dataclass
 
 import pytest
+from conftest import ORIGIN_CORPUS, staircase_witness
 
 from punctual.artinian import analyze_quotient, quotient_basis
 from punctual.cli import main
@@ -22,11 +23,9 @@ from punctual.staircase import (
     monomial_ideal_of,
     partitions_of,
     socle_bound,
-    staircase_witness,
 )
 from punctual.verify import (
     CURATED_CORPUS,
-    ORIGIN_CORPUS,
     SamplerConfig,
     check_degeneration,
     check_multiplicity_formula,

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import is_zero_matrix
+from conftest import is_zero_matrix, local_ideal_truncation, minimal_generator_count
 from hypothesis import given, settings, strategies as st
 
 import punctual.artinian as artinian
@@ -14,10 +14,7 @@ from punctual.artinian import (
     generator_count,
     local_component_at,
     local_components,
-    local_ideal_kernel,
-    local_ideal_truncation,
     local_invariants,
-    minimal_generator_count,
     multiplication_matrices,
     multiplicity_from_socle,
     nilpotency_index,
@@ -25,7 +22,7 @@ from punctual.artinian import (
     socle_dimension,
     truncation_monomials,
 )
-from punctual.errors import NotZeroDimensional, PointNotInSupport
+from punctual.errors import NotZeroDimensional
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
 from punctual.linalg import (
@@ -268,7 +265,7 @@ def test_minimal_generator_count_pinned_cases():
 
 
 def test_minimal_generator_count_rejects_units():
-    with pytest.raises(PointNotInSupport):
+    with pytest.raises(ValueError):
         minimal_generator_count(parse_generators("x - 1, y", QQ), 1)
 
 
@@ -462,7 +459,8 @@ def test_word_nilpotency_matches_word_table(oracle_cases):
         for lq, space in components:
             expected = word_table_nilpotency_index(lq.mult_x, lq.mult_y, space, field)
             assert lq.nilpotency_index == expected, text
-            assert nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field) == expected, text
+            r, _ = nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field)
+            assert r == expected, text
 
 
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
@@ -485,7 +483,8 @@ def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
     # exactly when f(Nx, Ny) kills the whole factor
     for text, _, _, components in oracle_cases:
         for lq, space in components:
-            assert local_ideal_kernel(lq) == operator_evaluation_kernel(lq, space), text
+            _, kernel = operator_evaluation_kernel(lq, space)
+            assert lq.local_ideal == kernel, text
 
 
 def test_root_search_runs_once_per_coordinate(monkeypatch):
@@ -568,6 +567,21 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     assert calls == []
     assert local_component_at(gb, (QQ.one(), QQ.zero())).dimension == 1
     assert sorted(calls) == ["_horner", "_horner", "nilpotency_index"]
+
+
+@pytest.mark.parametrize(
+    "text,point", [("x^2, y^2", (0, 0)), ("x^2 - 2*x + 1, y^2 - 4*y + 4", (1, 2))]
+)
+def test_factor_builds_each_word_once(monkeypatch, text, point):
+    # r = 3 here, so the words of degree <= 3 number 10; every word but w
+    # itself costs one operator application, and the kernel reuses them
+    lq = local_component_at(gb_of(text), tuple(map(QQ.from_int, point)))
+    calls = []
+    monkeypatch.setattr(artinian, "mat_vec", lambda *args: calls.append(1) or mat_vec(*args))
+    rebuilt = artinian._component_at(lq.point, lq.mult_x, lq.mult_y, lq.generator, QQ)
+    assert rebuilt == lq
+    assert lq.nilpotency_index == 3
+    assert len(calls) == len(truncation_monomials(3)) - 1 == 9
 
 
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism, golden files."""
 
+import importlib.util
 import json
 import time
 from pathlib import Path
@@ -124,6 +125,19 @@ def test_analyze_file_not_utf8(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--file", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("source", ["--ideal", "--file"])
+def test_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path, source):
+    # int() refuses strings of more than 4300 digits by default
+    text = "x - " + "7" * 5000 + ", y"
+    if source == "--file":
+        path = tmp_path / "ideal.txt"
+        path.write_text(text.replace(", ", "\n"), encoding="utf-8")
+        text = str(path)
+    code, out, err = run_cli(capsys, "analyze", source, text)
+    assert code == 2 and out == ""
+    assert err == "error: unreadable integer of 5000 digits at position 4\n"
 
 
 def test_analyze_env_var_field(capsys, monkeypatch):
@@ -415,3 +429,16 @@ def test_golden_command_output(capsys, name):
     code, out, _ = run_cli(capsys, *COMMAND_GOLDEN_CASES[name])
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def test_every_traced_function_exists():
+    # perfbench/tracer.py wraps these by module and name; a renamed one
+    # would be reported absent and its benchmark metrics read as 0
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module_name, func_name, _ in tracer.TARGETS:
+        module = importlib.import_module(f"punctual.{module_name}")
+        assert callable(getattr(module, func_name, None)), f"{module_name}.{func_name}"

@@ -5,6 +5,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 import pytest
+from conftest import is_reduced
 from hypothesis import given, settings, strategies as st
 
 import punctual.groebner as groebner
@@ -13,7 +14,6 @@ from punctual.groebner import (
     buchberger,
     groebner_from_monomials,
     initial_ideal,
-    is_reduced,
     is_zero_dimensional,
     normal_form,
     spolynomial_certificate,

@@ -134,7 +134,11 @@ def test_parser_grammar():
 
 
 def test_parser_rejects_garbage():
-    for bad in ("", "x^", "x^-2", "2^3", "x + + y", "z", "x*", "*x", "x 2^2"):
+    # a superscript digit passes str.isdigit but not int(), and int()
+    # refuses more than 4300 digits
+    for bad in (
+        "", "x^", "x^-2", "2^3", "x + + y", "z", "x*", "*x", "x 2^2", "x\u00b2", "1" * 4301
+    ):
         with pytest.raises(ParseError):
             parse_polynomial(bad, QQ)
 

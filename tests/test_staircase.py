@@ -8,6 +8,7 @@ integer-square-root closed form for the bound.
 from math import isqrt
 
 import pytest
+from conftest import partition_from_boxes, staircase_witness
 from hypothesis import given, strategies as st
 
 from punctual.poly import Monomial
@@ -18,10 +19,8 @@ from punctual.staircase import (
     corners,
     distinct_part_table,
     monomial_ideal_of,
-    partition_from_boxes,
     partitions_of,
     socle_bound,
-    staircase_witness,
 )
 
 

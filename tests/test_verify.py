@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from conftest import ORIGIN_CORPUS
 
 import punctual.staircase as staircase
 import punctual.verify as verify
@@ -21,7 +22,6 @@ from punctual.staircase import (
 )
 from punctual.verify import (
     CURATED_CORPUS,
-    ORIGIN_CORPUS,
     SamplerConfig,
     check_degeneration,
     check_multiplicity_formula,
