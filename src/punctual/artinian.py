@@ -6,8 +6,8 @@ invariants come out of exact linear algebra on those operators:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
   polynomial is the first dependence among [1], M[1], M^2[1], ...; its
-  roots in the field come from modular algorithms (``_fp_roots``,
-  ``_rational_roots``);
+  roots in the field come from ``univariate.roots``, by modular
+  algorithms over both fields;
 * a root p splits the minimal polynomial as (t - p)^s * g, and g(M) is
   invertible on the factors whose coordinate is p and zero on all others,
   non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
@@ -37,12 +37,10 @@ followed by ``local_invariants`` on every factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from itertools import accumulate, count
-from math import gcd
+from itertools import count
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
-from .fields import is_prime
+from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import (
     kernel_basis,
@@ -53,6 +51,7 @@ from .linalg import (
     vector_minimal_polynomial,
 )
 from .poly import Monomial, Polynomial, X, Y
+from .univariate import _cofactor, roots
 
 # quotients above this colength are refused before their basis is listed:
 # on a 2-core VM analyze takes about 0.2 s on x^11, y^11 (colength 121),
@@ -132,7 +131,7 @@ class LocalInvariants:
 
 
 def point_text(point) -> str:
-    return f"({point[0]}, {point[1]})"
+    return f"({element_text(point[0])}, {element_text(point[1])})"
 
 
 def _staircase(lms) -> list[tuple[int, int, int]]:
@@ -196,215 +195,6 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     return MultiplicationPair(action(X), action(Y))
 
 
-# Roots of one-variable polynomials.  Coefficient lists run constant
-# first; the Fp kernel works on plain ints in [0, p) with no trailing zeros.
-
-
-def _trim(a: list) -> list:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
-    """Quotient and remainder of a by b over Fp (b trimmed and nonzero)."""
-    rem = [c % p for c in a]
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quotient = [0] * max(len(a) - db, 0)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = rem[k + db] * inv % p
-        if c:
-            quotient[k] = c
-            for i, bi in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * bi) % p
-    return quotient, _trim(rem[:db])
-
-
-def _fp_gcd(a: list, b: list, p: int) -> list:
-    """The monic gcd over Fp (a nonzero)."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _fp_mulmod(a: list, b: list, f: list, p: int) -> list:
-    product = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-    return _fp_divmod(product, f, p)[1]
-
-
-def _fp_powmod(a: list, e: int, f: list, p: int) -> list:
-    """a^e mod f over Fp, by repeated squaring."""
-    result, a = [1], _fp_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_mulmod(result, a, f, p)
-        e >>= 1
-        if e:
-            a = _fp_mulmod(a, a, f, p)
-    return result
-
-
-def _fp_minus(a: list, b: list, p: int) -> list:
-    a = a + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        a[i] = (a[i] - c) % p
-    return _trim(a)
-
-
-def _fp_split(r: list, p: int, roots: list) -> None:
-    """Collect the roots of r, a monic product of distinct linear factors
-    over Fp with p odd, by equal-degree splitting (Cantor-Zassenhaus).
-
-    gcd(r, (t + a)^((p-1)/2) - 1) keeps the roots at which t + a is a
-    nonzero square.  The shifts a = 0, 1, 2, ... are tried in turn, so the
-    split is deterministic; any two distinct roots are separated by
-    (p - 1)/2 of the p shifts.
-    """
-    if len(r) == 2:
-        roots.append(-r[0] % p)
-        return
-    for a in range(p):
-        half = _fp_minus(_fp_powmod([a, 1], (p - 1) // 2, r, p), [1], p)
-        g = _fp_gcd(r, half, p)
-        if 1 < len(g) < len(r):
-            _fp_split(g, p, roots)
-            _fp_split(_fp_divmod(r, g, p)[0], p, roots)
-            return
-
-
-def _fp_roots(coeffs: list[int], p: int) -> list[int]:
-    """The roots in [0, p), ascending, of a nonzero polynomial over Fp.
-
-    The roots in Fp are those of r = gcd(f, t^p - t), with t^p mod f by
-    repeated squaring, and ``_fp_split`` splits r into its linear factors:
-    the cost is polynomial in the degree and in log p.  For p = 2 the
-    polynomial is evaluated at 0 and 1.
-    """
-    f = _trim([c % p for c in coeffs])
-    if p == 2:
-        return [t for t, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
-    if len(f) < 2:
-        return []
-    f = _fp_gcd(f, [], p)  # monic
-    r = _fp_gcd(f, _fp_minus(_fp_powmod([0, 1], p, f, p), [0, 1], p), p)
-    roots: list[int] = []
-    if len(r) > 1:
-        _fp_split(r, p, roots)
-    return sorted(roots)
-
-
-def _qq_divmod(a: list, b: list) -> tuple[list, list]:
-    """Quotient and remainder of Fraction polynomials (b trimmed and nonzero)."""
-    rem = list(a)
-    db = len(b) - 1
-    quotient = [Fraction(0)] * max(len(a) - db, 0)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = rem[k + db] / b[-1]
-        if c:
-            quotient[k] = c
-            for i, bi in enumerate(b):
-                rem[k + i] -= c * bi
-    return quotient, _trim(rem[:db])
-
-
-def _primitive(coeffs: list) -> list[int]:
-    """The integer polynomial with coprime coefficients proportional to a
-    Fraction polynomial."""
-    denominators = 1
-    for c in coeffs:
-        denominators = denominators * c.denominator // gcd(denominators, c.denominator)
-    ints = [int(c * denominators) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    return [c // content for c in ints]
-
-
-def _squarefree_part(coeffs: list[Fraction]) -> list[int]:
-    """f / gcd(f, f') as a primitive integer polynomial, by Euclid over QQ."""
-    a, b = coeffs, _trim([i * c for i, c in enumerate(coeffs)][1:])
-    while b:
-        a, b = b, _qq_divmod(a, b)[1]
-    return _primitive(_qq_divmod(coeffs, a)[0])
-
-
-def _integer_roots(h: list[int]) -> list[int]:
-    """The integer roots of a monic squarefree integer polynomial.
-
-    They lie within the Cauchy bound B = 1 + max |h_i|.  Each root modulo
-    the first prime from 32003 up at which h stays squarefree is a simple
-    root there, so Newton's iteration lifts it until the modulus exceeds
-    2B; the symmetric residue is kept only if h vanishes on it exactly.
-    """
-    bound = 1 + max(abs(c) for c in h[:-1])
-    derivative = [i * c for i, c in enumerate(h)][1:]
-    p = 32003
-    while len(_fp_gcd(h, _trim([c % p for c in derivative]), p)) > 1:
-        p += 2
-        while not is_prime(p):
-            p += 2
-    found = []
-    for z in _fp_roots(h, p):
-        modulus = p
-        while modulus <= 2 * bound:
-            modulus *= modulus
-            slope = _eval_int(derivative, z) % modulus
-            z = (z - _eval_int(h, z) * pow(slope, -1, modulus)) % modulus
-        if z > modulus // 2:
-            z -= modulus
-        if _eval_int(h, z) == 0:
-            found.append(z)
-    return found
-
-
-def _eval_int(coeffs: list[int], value: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots, ascending, of a nonzero Fraction polynomial.
-
-    Zero is read off the low coefficients.  Every other root is a root of
-    the squarefree part g = sum g_i t^i with integer coefficients; with
-    d = deg g and c = g_d, the monic h(z) = c^(d-1) g(z/c) has integer
-    coefficients, and t = z/c runs over the rational roots of g as z runs
-    over the integer roots of h (``_integer_roots``, each one confirmed by
-    exact evaluation).
-    """
-    v = 0
-    while not coeffs[v]:
-        v += 1
-    roots = [Fraction(0)] if v else []
-    core = coeffs[v:]
-    if len(core) > 1:
-        g = _squarefree_part(core)
-        d, c = len(g) - 1, g[-1]
-        h = [g_i * c ** (d - 1 - i) for i, g_i in enumerate(g[:-1])] + [1]
-        roots.extend(Fraction(z, c) for z in _integer_roots(h))
-    return sorted(roots)
-
-
-def _cofactor(coeffs, root, coeff_field):
-    """The g with coeffs = (t - root)^s * g and g(root) != 0, by synthetic
-    division, or None if root is not a root."""
-    reduce = coeff_field.reduce
-    cofactor = None
-    while True:
-        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: reduce(acc * root + c))
-        if remainder:
-            return cofactor
-        coeffs = cofactor = quotient[::-1]
-
-
 def _class_of_one(n: int, coeff_field) -> list:
     return [coeff_field.one()] + [coeff_field.zero()] * (n - 1)
 
@@ -417,11 +207,7 @@ def _minimal_polynomial(matrix, coeff_field) -> list:
 def _eigenvalue_candidates(matrix, coeff_field) -> list:
     """(root, cofactor) for each root in the field of the minimal polynomial."""
     coeffs = _minimal_polynomial(matrix, coeff_field)
-    if coeff_field.characteristic == 0:
-        roots = _rational_roots(coeffs)
-    else:
-        roots = _fp_roots(coeffs, coeff_field.characteristic)
-    return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots]
+    return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots(coeffs, coeff_field)]
 
 
 def _horner(coeffs, matrix, vector, coeff_field) -> list:
@@ -610,13 +396,13 @@ def local_invariants(lq: LocalQuotient) -> LocalInvariants:
     """
     socle = socle_dimension(lq)
     e = generator_count(lq)
-    where = f"at point {point_text(lq.point)}"
     if socle != e - 1:
-        raise LemmaViolation(f"socle dimension {socle} != minimal generators {e} - 1 {where}")
-    mu = multiplicity_from_socle(socle)
-    if mu > lq.dimension:
-        raise LemmaViolation(f"multiplicity {mu} exceeds local length {lq.dimension} {where}")
-    return LocalInvariants(lq.point, lq.dimension, lq.nilpotency_index, e, socle, mu)
+        problem = f"socle dimension {socle} != minimal generators {e} - 1"
+    elif (mu := multiplicity_from_socle(socle)) > lq.dimension:
+        problem = f"multiplicity {mu} exceeds local length {lq.dimension}"
+    else:
+        return LocalInvariants(lq.point, lq.dimension, lq.nilpotency_index, e, socle, mu)
+    raise LemmaViolation(f"{problem} at point {point_text(lq.point)}")
 
 
 def analyze_quotient(gb: GroebnerBasis) -> Decomposition:

@@ -19,7 +19,7 @@ import sys
 
 from .artinian import analyze_quotient
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional, ParseError, SupportNotLocal
-from .fields import PrimeField, parse_field
+from .fields import PrimeField, element_text, parse_field
 from .groebner import buchberger
 from .poly import MonomialOrder, parse_generators
 from .staircase import distinct_part_table, socle_bound
@@ -196,7 +196,7 @@ def _analyze_payload(args) -> dict:
         "residual_dimension": analysis.residual_dimension,
         "components": [
             {
-                "point": [str(c.point[0]), str(c.point[1])],
+                "point": list(map(element_text, c.point)),
                 "length": c.local_length,
                 "nilpotency": c.nilpotency_index,
                 "generators": c.generators,

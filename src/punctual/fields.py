@@ -11,9 +11,10 @@ ever created anywhere downstream.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 MAX_PRIME = 2**31
 
@@ -30,6 +31,15 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def element_text(c) -> str:
+    """``str(c)``, or ConfigError past the interpreter's integer digit limit."""
+    try:
+        return str(c)
+    except ValueError:
+        digits = f"over {sys.get_int_max_str_digits()} digits"
+        raise ConfigError(f"coordinate or coefficient too large to print ({digits})") from None
 
 
 class RationalField:

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParseError
+from .fields import element_text
 
 
 class Monomial(NamedTuple):
@@ -290,7 +291,7 @@ class Polynomial:
             return "0"
         chunks = []
         for m in sorted(self.terms, key=_DISPLAY_KEY, reverse=True):
-            c = str(self.terms[m])
+            c = element_text(self.terms[m])
             negative = c.startswith("-")
             magnitude = c[1:] if negative else c
             if m == UNIT:

@@ -489,13 +489,13 @@ def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
 
 def test_root_search_runs_once_per_coordinate(monkeypatch):
     calls = []
-    original = artinian._fp_roots
+    original = artinian.roots
 
-    def counted(coeffs, p):
+    def counted(coeffs, field):
         calls.append(coeffs)
-        return original(coeffs, p)
+        return original(coeffs, field)
 
-    monkeypatch.setattr(artinian, "_fp_roots", counted)
+    monkeypatch.setattr(artinian, "roots", counted)
     decomposition = local_components(gb_of("x^2 - 1, y^2 - 1", field=F32003))
     assert len(decomposition.components) == 4
     assert len(calls) == 2

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -12,6 +13,9 @@ import punctual.cli as cli
 import punctual.staircase as staircase
 import punctual.verify as verify
 from punctual.cli import main
+from punctual.fields import QQ
+from punctual.groebner import buchberger
+from punctual.poly import DEFAULT_ORDER, parse_generators
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -138,6 +142,26 @@ def test_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path, source)
     code, out, err = run_cli(capsys, "analyze", source, text)
     assert code == 2 and out == ""
     assert err == "error: unreadable integer of 5000 digits at position 4\n"
+
+
+# each literal is readable, but the point (A, A*B) has a 6000-digit coordinate
+HUGE_POINT_IDEAL = f"x - {'3' * 3000}, y - {'5' * 3000}*x"
+
+
+def test_huge_point_is_analyzed_without_printing_it():
+    gb = buchberger(parse_generators(HUGE_POINT_IDEAL, QQ), DEFAULT_ORDER)
+    (c,) = artinian.analyze_quotient(gb).components
+    a = int("3" * 3000)
+    assert c.point == (a, a * int("5" * 3000))
+    assert (c.local_length, c.socle, c.multiplicity) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_coordinate_past_the_digit_limit_is_a_config_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--ideal", HUGE_POINT_IDEAL)
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: coordinate or coefficient too large to print (over {limit} digits)\n"
 
 
 def test_analyze_env_var_field(capsys, monkeypatch):

@@ -1,13 +1,25 @@
-"""Root finders of the local split: Fp by gcd with t^p - t and equal-degree
-splitting, QQ by Hensel lifting, against independent oracles."""
+"""The one-variable kernel of ``punctual.univariate``: the division, the
+monic gcd and the squarefree part shared by both fields against sympy, and
+the root finders of the local split (Fp by a gcd with t^p - t and
+equal-degree splitting, QQ by Hensel lifting) against independent
+oracles."""
 
+import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from punctual.artinian import _cofactor, _fp_roots, _rational_roots
-from punctual.fields import QQ
+from punctual.fields import QQ, PrimeField
+from punctual.univariate import (
+    _cofactor,
+    _rational_roots,
+    _squarefree_part,
+    divmod,
+    gcd,
+    roots,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 101)
 
@@ -27,6 +39,38 @@ def scan_roots(coeffs, p):
 def times_linear(coeffs, root):
     """coeffs * (t - root), constant coefficient first."""
     return [b - root * a for a, b in zip(coeffs + [0 * root], [0 * root] + coeffs)]
+
+
+def stored(coeffs, field):
+    """A list stored as the kernel stores it: reduced, then trimmed."""
+    coeffs = [field.reduce(c) for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def multiply(a, b, field):
+    product = [field.zero()] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    return stored(product, field)
+
+
+def to_sympy(coeffs, field):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    top_first = list(reversed(coeffs)) or [0]
+    if field.characteristic:
+        return sympy.Poly(top_first, t, modulus=field.p)
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in top_first], t)
+
+
+def from_sympy(poly, field):
+    top_first = poly.all_coeffs()
+    if field.characteristic:
+        return stored([int(c) for c in reversed(top_first)], field)
+    return stored([Fraction(int(c.p), int(c.q)) for c in reversed(top_first)], field)
 
 
 def evaluate(coeffs, value):
@@ -65,7 +109,7 @@ def prime_field_polys(draw):
 @settings(max_examples=300, deadline=None)
 def test_fp_roots_match_the_field_scan(case):
     p, coeffs = case
-    assert _fp_roots(coeffs, p) == scan_roots(coeffs, p)
+    assert roots(coeffs, PrimeField(p)) == scan_roots(coeffs, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 32003])
@@ -73,16 +117,16 @@ def test_fp_roots_of_a_fully_split_polynomial(p):
     coeffs = [1]
     for root in range(min(p, 12)):
         coeffs = [c % p for c in times_linear(coeffs, root)]
-    assert _fp_roots(coeffs, p) == list(range(min(p, 12)))
+    assert roots(coeffs, PrimeField(p)) == list(range(min(p, 12)))
     shifted = [(coeffs[0] + 1) % p] + coeffs[1:]
-    assert _fp_roots(shifted, p) == scan_roots(shifted, p)
+    assert roots(shifted, PrimeField(p)) == scan_roots(shifted, p)
 
 
 def test_fp_roots_near_the_largest_modulus():
     p = 2147483647
     coeffs = times_linear(times_linear([1], 2), p - 5)
-    assert _fp_roots([c % p for c in coeffs], p) == [2, p - 5]
-    assert _fp_roots([1, 0, 1], p) == []  # -1 is not a square when p = 3 mod 4
+    assert roots([c % p for c in coeffs], PrimeField(p)) == [2, p - 5]
+    assert roots([1, 0, 1], PrimeField(p)) == []  # -1 is not a square when p = 3 mod 4
 
 
 fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
@@ -97,26 +141,18 @@ def rational_polys(draw):
     for _ in range(draw(st.integers(0, 2))):
         factor = draw(st.lists(st.integers(-9, 9), min_size=2, max_size=4))
         if any(factor[1:]):
-            product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
-            for i, a in enumerate(coeffs):
-                for j, b in enumerate(factor):
-                    product[i + j] += a * b
-            coeffs = product
-    while not coeffs[-1]:
-        coeffs.pop()
+            coeffs = multiply(coeffs, factor, QQ)
     return coeffs
 
 
 @given(rational_polys())
 @settings(max_examples=300, deadline=None)
 def test_rational_roots_match_sympy(coeffs):
-    sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], t)
+    poly = to_sympy(coeffs, QQ)
     expected = {Fraction(int(r.p), int(r.q)): s for r, s in poly.ground_roots().items()}
-    roots = _rational_roots(coeffs)
-    assert roots == sorted(expected)
-    for root in roots:
+    found = roots(coeffs, QQ)
+    assert found == sorted(expected)
+    for root in found:
         assert evaluate(coeffs, root) == 0
         assert root_multiplicity(coeffs, root) == expected[root]
 
@@ -141,3 +177,74 @@ def test_rational_roots_when_the_first_prime_merges_two_roots():
     assert _rational_roots(repeated) == [Fraction(1), Fraction(32004)]
     assert root_multiplicity(repeated, Fraction(1)) == 2
     assert root_multiplicity(repeated, Fraction(2)) == 0
+
+
+FIELDS = (QQ,) + tuple(PrimeField(p) for p in SMALL_PRIMES)
+
+
+@st.composite
+def field_polys(draw, field, max_size=5):
+    if field.characteristic:
+        coeffs = draw(st.lists(st.integers(0, field.p - 1), max_size=max_size))
+    else:
+        coeffs = draw(st.lists(fractions, max_size=max_size))
+    return stored(coeffs, field)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(field, a, b) with b nonzero; a and b often share a factor."""
+    field = draw(st.sampled_from(FIELDS))
+    common = draw(field_polys(field, 3).filter(bool))
+    a = multiply(common, draw(field_polys(field)), field)
+    b = multiply(common, draw(field_polys(field).filter(bool)), field)
+    return field, a, b
+
+
+@given(polynomial_pairs())
+@settings(max_examples=300, deadline=None)
+def test_divmod_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    field, a, b = case
+    for x, y in ((a, b), (b, a)) if a else ((a, b),):
+        quotient, remainder = divmod(x, y, field)
+        assert quotient == stored(quotient, field) and remainder == stored(remainder, field)
+        assert len(remainder) < len(y)
+        product = multiply(quotient, y, field)
+        assert stored([c + r for c, r in zip_longest(product, remainder, fillvalue=0)], field) == x
+        expected = sympy.div(to_sympy(x, field), to_sympy(y, field))
+        assert (quotient, remainder) == tuple(from_sympy(e, field) for e in expected)
+
+
+@given(polynomial_pairs())
+@settings(max_examples=300, deadline=None)
+def test_gcd_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    field, a, b = case
+    # sympy leaves gcd(0, c) = c for a constant c; the kernel's gcd is monic
+    expected = from_sympy(sympy.gcd(to_sympy(a, field), to_sympy(b, field)).monic(), field)
+    assert gcd(b, a, field) == expected
+    if a:
+        assert gcd(a, b, field) == expected
+
+
+@st.composite
+def rational_polys_with_repeated_factors(draw):
+    coeffs = [draw(nonzero_fractions)]
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(field_polys(QQ, 3).filter(lambda f: len(f) > 1))
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = multiply(coeffs, factor, QQ)
+    return coeffs
+
+
+@given(rational_polys_with_repeated_factors())
+@settings(max_examples=200, deadline=None)
+def test_squarefree_part_matches_sympy(coeffs):
+    # over QQ only: in characteristic p, f / gcd(f, f') keeps p-th powers
+    sympy = pytest.importorskip("sympy")
+    part = _squarefree_part(coeffs)
+    assert all(isinstance(c, int) for c in part)
+    assert math.gcd(*part) == 1
+    expected = sympy.sqf_part(to_sympy(coeffs, QQ))
+    assert to_sympy([Fraction(c) for c in part], QQ).monic() == expected.monic()
