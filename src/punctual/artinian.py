@@ -5,9 +5,12 @@ commuting multiplication operators on the standard-monomial basis.  All
 invariants come out of exact linear algebra on those operators:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
-  polynomial is the first dependence among [1], M[1], M^2[1], ...; its
-  roots in the field come from ``univariate.roots``, by modular
-  algorithms over both fields;
+  polynomial is the first dependence among [1], M[1], M^2[1], ...: over
+  Fp found directly, over QQ as the images of that dependence mod many
+  primes lifted by ``univariate.rational_minimal_polynomial``, which
+  accepts the lift only after checking f(M)[1] = 0 exactly; its roots in
+  the field come from ``univariate.roots``, by modular algorithms over
+  both fields, and are confirmed exactly;
 * a root p splits the minimal polynomial as (t - p)^s * g, and g(M) is
   invertible on the factors whose coordinate is p and zero on all others,
   non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
@@ -51,7 +54,7 @@ from .linalg import (
     vector_minimal_polynomial,
 )
 from .poly import Monomial, Polynomial, X, Y
-from .univariate import _cofactor, roots
+from .univariate import _cofactor, rational_minimal_polynomial, roots
 
 # quotients above this colength are refused before their basis is listed:
 # on a 2-core VM analyze takes about 0.2 s on x^11, y^11 (colength 121),
@@ -200,8 +203,13 @@ def _class_of_one(n: int, coeff_field) -> list:
 
 
 def _minimal_polynomial(matrix, coeff_field) -> list:
-    """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0."""
-    return vector_minimal_polynomial(matrix, _class_of_one(len(matrix), coeff_field), coeff_field)
+    """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0.
+    Over Fp the first Krylov dependence, over QQ its certified lift from
+    the images mod p."""
+    one = _class_of_one(len(matrix), coeff_field)
+    if coeff_field.characteristic:
+        return vector_minimal_polynomial(matrix, one, coeff_field)
+    return rational_minimal_polynomial(matrix, one)
 
 
 def _eigenvalue_candidates(matrix, coeff_field) -> list:

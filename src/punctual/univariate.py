@@ -6,15 +6,30 @@ trailing zeros; [] is zero), every entry stored through the field's
 ``divmod`` and one monic ``gcd`` serve both fields, and so do ``roots``,
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity.
+
+Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
+minimal polynomial of an operator (``rational_minimal_polynomial``) and
+the squarefree part (``_squarefree_part``) are computed mod the primes of
+one shared source (``_prime_fields``, from 32003 up) with the Fp kernels,
+combined by the Chinese remainder theorem and rational reconstruction
+(``_Lift``), and accepted only after an exact check: f(M)v = 0, in
+integers, for the minimal polynomial, and trial division of f and f' by
+their gcd for the squarefree part.  Where f mod p is already squarefree,
+that one gcd is the certificate, and the same prime starts the Hensel
+lifting of the roots.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, count
 
-from .fields import QQ, PrimeField, is_prime
+from .errors import ParseError
+from .fields import QQ, PrimeField
+from .linalg import vector_minimal_polynomial
 
 
 def _trim(a: list) -> list:
@@ -102,34 +117,189 @@ def _primitive(coeffs: list) -> list[int]:
     """The integer polynomial with coprime coefficients proportional to a
     Fraction polynomial."""
     denominators = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denominators) for c in coeffs]
+    ints = [c.numerator * (denominators // c.denominator) for c in coeffs]
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
 
-def _squarefree_part(coeffs: list[Fraction]) -> list[int]:
-    """f / gcd(f, f') over QQ, as a primitive integer polynomial."""
-    derivative = _trim([i * c for i, c in enumerate(coeffs)][1:])
-    return _primitive(divmod(coeffs, gcd(coeffs, derivative, QQ), QQ)[0])
+@cache
+def _prime_field(i: int) -> PrimeField:
+    """The field of the i-th prime from 32003 up, built once per process;
+    PrimeField's own primality test picks the prime."""
+    p = _prime_field(i - 1).p if i else 32001
+    while True:
+        p += 2
+        with suppress(ParseError):
+            return PrimeField(p)
 
 
-def _integer_roots(h: list[int]) -> list[int]:
-    """The integer roots of a monic squarefree integer polynomial.
+def _prime_fields():
+    """The prime fields of the modular kernels, in order.  The QQ minimal
+    polynomial and squarefree part draw from here, and so does the Hensel
+    lifting of the roots; a field is built when first reached, never at
+    import."""
+    return map(_prime_field, count())
+
+
+# a reconstruction is kept only where the next quotient exceeds this
+_QUOTIENT_MARGIN = 2**10
+
+
+def _rational_reconstruction(u: int, m: int) -> Fraction | None:
+    """The fraction a/b = u mod m with the largest next quotient in the
+    Euclidean remainder sequence of (m, u), if that quotient exceeds
+    ``_QUOTIENT_MARGIN`` (Monagan's maximal quotient rule, ISSAC 2004).
+
+    The remainders satisfy r_i = t_i u (mod m) and |r_i t_i| is about
+    m / q_i, so a large quotient q_i marks the one pair (r_i, t_i) small
+    enough to be the answer: it needs only a few more bits of m than a
+    and b together.  No quotient exceeds the remainder it divides, so the
+    search stops once the remainders fall below the best quotient.
+    """
+    if not u:
+        return Fraction(0)
+    r0, r1, t0, t1 = m, u, 0, 1
+    best, largest = None, _QUOTIENT_MARGIN
+    while r1 and r0 > largest:
+        q = r0 // r1
+        if q > largest:
+            best, largest = (r1, t1), q
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return best and Fraction(*best)
+
+
+class _Lift:
+    """The polynomial over QQ with given monic images modulo many primes,
+    by the Chinese remainder theorem and rational reconstruction.
+
+    Images of other degrees than the preferred one are unlucky: ``sign``
+    +1 keeps the largest degree seen (a Krylov rank mod p is at most the
+    rank over QQ), -1 the least (a gcd mod p is at least the gcd over QQ),
+    and a better degree restarts the lift.  A failed reconstruction is
+    retried after a quarter more primes, so that the retries of a lift
+    that needs many primes cost no more than the last one.
+    """
+
+    def __init__(self, sign: int):
+        self.sign = sign
+        self.residues = None
+
+    def add(self, image: list[int], p: int) -> list[Fraction] | None:
+        """Combine the image mod p; return the candidate of the earlier
+        primes if it reproduces this image too, else None."""
+        if self.residues is None or self.sign * len(image) > self.sign * len(self.residues):
+            self.residues, self.modulus, self.primes, self.retry = [0] * len(image), 1, 0, 1
+            self.candidate = None
+        elif len(image) != len(self.residues):
+            return None
+        candidate, self.candidate = self.candidate, None
+        m = self.modulus
+        inverse = pow(m, -1, p)
+        self.residues = [x + m * ((r - x) * inverse % p) for x, r in zip(self.residues, image)]
+        self.modulus, self.primes = m * p, self.primes + 1
+        if candidate is not None and all(
+            c.denominator % p and (c.numerator - r * c.denominator) % p == 0
+            for c, r in zip(candidate, image)
+        ):
+            self.retry = 0  # should the certificate fail, reconstruct at once
+            return candidate
+        if self.primes >= self.retry:
+            reconstructed = [_rational_reconstruction(x, self.modulus) for x in self.residues]
+            if None not in reconstructed:
+                self.candidate = reconstructed
+            self.retry = self.primes + max(1, self.primes // 4)
+        return None
+
+
+def rational_minimal_polynomial(matrix: list[list], vector: list) -> list[Fraction]:
+    """The least monic f over QQ with f(M)v = 0, from its images mod p.
+
+    With D the common denominator of M, A = D*M and w = E*v integral, each
+    prime p not dividing D gives f_p, the first Krylov dependence of w mod
+    p under M mod p (``linalg.vector_minimal_polynomial`` over Fp).  Its
+    degree, the Krylov rank mod p, is at most deg f, and where they are
+    equal f is p-integral with image f_p; so ``_Lift`` keeps the largest
+    degree.  A candidate that one more prime reproduces is accepted only
+    after the exact check f(M)w = 0, made in integers as
+    sum_i F_i D^(d-i) A^i w = 0 with F = L*f integral: then f is a multiple
+    of the minimal polynomial of degree deg f_p, which is at most its
+    degree, so it is the minimal polynomial.
+    """
+    denominator = math.lcm(*(c.denominator for row in matrix for c in row))
+    integral = [[c.numerator * (denominator // c.denominator) for c in row] for row in matrix]
+    w = _primitive(vector) if any(vector) else [0] * len(vector)
+    lift = _Lift(+1)
+    for field in _prime_fields():
+        p = field.p
+        if not denominator % p:
+            continue
+        scale = pow(denominator, -1, p)
+        reduced = [[a * scale % p for a in row] for row in integral]
+        image = vector_minimal_polynomial(reduced, [x % p for x in w], field)
+        candidate = lift.add(image, p)
+        if candidate is not None and _annihilates(candidate, integral, denominator, w):
+            return candidate
+    raise ArithmeticError("the prime source is exhausted")
+
+
+def _annihilates(coeffs: list[Fraction], integral: list[list], denominator: int, w: list) -> bool:
+    """Whether f(A/D)w = 0 for a monic f, by Horner's rule in integers on
+    sum_i F_i D^(d-i) A^i w with F = L*f for the common denominator L."""
+    common = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [c.numerator * (common // c.denominator) for c in coeffs]
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in integral]
+    acc, power = [scaled[-1] * x for x in w], 1
+    for c in reversed(scaled[:-1]):
+        power *= denominator
+        shift = c * power
+        acc = [sum(a * acc[j] for j, a in row) + shift * x for row, x in zip(rows, w)]
+    return not any(acc)
+
+
+def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:
+    """The squarefree part of a nonconstant polynomial over QQ, as a
+    primitive integer polynomial g, and the first field of the prime source
+    in which g keeps its degree and stays squarefree.
+
+    For the primitive f, a prime p not dividing lc(f) with
+    gcd(f mod p, f' mod p) = 1 certifies that f is squarefree, since a
+    repeated factor would survive mod p; that is the usual case and costs
+    one gcd.  Otherwise G = gcd(f, f') comes from its images mod p (an
+    image of degree 0 again certifies f), accepted only if G divides f and
+    f' exactly, and g is the squarefree f / G.
+    """
+    f = _primitive(coeffs)
+    derivative = [i * c for i, c in enumerate(f)][1:]
+    lift = _Lift(-1)
+    for field in _prime_fields():
+        p = field.p
+        if not f[-1] % p:
+            continue
+        image = gcd(_image(f, field), _image(derivative, field), field)
+        if len(image) == 1:
+            return f, field
+        candidate = lift.add(image, p)
+        if candidate is not None:
+            quotient, remainder = divmod(f, candidate, QQ)
+            if not remainder and not divmod(derivative, candidate, QQ)[1]:
+                return _squarefree_part(quotient)
+    raise ArithmeticError("the prime source is exhausted")
+
+
+def _integer_roots(h: list[int], field: PrimeField) -> list[int]:
+    """The integer roots of a monic integer polynomial h that stays
+    squarefree mod p = field.p.
 
     They lie within the Cauchy bound B = 1 + max |h_i|.  Each root modulo
-    the first prime from 32003 up at which h stays squarefree is a simple
-    root there, so Newton's iteration lifts it until the modulus exceeds
-    2B; the symmetric residue is kept only if h vanishes on it exactly.
+    p is a simple root there, so Newton's iteration lifts it until the
+    modulus exceeds 2B; the symmetric residue is kept only if h vanishes on
+    it exactly.
     """
     bound = 1 + max(abs(c) for c in h[:-1])
     derivative = [i * c for i, c in enumerate(h)][1:]
-    for p in filter(is_prime, count(32003, 2)):
-        field = PrimeField(p)
-        if len(gcd(_image(h, field), _image(derivative, field), field)) == 1:
-            break
     found = []
     for z in roots(h, field):
-        modulus = p
+        modulus = field.p
         while modulus <= 2 * bound:
             modulus *= modulus
             slope = _eval_int(derivative, z) % modulus
@@ -162,10 +332,10 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     found = [Fraction(0)] if v else []
     core = coeffs[v:]
     if len(core) > 1:
-        g = _squarefree_part(core)
+        g, field = _squarefree_part(core)
         d, c = len(g) - 1, g[-1]
         h = [g_i * c ** (d - 1 - i) for i, g_i in enumerate(g[:-1])] + [1]
-        found.extend(Fraction(z, c) for z in _integer_roots(h))
+        found.extend(Fraction(z, c) for z in _integer_roots(h, field))
     return sorted(found)
 
 

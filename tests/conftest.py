@@ -7,9 +7,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from punctual.artinian import truncation_monomials  # noqa: E402
-from punctual.linalg import rank  # noqa: E402
+from punctual.fields import QQ  # noqa: E402
+from punctual.linalg import rank, vector_minimal_polynomial  # noqa: E402
 from punctual.poly import Monomial, Polynomial  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
+from punctual import univariate  # noqa: E402
 
 # The curated ideals supported only at the origin, where degeneration
 # comparisons are meaningful.
@@ -27,6 +29,21 @@ ORIGIN_CORPUS: tuple[str, ...] = (
     "x^2 + y^3, x*y^3, y^5",
     "x^3, x^2*y, x*y^2 - x^2, y^4",
 )
+
+
+def fraction_minimal_polynomial(matrix: list[list], vector: list) -> list:
+    """The least monic f with f(M)v = 0 over QQ, as the first dependence of
+    the Krylov sequence eliminated in ``Fraction`` arithmetic: the QQ route
+    before the modular kernel."""
+    return vector_minimal_polynomial(matrix, vector, QQ)
+
+
+def euclid_squarefree_part(coeffs: list) -> list[int]:
+    """f / gcd(f, f') with the gcd by Euclid's algorithm over QQ, as a
+    primitive integer polynomial: the QQ route before the modular kernel."""
+    derivative = [i * c for i, c in enumerate(coeffs)][1:]
+    common = univariate.gcd(coeffs, derivative, QQ)
+    return univariate._primitive(univariate.divmod(coeffs, common, QQ)[0])
 
 
 def is_zero_matrix(a: list[list]) -> bool:

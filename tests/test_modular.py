@@ -1,0 +1,253 @@
+"""The certified modular kernels over QQ: the minimal polynomial of an
+operator and the squarefree part, against the Fraction routes they replaced
+(kept in ``conftest``), with unlucky primes forced through the prime
+source, and the ladder x^k - 1, (y - x)^k - x, whose Fraction route ran for
+minutes at k = 11."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from itertools import islice
+from math import comb
+from pathlib import Path
+
+import pytest
+from conftest import euclid_squarefree_part, fraction_minimal_polynomial
+from hypothesis import given, settings, strategies as st
+
+import punctual.univariate as univariate
+from punctual.artinian import LocalInvariants, analyze_quotient
+from punctual.fields import QQ, PrimeField
+from punctual.groebner import buchberger
+from punctual.poly import DEFAULT_ORDER, parse_generators
+from punctual.univariate import _squarefree_part, rational_minimal_polynomial
+
+# the first primes of the source: 32003, 32009, 32027, ...; the tests that
+# force unlucky ones come before the differential tests
+SOURCE = [field.p for field in islice(univariate._prime_fields(), 16)]
+
+
+def fields(*primes):
+    return [PrimeField(p) for p in primes]
+
+
+def force_source(monkeypatch, primes):
+    """Make the kernels draw exactly these primes, and record the fields at
+    which a Krylov dependence is taken."""
+    monkeypatch.setattr(univariate, "_prime_fields", lambda: iter(fields(*primes)))
+    used = []
+    krylov = univariate.vector_minimal_polynomial
+
+    def recording(matrix, vector, field):
+        used.append(field.p)
+        return krylov(matrix, vector, field)
+
+    monkeypatch.setattr(univariate, "vector_minimal_polynomial", recording)
+    return used
+
+
+def qq(rows):
+    return [[Fraction(c) for c in row] for row in rows]
+
+
+def diagonal(*entries):
+    return [
+        [Fraction(c) if i == j else Fraction(0) for j in range(len(entries))]
+        for i, c in enumerate(entries)
+    ]
+
+
+ONES = [Fraction(1), Fraction(1)]
+
+def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
+    q = SOURCE[0]
+    matrix = qq([[Fraction(1, q), 1], [0, 2]])
+    expected = fraction_minimal_polynomial(matrix, ONES)
+    used = force_source(monkeypatch, SOURCE[:6])
+    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert q not in used and used
+
+
+def test_a_prime_that_drops_the_degree_is_not_combined(monkeypatch):
+    # mod q the two eigenvalues 1 and 1 + q meet, and the degree drops to 1
+    q = SOURCE[2]
+    matrix = diagonal(1, 1 + q)
+    assert len(fraction_minimal_polynomial(matrix, ONES)) == 3
+    used = force_source(monkeypatch, [SOURCE[0], SOURCE[1], q, SOURCE[3]])
+    assert rational_minimal_polynomial(matrix, ONES) == fraction_minimal_polynomial(matrix, ONES)
+    assert used == [SOURCE[0], SOURCE[1], q, SOURCE[3]]
+
+
+def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeypatch):
+    # both q1 and q2 see t - 1, which the exact check f(M)v = 0 refuses
+    q1, q2 = SOURCE[0], SOURCE[1]
+    matrix = diagonal(1, 1 + q1 * q2)
+    expected = fraction_minimal_polynomial(matrix, ONES)
+    force_source(monkeypatch, SOURCE[:10])
+    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert len(expected) == 3
+
+
+def test_coefficients_wider_than_one_prime_are_combined(monkeypatch):
+    a, b = 10**12 + 39, -(10**12) - 61
+    matrix = diagonal(Fraction(a, 7), b)
+    expected = fraction_minimal_polynomial(matrix, ONES)
+    used = force_source(monkeypatch, SOURCE[:12])
+    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert len(used) > 4  # 80-bit coefficients need several 15-bit primes
+
+
+def test_the_prime_fields_are_built_once():
+    first = list(islice(univariate._prime_fields(), 3))
+    assert [f.p for f in first] == [32003, 32009, 32027]
+    assert all(a is b for a, b in zip(first, univariate._prime_fields()))
+
+
+def test_importing_the_engine_builds_no_prime_field():
+    code = "import punctual.cli, punctual.univariate as u; print(u._prime_field.cache_info())"
+    src = Path(univariate.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "currsize=0" in run.stdout
+
+
+def test_a_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
+    q = SOURCE[0]
+    force_source(monkeypatch, SOURCE[:2])
+    part, field = _squarefree_part([Fraction(-1), Fraction(0), Fraction(q)])
+    assert part == [-1, 0, q] and field.p == SOURCE[1]
+
+
+def test_a_prime_that_merges_two_roots_does_not_decide(monkeypatch):
+    # (t - 1)(t - 1 - q) is squarefree, but not mod q
+    q = SOURCE[0]
+    coeffs = [Fraction(c) for c in (1 + q, -2 - q, 1)]
+    force_source(monkeypatch, SOURCE[:2])
+    assert _squarefree_part(coeffs) == ([1 + q, -2 - q, 1], PrimeField(SOURCE[1]))
+
+
+def test_a_repeated_factor_is_removed_past_an_unlucky_prime(monkeypatch):
+    # (t - 1)^2 (t - 1 - q): the gcd with f' is t - 1, but (t - 1)^2 mod q
+    q = SOURCE[0]
+    coeffs = [Fraction(1)]
+    for root in (1, 1, 1 + q):
+        coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    force_source(monkeypatch, SOURCE[:8])
+    part, field = _squarefree_part(coeffs)
+    assert part == euclid_squarefree_part(coeffs) == [1 + q, -2 - q, 1]
+    assert field.p != q
+
+
+def test_a_gcd_that_only_unlucky_primes_reproduce_fails_the_trial_division(monkeypatch):
+    # mod q1 and mod q2 the gcd of f = (t - 1)^2 (t - c) and f' is (t - 1)^2,
+    # which divides f but not f'
+    q1, q2 = SOURCE[0], SOURCE[1]
+    c = 1 + q1 * q2
+    coeffs = [Fraction(1)]
+    for root in (1, 1, c):
+        coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    force_source(monkeypatch, SOURCE[:10])
+    part, field = _squarefree_part(coeffs)
+    assert part == euclid_squarefree_part(coeffs) == [c, -1 - c, 1]
+
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-4, 4)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-(10**12), 10**12), st.sampled_from([1, 3, 32003, 10**6 + 3])),
+)
+
+
+@st.composite
+def operators(draw):
+    """(M, v) over QQ: a random matrix, or a diagonal one with repeated
+    entries conjugated by a unitriangular integer matrix (repeated
+    eigenvalues, smaller minimal polynomials), and a random vector, the
+    class of 1 or zero."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    else:
+        values = draw(st.lists(entries, min_size=1, max_size=2))
+        d = [draw(st.sampled_from(values)) for _ in range(n)]
+        s = [[Fraction(1 if i == j else draw(st.integers(-2, 2)) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+        s_inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        for j in range(n - 1, -1, -1):  # back substitution on the unit upper triangle
+            for i in range(j - 1, -1, -1):
+                for c in range(n):
+                    s_inv[i][c] -= s[i][j] * s_inv[j][c]
+        matrix = [
+            [sum(s[i][k] * d[k] * s_inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+        if draw(st.booleans()):  # a Jordan block on top
+            matrix[0][n - 1] += 1
+    kind = draw(st.sampled_from(["random", "one", "zero"]))
+    if kind == "random":
+        vector = [draw(entries) for _ in range(n)]
+    else:
+        vector = [Fraction(int(kind == "one" and i == 0)) for i in range(n)]
+    return matrix, vector
+
+
+@given(operators())
+@settings(max_examples=300, deadline=None)
+def test_minimal_polynomial_matches_the_fraction_krylov(case):
+    matrix, vector = case
+    expected = fraction_minimal_polynomial(matrix, vector)
+    assert rational_minimal_polynomial(matrix, vector) == expected
+
+
+fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def repeated_factor_polys(draw):
+    """Products of rational factors of degree <= 2, each to a power <= 3."""
+    coeffs = [draw(fractions.filter(bool))]
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(st.lists(fractions, min_size=2, max_size=3).filter(lambda f: f[-1] != 0))
+        for _ in range(draw(st.integers(1, 3))):
+            product = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+            for i, x in enumerate(coeffs):
+                for j, y in enumerate(factor):
+                    product[i + j] += x * y
+            coeffs = product
+    return coeffs
+
+
+@given(repeated_factor_polys())
+@settings(max_examples=200, deadline=None)
+def test_squarefree_part_matches_euclid_over_qq(coeffs):
+    part, field = _squarefree_part(coeffs)
+    assert part == euclid_squarefree_part(coeffs)
+    assert part[-1] % field.p
+
+
+def ladder(k):
+    """x^k - 1, (y - x)^k - x, expanded."""
+    terms = [(comb(k, j) * (-1) ** j, j, k - j) for j in range(k + 1)] + [(-1, 1, 0)]
+    text = ""
+    for c, a, b in terms:
+        mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("x", a), ("y", b)) if e)
+        body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        text += (f"-{body}" if c < 0 else body) if not text else f" {'-' if c < 0 else '+'} {body}"
+    return f"x^{k} - 1, {text}"
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_ladder_rows(k):
+    # x^k = 1 gives x = 1, and x = -1 for even k; then (y - x)^k = x gives
+    # y = 2, and y = 0 for even k, at x = 1 and nothing at x = -1.  The
+    # Jacobian k^2 x^(k-1) (y - x)^(k-1) is nonzero there, so each point is
+    # reduced, and the rest of the k^2 is carried by non-rational points.
+    gb = buchberger(parse_generators(ladder(k), QQ), DEFAULT_ORDER)
+    decomposition = analyze_quotient(gb)
+    points = [(1, 2)] if k % 2 else [(1, 0), (1, 2)]
+    assert decomposition.components == tuple(
+        LocalInvariants((Fraction(px), Fraction(py)), 1, 1, 2, 1, 1) for px, py in points
+    )
+    assert decomposition.residual_dimension == k * k - len(points)
+    assert decomposition.colength == k * k

@@ -243,8 +243,12 @@ def rational_polys_with_repeated_factors(draw):
 def test_squarefree_part_matches_sympy(coeffs):
     # over QQ only: in characteristic p, f / gcd(f, f') keeps p-th powers
     sympy = pytest.importorskip("sympy")
-    part = _squarefree_part(coeffs)
+    part, field = _squarefree_part(coeffs)
     assert all(isinstance(c, int) for c in part)
     assert math.gcd(*part) == 1
     expected = sympy.sqf_part(to_sympy(coeffs, QQ))
     assert to_sympy([Fraction(c) for c in part], QQ).monic() == expected.monic()
+    # the part stays squarefree of the same degree mod the prime it names
+    derivative = [i * c for i, c in enumerate(part)][1:]
+    assert part[-1] % field.p
+    assert gcd(stored(part, field), stored(derivative, field), field) == [1]
