@@ -15,6 +15,7 @@ invariants come out of exact linear algebra on those operators:
   invertible on the factors whose coordinate is p and zero on all others,
   non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
   local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
+  w matters only up to a nonzero scalar (``univariate.horner``);
 * the words Nx^a Ny^b w in the operators translated on the matrix side,
   N = M - p*Id, span A_p: the nilpotency index r is the first degree at
   which they all vanish, and the words are built once, in that search;
@@ -22,8 +23,8 @@ invariants come out of exact linear algebra on those operators:
   f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, read off
   those words once per factor; that map is onto A_p, so the local length
   is (r+1)(r+2)/2 minus the dimension of the image;
-* the socle dimension is n minus the rank of the stacked translated pair
-  (a vector killed by both lies in A_p);
+* the socle is the joint kernel of the translated pair (a vector killed
+  by both lies in A_p), read as the kernel of Ny on K = ker(Nx);
 * the minimal generator count of the local ideal is dim I/mI of that
   image.
 
@@ -39,28 +40,21 @@ followed by ``local_invariants`` on every factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import count
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
-from .linalg import (
-    kernel_basis,
-    mat_sub,
-    mat_vec,
-    rank,
-    scaled_identity,
-    vector_minimal_polynomial,
-)
+from .linalg import kernel_basis, mat_vec, rank, vector_minimal_polynomial
 from .poly import Monomial, Polynomial, X, Y
-from .univariate import _cofactor, rational_minimal_polynomial, roots
+from .univariate import _cofactor, horner, integer_image, rational_minimal_polynomial, roots
 
 # quotients above this colength are refused before their basis is listed:
 # on a 2-core VM analyze takes about 0.2 s on x^11, y^11 (colength 121),
 # 0.15 s on x^10, y^10 and 0.3 s on x^12, y^12; dense operators cost more,
-# about 1.5 s for (x - 1)^11, (y - 2)^11 and 11 s for the 121 points of
-# an 11 x 11 grid
+# about 1.5 s for (x - 1)^11, (y - 2)^11 and 2 s for the 121 points
+# of an 11 x 11 grid
 MAX_COLENGTH = 121
 
 
@@ -98,7 +92,8 @@ class LocalQuotient:
     vectors ordered like ``truncation_monomials(r)``): the image of the
     local ideal in k[x,y]/m^(r+1), which ``generator_count`` reads
     directly.  ``dimension`` (the local length) is the number of those
-    monomials minus its size.
+    monomials minus its size.  ``x_kernel``, ker(Nx), is filled by
+    ``socle_dimension`` and shared by the factors at one x-root.
     """
 
     point: tuple
@@ -109,6 +104,7 @@ class LocalQuotient:
     field: object
     generator: list
     local_ideal: list
+    x_kernel: list = dataclass_field(default_factory=list, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -202,32 +198,20 @@ def _class_of_one(n: int, coeff_field) -> list:
     return [coeff_field.one()] + [coeff_field.zero()] * (n - 1)
 
 
-def _minimal_polynomial(matrix, coeff_field) -> list:
+def _minimal_polynomial(matrix, image, coeff_field) -> list:
     """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0.
     Over Fp the first Krylov dependence, over QQ its certified lift from
-    the images mod p."""
+    the images mod p of M's integer image."""
     one = _class_of_one(len(matrix), coeff_field)
     if coeff_field.characteristic:
         return vector_minimal_polynomial(matrix, one, coeff_field)
-    return rational_minimal_polynomial(matrix, one)
+    return rational_minimal_polynomial(image, one)
 
 
-def _eigenvalue_candidates(matrix, coeff_field) -> list:
+def _eigenvalue_candidates(matrix, image, coeff_field) -> list:
     """(root, cofactor) for each root in the field of the minimal polynomial."""
-    coeffs = _minimal_polynomial(matrix, coeff_field)
+    coeffs = _minimal_polynomial(matrix, image, coeff_field)
     return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots(coeffs, coeff_field)]
-
-
-def _horner(coeffs, matrix, vector, coeff_field) -> list:
-    """f(M) v for a monic f, by Horner's rule."""
-    reduce = coeff_field.reduce
-    acc = vector
-    for c in reversed(coeffs[:-1]):
-        acc = [
-            reduce(a + c * v) if c and v else a
-            for a, v in zip(mat_vec(matrix, acc, coeff_field), vector)
-        ]
-    return acc
 
 
 def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> tuple[int, list]:
@@ -271,25 +255,27 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     coeff_field = gb.field
     generator = _class_of_one(len(pair.on_x), coeff_field)
     for matrix, p in zip((pair.on_x, pair.on_y), point):
-        cofactor = _cofactor(_minimal_polynomial(matrix, coeff_field), p, coeff_field)
+        image = integer_image(matrix, coeff_field)
+        cofactor = _cofactor(_minimal_polynomial(matrix, image, coeff_field), p, coeff_field)
         if cofactor is None:
             return None
-        generator = _horner(cofactor, matrix, generator, coeff_field)
+        generator = horner(cofactor, image, generator, coeff_field)
     nil_x, nil_y = (_translated(m, p, coeff_field) for m, p in zip((pair.on_x, pair.on_y), point))
     return _component_at(point, nil_x, nil_y, generator, coeff_field)
 
 
 def _translated(matrix, p, coeff_field) -> list:
-    """M - p*Id; at p = 0 the matrix itself, shared, since no operator is
-    ever mutated."""
+    """M - p*Id, p subtracted on the diagonal only; at p = 0 the matrix
+    itself, shared, since no operator is ever mutated."""
     if not p:
         return matrix
-    return mat_sub(matrix, scaled_identity(p, len(matrix), coeff_field), coeff_field)
+    reduce = coeff_field.reduce
+    return [row[:i] + [reduce(row[i] - p)] + row[i + 1 :] for i, row in enumerate(matrix)]
 
 
 def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
-    """The factor k[x,y] w generated by w = g_x(Mx) g_y(My)[1], or None if
-    w = 0 (the point is not in the support)."""
+    """The factor k[x,y] w generated by w = g_x(Mx) g_y(My)[1] (up to a
+    scalar), or None if w = 0 (the point is not in the support)."""
     if not any(generator):
         return None
     r, words = nilpotency_index(nil_x, nil_y, generator, coeff_field)
@@ -311,9 +297,9 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
 
     Points are located as joint eigenvalues of the commuting pair: each
     pair of roots (px, py) gives w = g_x(Mx) g_y(My)[1], and a nonzero w
-    generates the factor at (px, py).  Any dimension carried by
-    non-rational points is reported as the residual and gets no local
-    invariants.
+    generates the factor at (px, py); the factors at one x-root share one
+    ``x_kernel``.  Any dimension carried by non-rational points is
+    reported as the residual and gets no local invariants.
     """
     pair = _operators(gb)
     if pair is None:
@@ -321,17 +307,19 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
     n = len(pair.on_x)
     coeff_field = gb.field
     one = _class_of_one(n, coeff_field)
+    image_x, image_y = (integer_image(m, coeff_field) for m in (pair.on_x, pair.on_y))
     roots_y = [
-        (py, _translated(pair.on_y, py, coeff_field), _horner(g, pair.on_y, one, coeff_field))
-        for py, g in _eigenvalue_candidates(pair.on_y, coeff_field)
+        (py, _translated(pair.on_y, py, coeff_field), horner(g, image_y, one, coeff_field))
+        for py, g in _eigenvalue_candidates(pair.on_y, image_y, coeff_field)
     ]
     components = []
-    for px, g in _eigenvalue_candidates(pair.on_x, coeff_field):
-        nil_x = _translated(pair.on_x, px, coeff_field)
-        for py, nil_y, image in roots_y:
-            generator = _horner(g, pair.on_x, image, coeff_field)
+    for px, g in _eigenvalue_candidates(pair.on_x, image_x, coeff_field):
+        nil_x, x_kernel = _translated(pair.on_x, px, coeff_field), []
+        for py, nil_y, w_y in roots_y:
+            generator = horner(g, image_x, w_y, coeff_field)
             lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
             if lq is not None:
+                lq.x_kernel = x_kernel
                 components.append(lq)
     components.sort(key=lambda c: c.point)
     residual = n - sum(c.dimension for c in components)
@@ -339,13 +327,20 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
 
 
 def socle_dimension(lq: LocalQuotient) -> int:
-    """Dimension of the joint kernel of the translated pair: n minus the
-    rank of the stacked 2n x n matrix.
+    """Dimension of the joint kernel of the translated pair: dim K minus
+    the rank of Ny on K = ker(Nx), with K eliminated once per x-root.
 
     A vector killed by both Nx and Ny lies in the factor, so the kernel on
-    the whole quotient is the socle of the factor.
+    the whole quotient is the socle of the factor.  Ny maps K into K, and
+    a vector of K is fixed by its entries at the free columns of K's
+    echelon basis (each basis vector's last nonzero), so only those rows
+    of Ny are applied.
     """
-    return len(lq.mult_x) - rank(lq.mult_x + lq.mult_y, lq.field)
+    if not lq.x_kernel:
+        lq.x_kernel.extend(kernel_basis(lq.mult_x, lq.field))
+    rows = [lq.mult_y[max(i for i, c in enumerate(k) if c)] for k in lq.x_kernel]
+    images = [mat_vec(rows, k, lq.field) for k in lq.x_kernel]
+    return len(lq.x_kernel) - rank(images, lq.field)
 
 
 def truncation_monomials(max_degree: int) -> list[Monomial]:

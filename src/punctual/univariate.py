@@ -7,6 +7,11 @@ trailing zeros; [] is zero), every entry stored through the field's
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity.
 
+One ``horner`` on an operator's integer image (``integer_image``, the
+sparse rows of A = D*M, with D = 1 over Fp) gives f(M)v up to a positive
+scalar, in integers over QQ: it certifies the minimal polynomial and
+applies the cofactors from which ``artinian`` builds each generator.
+
 Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
 minimal polynomial of an operator (``rational_minimal_polynomial``) and
 the squarefree part (``_squarefree_part``) are computed mod the primes of
@@ -26,6 +31,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count
+from typing import NamedTuple
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
@@ -113,11 +119,18 @@ def _fp_split(r: list, field: PrimeField) -> list:
             return _fp_split(g, field) + _fp_split(divmod(r, g, field)[0], field)
 
 
+def _integral(values: list, field) -> tuple[int, list]:
+    """(L, L*values) with L the common denominator over QQ, 1 over Fp."""
+    if field.characteristic:
+        return 1, values
+    common = math.lcm(*(c.denominator for c in values))
+    return common, [c.numerator * (common // c.denominator) for c in values]
+
+
 def _primitive(coeffs: list) -> list[int]:
     """The integer polynomial with coprime coefficients proportional to a
     Fraction polynomial."""
-    denominators = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (denominators // c.denominator) for c in coeffs]
+    _, ints = _integral(coeffs, QQ)
     content = math.gcd(*ints)
     return [c // content for c in ints]
 
@@ -211,49 +224,73 @@ class _Lift:
         return None
 
 
-def rational_minimal_polynomial(matrix: list[list], vector: list) -> list[Fraction]:
+class IntegerImage(NamedTuple):
+    """M = A/D, by the nonzero (column, entry) pairs of each row of A."""
+
+    denominator: int
+    rows: list
+
+
+def integer_image(matrix: list[list], field) -> IntegerImage:
+    n = len(matrix)
+    denominator, entries = _integral([c for row in matrix for c in row], field)
+    rows = (entries[i * n : (i + 1) * n] for i in range(n))
+    return IntegerImage(denominator, [[(j, a) for j, a in enumerate(row) if a] for row in rows])
+
+
+def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
+    """f(M)v up to a positive scalar, for a monic f, as field elements.
+
+    Horner's rule on sum_i F_i D^(d-i) A^i w with F = L*f and w = E*v
+    integral, which is L E D^d f(M)v: over QQ in integers, then divided by
+    its content; over Fp, where L = E = D = 1, f(M)v itself, every entry
+    reduced.  A degree-0 f returns v itself.
+    """
+    if len(coeffs) == 1:
+        return vector
+    reduce = field.reduce
+    _, scaled = _integral(coeffs, field)
+    _, w = _integral(vector, field)
+    acc, power = [scaled[-1] * x for x in w], 1
+    for c in reversed(scaled[:-1]):
+        power *= image.denominator
+        shift = c * power
+        acc = [
+            reduce(sum(a * acc[j] for j, a in row) + shift * x) for row, x in zip(image.rows, w)
+        ]
+    content = 1 if field.characteristic else math.gcd(*acc) or 1
+    return [field.from_int(a // content) for a in acc]
+
+
+def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fraction]:
     """The least monic f over QQ with f(M)v = 0, from its images mod p.
 
-    With D the common denominator of M, A = D*M and w = E*v integral, each
-    prime p not dividing D gives f_p, the first Krylov dependence of w mod
-    p under M mod p (``linalg.vector_minimal_polynomial`` over Fp).  Its
-    degree, the Krylov rank mod p, is at most deg f, and where they are
-    equal f is p-integral with image f_p; so ``_Lift`` keeps the largest
-    degree.  A candidate that one more prime reproduces is accepted only
-    after the exact check f(M)w = 0, made in integers as
-    sum_i F_i D^(d-i) A^i w = 0 with F = L*f integral: then f is a multiple
-    of the minimal polynomial of degree deg f_p, which is at most its
-    degree, so it is the minimal polynomial.
+    With M = A/D (``integer_image``) and w = E*v integral, each prime p
+    not dividing D gives f_p, the first Krylov dependence of w mod p under
+    M mod p (``linalg.vector_minimal_polynomial`` over Fp).  Its degree,
+    the Krylov rank mod p, is at most deg f, and where they are equal f is
+    p-integral with image f_p; so ``_Lift`` keeps the largest degree.  A
+    candidate that one more prime reproduces is accepted only after the
+    exact check f(M)v = 0, made in integers by ``horner``: then f is a
+    multiple of the minimal polynomial of degree deg f_p, which is at most
+    its degree, so it is the minimal polynomial.
     """
-    denominator = math.lcm(*(c.denominator for row in matrix for c in row))
-    integral = [[c.numerator * (denominator // c.denominator) for c in row] for row in matrix]
-    w = _primitive(vector) if any(vector) else [0] * len(vector)
+    n = len(image.rows)
+    _, w = _integral(vector, QQ)
     lift = _Lift(+1)
     for field in _prime_fields():
         p = field.p
-        if not denominator % p:
+        if not image.denominator % p:
             continue
-        scale = pow(denominator, -1, p)
-        reduced = [[a * scale % p for a in row] for row in integral]
-        image = vector_minimal_polynomial(reduced, [x % p for x in w], field)
-        candidate = lift.add(image, p)
-        if candidate is not None and _annihilates(candidate, integral, denominator, w):
+        scale = pow(image.denominator, -1, p)
+        reduced = [[0] * n for _ in range(n)]
+        for out, row in zip(reduced, image.rows):
+            for j, a in row:
+                out[j] = a * scale % p
+        candidate = lift.add(vector_minimal_polynomial(reduced, [x % p for x in w], field), p)
+        if candidate is not None and not any(horner(candidate, image, vector, QQ)):
             return candidate
     raise ArithmeticError("the prime source is exhausted")
-
-
-def _annihilates(coeffs: list[Fraction], integral: list[list], denominator: int, w: list) -> bool:
-    """Whether f(A/D)w = 0 for a monic f, by Horner's rule in integers on
-    sum_i F_i D^(d-i) A^i w with F = L*f for the common denominator L."""
-    common = math.lcm(*(c.denominator for c in coeffs))
-    scaled = [c.numerator * (common // c.denominator) for c in coeffs]
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in integral]
-    acc, power = [scaled[-1] * x for x in w], 1
-    for c in reversed(scaled[:-1]):
-        power *= denominator
-        shift = c * power
-        acc = [sum(a * acc[j] for j, a in row) + shift * x for row, x in zip(rows, w)]
-    return not any(acc)
 
 
 def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:

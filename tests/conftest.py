@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from punctual.artinian import truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
-from punctual.linalg import rank, vector_minimal_polynomial  # noqa: E402
+from punctual.linalg import mat_vec, rank, vector_minimal_polynomial  # noqa: E402
 from punctual.poly import Monomial, Polynomial  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
@@ -36,6 +36,22 @@ def fraction_minimal_polynomial(matrix: list[list], vector: list) -> list:
     the Krylov sequence eliminated in ``Fraction`` arithmetic: the QQ route
     before the modular kernel."""
     return vector_minimal_polynomial(matrix, vector, QQ)
+
+
+def fraction_horner(coeffs: list, matrix: list[list], vector: list, field) -> list:
+    """f(M)v for a monic f by Horner's rule with ``mat_vec`` on field
+    elements: the cofactor route before the integer image."""
+    reduce = field.reduce
+    acc = vector
+    for c in reversed(coeffs[:-1]):
+        acc = [reduce(a + c * v) for a, v in zip(mat_vec(matrix, acc, field), vector)]
+    return acc
+
+
+def stacked_socle_dimension(lq) -> int:
+    """n minus the rank of the stacked translated pair: the socle route
+    before the kernel of Ny on ker(Nx)."""
+    return len(lq.mult_x) - rank(lq.mult_x + lq.mult_y, lq.field)
 
 
 def euclid_squarefree_part(coeffs: list) -> list[int]:

@@ -4,12 +4,18 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from conftest import is_zero_matrix, local_ideal_truncation, minimal_generator_count
+from conftest import (
+    is_zero_matrix,
+    local_ideal_truncation,
+    minimal_generator_count,
+    stacked_socle_dimension,
+)
 from hypothesis import given, settings, strategies as st
 
 import punctual.artinian as artinian
 import punctual.linalg as linalg
 from punctual.artinian import (
+    LocalInvariants,
     analyze_quotient,
     generator_count,
     local_component_at,
@@ -38,6 +44,7 @@ from punctual.linalg import (
     scaled_identity,
 )
 from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, Polynomial, X, Y, parse_generators
+from punctual.univariate import integer_image
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -166,6 +173,20 @@ def test_four_rational_points():
         (Fraction(s), Fraction(t)) for s in (-1, 1) for t in (-1, 1)
     }
     assert all(c.dimension == 1 for c in decomposition.components)
+
+
+def test_expanded_grid_rows():
+    # prod (x - i), prod (y - j) for i, j = 0..3: sixteen reduced points,
+    # four at each x-root, so four factors share each x_kernel
+    grid = "x^4 - 6*x^3 + 11*x^2 - 6*x, y^4 - 6*y^3 + 11*y^2 - 6*y"
+    decomposition = analyze_quotient(gb_of(grid))
+    assert decomposition.components == tuple(
+        LocalInvariants((Fraction(i), Fraction(j)), 1, 1, 2, 1, 1)
+        for i in range(4)
+        for j in range(4)
+    )
+    assert decomposition.residual_dimension == 0
+    assert decomposition.colength == 16
 
 
 def test_non_rational_support_is_residual():
@@ -466,7 +487,8 @@ def test_word_nilpotency_matches_word_table(oracle_cases):
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
         for matrix in (pair.on_x, pair.on_y):
-            assert artinian._minimal_polynomial(matrix, field) == (
+            image = integer_image(matrix, field)
+            assert artinian._minimal_polynomial(matrix, image, field) == (
                 minimal_polynomial(matrix, field)
             ), text
 
@@ -555,7 +577,7 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     for module, name in (
         (linalg, "mat_pow"),
         (linalg, "mat_mul"),
-        (artinian, "_horner"),
+        (artinian, "horner"),
         (artinian, "nilpotency_index"),
     ):
         original = getattr(module, name)
@@ -566,7 +588,7 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     assert local_component_at(gb, (QQ.from_int(2), QQ.zero())) is None
     assert calls == []
     assert local_component_at(gb, (QQ.one(), QQ.zero())).dimension == 1
-    assert sorted(calls) == ["_horner", "_horner", "nilpotency_index"]
+    assert sorted(calls) == ["horner", "horner", "nilpotency_index"]
 
 
 @pytest.mark.parametrize(
@@ -587,7 +609,7 @@ def test_factor_builds_each_word_once(monkeypatch, text, point):
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
     # every elimination of the generator route, in the split (the local
     # ideal's kernel) and in generator_count, is recorded; none may be the
-    # stacked translated pair that the socle route eliminates
+    # stacked translated pair or Nx alone, which the socle route eliminates
     def forbidden(lq):
         raise AssertionError("generator route called socle_dimension")
 
@@ -609,12 +631,28 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
         assert components and eliminated, text
         for lq in components:
             assert all(matrix != lq.mult_x + lq.mult_y for matrix in eliminated), text
+            assert all(matrix != lq.mult_x for matrix in eliminated), text
 
 
 def test_socle_route_never_reads_the_generator():
     for text in ("x^2, x*y, y^2", "x^2 - 1, y^2 - 1", "x^3 - 2*x, y"):
         for lq in local_components(gb_of(text)).components:
             assert socle_dimension(replace(lq, generator=None)) == socle_dimension(lq), text
+
+
+def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):
+    # two x-roots with two factors each: K = ker(Nx) is eliminated twice,
+    # however often the socle is asked for
+    components = local_components(gb_of("x^2 - 1, y^2 - 1")).components
+    eliminated = []
+    original = artinian.kernel_basis
+    monkeypatch.setattr(
+        artinian, "kernel_basis", lambda matrix, f: eliminated.append(matrix) or original(matrix, f)
+    )
+    for _ in range(2):
+        assert [socle_dimension(lq) for lq in components] == [1, 1, 1, 1]
+    assert len(eliminated) == 2
+    assert [components[0].mult_x, components[2].mult_x] == eliminated
 
 
 def non_square(field):
@@ -676,3 +714,52 @@ def test_local_lengths_match_generalized_eigenspaces(case, order):
     for point in grid:
         assert lengths.get(point, 0) == oracle[point], point
     assert decomposition.residual_dimension == n - sum(oracle.values())
+
+
+# monomial ideals by their generators' exponents: colength <= 4, socle 1 or 2
+LOCAL_SHAPES = (
+    ((1, 0), (0, 1)),
+    ((2, 0), (0, 1)),
+    ((1, 0), (0, 2)),
+    ((2, 0), (1, 1), (0, 2)),
+    ((3, 0), (1, 1), (0, 2)),
+)
+
+
+@st.composite
+def fat_point_products(draw):
+    """Products of monomial ideals translated to two or three points of a
+    2 x 2 grid, so that two points share an x-coordinate and the socles
+    differ from point to point; the factors are comaximal, so the product
+    is their intersection."""
+    field = draw(st.sampled_from([QQ, PrimeField(7), PrimeField(101)]))
+    xs = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    ys = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    x_shared = draw(st.sampled_from(xs))
+    points = [(x_shared, ys[0]), (x_shared, ys[1])]
+    others = [(x, y) for x in xs for y in ys if x != x_shared]
+    points += draw(st.lists(st.sampled_from(others), max_size=1))
+    gens = [Polynomial.monomial(field, Monomial(0, 0))]
+    for a, b in points:
+        u, v = minus(field, X, field.from_int(a)), minus(field, Y, field.from_int(b))
+        local = []
+        for i, j in draw(st.sampled_from(LOCAL_SHAPES)):
+            g = Polynomial.monomial(field, Monomial(0, 0))
+            for factor in [u] * i + [v] * j:
+                g = g * factor
+            local.append(g)
+        gens = [g * h for g in gens for h in local]
+    grid = [(field.from_int(a), field.from_int(b)) for a in xs for b in ys]
+    return field, gens, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(split_ideals(), fat_point_products()), st.sampled_from(ALL_ORDERS))
+def test_socle_on_the_x_kernel_matches_the_stacked_pair(case, order):
+    field, gens, _ = case
+    components = local_components(buchberger(gens, order)).components
+    for lq in components:
+        assert socle_dimension(lq) == stacked_socle_dimension(lq), (field, lq.point)
+    for a in components:
+        for b in components:
+            assert (a.x_kernel is b.x_kernel) == (a.point[0] == b.point[0])

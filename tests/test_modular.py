@@ -1,18 +1,19 @@
 """The certified modular kernels over QQ: the minimal polynomial of an
-operator and the squarefree part, against the Fraction routes they replaced
-(kept in ``conftest``), with unlucky primes forced through the prime
-source, and the ladder x^k - 1, (y - x)^k - x, whose Fraction route ran for
-minutes at k = 11."""
+operator and the squarefree part, and the integer Horner on an operator's
+integer image, against the Fraction routes they replaced (kept in
+``conftest``), with unlucky primes forced through the prime source, and the
+ladder x^k - 1, (y - x)^k - x, whose Fraction route ran for minutes at
+k = 11."""
 
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from conftest import euclid_squarefree_part, fraction_minimal_polynomial
+from conftest import euclid_squarefree_part, fraction_horner, fraction_minimal_polynomial
 from hypothesis import given, settings, strategies as st
 
 import punctual.univariate as univariate
@@ -20,7 +21,13 @@ from punctual.artinian import LocalInvariants, analyze_quotient
 from punctual.fields import QQ, PrimeField
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, parse_generators
-from punctual.univariate import _squarefree_part, rational_minimal_polynomial
+from punctual.linalg import rank, vector_minimal_polynomial
+from punctual.univariate import (
+    _squarefree_part,
+    horner,
+    integer_image,
+    rational_minimal_polynomial,
+)
 
 # the first primes of the source: 32003, 32009, 32027, ...; the tests that
 # force unlucky ones come before the differential tests
@@ -64,7 +71,7 @@ def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
     matrix = qq([[Fraction(1, q), 1], [0, 2]])
     expected = fraction_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:6])
-    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
     assert q not in used and used
 
 
@@ -74,7 +81,8 @@ def test_a_prime_that_drops_the_degree_is_not_combined(monkeypatch):
     matrix = diagonal(1, 1 + q)
     assert len(fraction_minimal_polynomial(matrix, ONES)) == 3
     used = force_source(monkeypatch, [SOURCE[0], SOURCE[1], q, SOURCE[3]])
-    assert rational_minimal_polynomial(matrix, ONES) == fraction_minimal_polynomial(matrix, ONES)
+    expected = fraction_minimal_polynomial(matrix, ONES)
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
     assert used == [SOURCE[0], SOURCE[1], q, SOURCE[3]]
 
 
@@ -84,7 +92,7 @@ def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeyp
     matrix = diagonal(1, 1 + q1 * q2)
     expected = fraction_minimal_polynomial(matrix, ONES)
     force_source(monkeypatch, SOURCE[:10])
-    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
     assert len(expected) == 3
 
 
@@ -93,7 +101,7 @@ def test_coefficients_wider_than_one_prime_are_combined(monkeypatch):
     matrix = diagonal(Fraction(a, 7), b)
     expected = fraction_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:12])
-    assert rational_minimal_polynomial(matrix, ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
     assert len(used) > 4  # 80-bit coefficients need several 15-bit primes
 
 
@@ -197,7 +205,52 @@ def operators(draw):
 def test_minimal_polynomial_matches_the_fraction_krylov(case):
     matrix, vector = case
     expected = fraction_minimal_polynomial(matrix, vector)
-    assert rational_minimal_polynomial(matrix, vector) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector) == expected
+
+
+@st.composite
+def horner_cases(draw):
+    """(field, M, v, f): a random operator and vector with denominators
+    over QQ, and a monic f of degree <= 4, or the least f with f(M)v = 0
+    times such a one, so that both routes give zero."""
+    field = draw(st.sampled_from([QQ] + fields(2, 7, 32003)))
+    element = entries if field == QQ else st.integers(0, field.p - 1)
+    n = draw(st.integers(1, 5))
+    matrix = [[draw(element) for _ in range(n)] for _ in range(n)]
+    vector = [draw(element) for _ in range(n)]
+    coeffs = [draw(element) for _ in range(draw(st.integers(0, 4)))] + [field.one()]
+    if draw(st.booleans()):
+        least = vector_minimal_polynomial(matrix, vector, field)
+        product = [field.zero()] * (len(least) + len(coeffs) - 1)
+        for i, a in enumerate(least):
+            for j, b in enumerate(coeffs):
+                product[i + j] = field.reduce(product[i + j] + a * b)
+        coeffs = product
+    return field, matrix, vector, coeffs
+
+
+@given(horner_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_horner_matches_the_fraction_horner(case):
+    field, matrix, vector, coeffs = case
+    new = horner(coeffs, integer_image(matrix, field), vector, field)
+    old = fraction_horner(coeffs, matrix, vector, field)
+    if field.characteristic:
+        assert new == old
+        return
+    # a positive multiple, stored as a primitive integer vector unless f = 1
+    assert any(new) == any(old)
+    assert rank([new, old], QQ) <= 1
+    assert all(a * b >= 0 for a, b in zip(new, old))
+    if len(coeffs) > 1:
+        assert all(c.denominator == 1 for c in new)
+        assert gcd(*(c.numerator for c in new)) == (1 if any(new) else 0)
+
+
+def test_a_degree_zero_cofactor_returns_the_vector_itself():
+    for field, vector in ((QQ, [Fraction(1, 2), Fraction(3)]), (PrimeField(7), [3, 5])):
+        matrix = [[field.one(), field.zero()], [field.one(), field.one()]]
+        assert horner([field.one()], integer_image(matrix, field), vector, field) is vector
 
 
 fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
