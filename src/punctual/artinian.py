@@ -6,8 +6,9 @@ invariants come out of exact linear algebra on those operators:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
   polynomial is the first dependence among [1], M[1], M^2[1], ...: over
-  Fp found directly, over QQ as the images of that dependence mod many
-  primes lifted by ``univariate.rational_minimal_polynomial``, which
+  Fp by ``linalg.krylov_dependence`` on the operator's integer entries,
+  over QQ as the images of that dependence mod many primes lifted by
+  ``univariate.rational_minimal_polynomial``, which
   accepts the lift only after checking f(M)[1] = 0 exactly; its roots in
   the field come from ``univariate.roots``, by modular algorithms over
   both fields, and are confirmed exactly;
@@ -46,7 +47,7 @@ from itertools import count
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
-from .linalg import kernel_basis, mat_vec, rank, vector_minimal_polynomial
+from .linalg import kernel_basis, krylov_dependence, mat_vec, rank
 from .poly import Monomial, Polynomial, X, Y
 from .univariate import _cofactor, horner, integer_image, rational_minimal_polynomial, roots
 
@@ -198,19 +199,19 @@ def _class_of_one(n: int, coeff_field) -> list:
     return [coeff_field.one()] + [coeff_field.zero()] * (n - 1)
 
 
-def _minimal_polynomial(matrix, image, coeff_field) -> list:
+def _minimal_polynomial(image, coeff_field) -> list:
     """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0.
     Over Fp the first Krylov dependence, over QQ its certified lift from
     the images mod p of M's integer image."""
-    one = _class_of_one(len(matrix), coeff_field)
+    one = _class_of_one(len(image.rows), coeff_field)
     if coeff_field.characteristic:
-        return vector_minimal_polynomial(matrix, one, coeff_field)
+        return krylov_dependence(image.entries, one, coeff_field.p)
     return rational_minimal_polynomial(image, one)
 
 
-def _eigenvalue_candidates(matrix, image, coeff_field) -> list:
+def _eigenvalue_candidates(image, coeff_field) -> list:
     """(root, cofactor) for each root in the field of the minimal polynomial."""
-    coeffs = _minimal_polynomial(matrix, image, coeff_field)
+    coeffs = _minimal_polynomial(image, coeff_field)
     return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots(coeffs, coeff_field)]
 
 
@@ -256,7 +257,7 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     generator = _class_of_one(len(pair.on_x), coeff_field)
     for matrix, p in zip((pair.on_x, pair.on_y), point):
         image = integer_image(matrix, coeff_field)
-        cofactor = _cofactor(_minimal_polynomial(matrix, image, coeff_field), p, coeff_field)
+        cofactor = _cofactor(_minimal_polynomial(image, coeff_field), p, coeff_field)
         if cofactor is None:
             return None
         generator = horner(cofactor, image, generator, coeff_field)
@@ -310,10 +311,10 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
     image_x, image_y = (integer_image(m, coeff_field) for m in (pair.on_x, pair.on_y))
     roots_y = [
         (py, _translated(pair.on_y, py, coeff_field), horner(g, image_y, one, coeff_field))
-        for py, g in _eigenvalue_candidates(pair.on_y, image_y, coeff_field)
+        for py, g in _eigenvalue_candidates(image_y, coeff_field)
     ]
     components = []
-    for px, g in _eigenvalue_candidates(pair.on_x, image_x, coeff_field):
+    for px, g in _eigenvalue_candidates(image_x, coeff_field):
         nil_x, x_kernel = _translated(pair.on_x, px, coeff_field), []
         for py, nil_y, w_y in roots_y:
             generator = horner(g, image_x, w_y, coeff_field)

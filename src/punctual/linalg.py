@@ -5,27 +5,19 @@ Matrices are lists of row lists whose entries are field elements
 field's ``reduce`` and every division through its ``inv``, so one kernel
 serves both fields.  Pivoting always takes the first nonzero entry, the
 only sound choice for exact arithmetic, and every rank or kernel decision
-is therefore exact.
+is therefore exact.  Only ``krylov_dependence``, a minimal polynomial
+mod p, reads integer entries and packs each vector into one int.
 """
 
 from __future__ import annotations
 
+import struct
 from itertools import accumulate, repeat
 
 
 def identity(n: int, field) -> list[list]:
     z, o = field.zero(), field.one()
     return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def scaled_identity(factor, n: int, field) -> list[list]:
-    z = field.zero()
-    return [[factor if i == j else z for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a: list[list], b: list[list], field) -> list[list]:
-    reduce = field.reduce
-    return [[reduce(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a: list[list], b: list[list], field) -> list[list]:
@@ -170,12 +162,50 @@ def minimal_polynomial(matrix: list[list], field) -> list:
     return _first_dependence(([v for row in p for v in row] for p in powers), field)
 
 
-def vector_minimal_polynomial(matrix: list[list], vector: list, field) -> list:
-    """Coefficients (constant first, monic) of the least f with f(M)v = 0.
+def krylov_dependence(entries: list[int], vector: list[int], p: int) -> list[int]:
+    """The least monic f mod p (constant first) with f(A)v = 0, for
+    p < 2**31, an integer vector v of size n, and the integer n x n
+    matrix A by its entries, row after row.
 
-    The first linear dependence among v, Mv, M**2 v, ...; it is the
-    minimal polynomial of M when v generates the space under M.
+    One int packs r_k in its low n slots and q_k above them, each slot
+    B = 2*bitlen(p) + bitlen(2n + 2) + 1 bits rounded up to whole 64-bit
+    words, so no sum reaches 2**B before it is reduced.  From r_0 = v and
+    q_0 = 1, r_(k+1) is A r_k = sum_j r_kj col_j (a column is packed when
+    first touched) plus (p - c) r_i for each stored, never normalised r_i,
+    c = slot * inv(lead) mod p, one big-int multiply-add each; q_(k+1) is
+    t q_k plus the same multiples of the q_i, so r_k = q_k(A)v mod p.  Each
+    step unpacks once, to reduce mod p and find the lead; the first r_k
+    that vanishes gives q_k.
     """
-    n = len(matrix)
-    krylov = accumulate(repeat(matrix, n), lambda v, m: mat_vec(m, v, field), initial=vector)
-    return _first_dependence(krylov, field)
+    n = len(vector)
+    words = (2 * p.bit_length() + (2 * n + 2).bit_length() + 64) // 64
+    width, slot = 64 * words, "Q" + "8x" * (words - 1)
+    top, mask = n * width, (1 << width) - 1
+    packed: list = [None] * n
+    # stored rows: (packed r_i and q_i, shift to the lead slot, inverse of the lead)
+    echelon: list[tuple[int, int, int]] = []
+    slots = [x % p for x in vector] + [1]
+    for _ in range(n + 1):
+        support = [(j, s) for j, s in enumerate(slots[:n]) if s]
+        if not support:
+            return slots[n:]
+        lead, value = support[0]
+        row = int.from_bytes(struct.pack("<" + slot * len(slots), *slots), "little")
+        echelon.append((row, lead * width, pow(value, -1, p)))
+        acc = row >> top << (top + width)
+        for j, s in support:
+            col = packed[j]
+            if col is None:
+                col = packed[j] = sum(a % p << width * i for i, a in enumerate(entries[j::n]) if a)
+            acc += s * col
+        for stored, shift, inverse in echelon:
+            c = (acc >> shift & mask) * inverse % p
+            if c:
+                acc += (p - c) * stored
+        count = words * (len(slots) + 1)
+        values = struct.unpack(f"<{count}Q", acc.to_bytes(8 * count, "little"))
+        if words == 1:
+            slots = [w % p for w in values]
+        else:  # two words per slot, the low one first
+            slots = [(low | high << 64) % p for low, high in zip(values[::2], values[1::2])]
+    raise ValueError("no linear dependence found")

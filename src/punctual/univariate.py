@@ -7,10 +7,11 @@ trailing zeros; [] is zero), every entry stored through the field's
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity.
 
-One ``horner`` on an operator's integer image (``integer_image``, the
-sparse rows of A = D*M, with D = 1 over Fp) gives f(M)v up to a positive
-scalar, in integers over QQ: it certifies the minimal polynomial and
-applies the cofactors from which ``artinian`` builds each generator.
+One ``horner`` on the rows of an operator's integer image
+(``integer_image``, the sparse rows and the entries of A = D*M, D = 1
+over Fp) gives f(M)v up to a positive scalar, in integers over QQ: it
+certifies the minimal polynomial and applies the cofactors from which
+``artinian`` builds each generator; the entries feed the Krylov kernel.
 
 Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
 minimal polynomial of an operator (``rational_minimal_polynomial``) and
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
-from .linalg import vector_minimal_polynomial
+from .linalg import krylov_dependence
 
 
 def _trim(a: list) -> list:
@@ -156,6 +157,8 @@ def _prime_fields():
 
 # a reconstruction is kept only where the next quotient exceeds this
 _QUOTIENT_MARGIN = 2**10
+# reproduced candidates of one degree that a lift lets fail their exact check
+_CHECKS_PER_DEGREE = 8
 
 
 def _rational_reconstruction(u: int, m: int) -> Fraction | None:
@@ -190,7 +193,10 @@ class _Lift:
     rank over QQ), -1 the least (a gcd mod p is at least the gcd over QQ),
     and a better degree restarts the lift.  A failed reconstruction is
     retried after a quarter more primes, so that the retries of a lift
-    that needs many primes cost no more than the last one.
+    that needs many primes cost no more than the last one.  Each
+    reproduced candidate goes to the caller's exact check; once
+    ``_CHECKS_PER_DEGREE`` of them fail at one degree, which takes that
+    many unlucky primes or an engine bug, the lift raises ArithmeticError.
     """
 
     def __init__(self, sign: int):
@@ -202,7 +208,7 @@ class _Lift:
         primes if it reproduces this image too, else None."""
         if self.residues is None or self.sign * len(image) > self.sign * len(self.residues):
             self.residues, self.modulus, self.primes, self.retry = [0] * len(image), 1, 0, 1
-            self.candidate = None
+            self.candidate, self.checks = None, 0
         elif len(image) != len(self.residues):
             return None
         candidate, self.candidate = self.candidate, None
@@ -214,6 +220,9 @@ class _Lift:
             c.denominator % p and (c.numerator - r * c.denominator) % p == 0
             for c, r in zip(candidate, image)
         ):
+            if self.checks == _CHECKS_PER_DEGREE:
+                raise ArithmeticError(f"{self.checks} lifted candidates failed their exact check")
+            self.checks += 1
             self.retry = 0  # should the certificate fail, reconstruct at once
             return candidate
         if self.primes >= self.retry:
@@ -225,17 +234,19 @@ class _Lift:
 
 
 class IntegerImage(NamedTuple):
-    """M = A/D, by the nonzero (column, entry) pairs of each row of A."""
+    """M = A/D, by the nonzero (column, entry) pairs of each row of A and
+    by all the entries of A, row after row."""
 
     denominator: int
     rows: list
+    entries: list
 
 
 def integer_image(matrix: list[list], field) -> IntegerImage:
     n = len(matrix)
     denominator, entries = _integral([c for row in matrix for c in row], field)
-    rows = (entries[i * n : (i + 1) * n] for i in range(n))
-    return IntegerImage(denominator, [[(j, a) for j, a in enumerate(row) if a] for row in rows])
+    rows = [[(j, a) for j, a in enumerate(entries[i * n : (i + 1) * n]) if a] for i in range(n)]
+    return IntegerImage(denominator, rows, entries)
 
 
 def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
@@ -267,7 +278,8 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fract
 
     With M = A/D (``integer_image``) and w = E*v integral, each prime p
     not dividing D gives f_p, the first Krylov dependence of w mod p under
-    M mod p (``linalg.vector_minimal_polynomial`` over Fp).  Its degree,
+    M mod p, read off that of A (``linalg.krylov_dependence`` on the
+    entries that ``integer_image`` lists once per operator).  Its degree,
     the Krylov rank mod p, is at most deg f, and where they are equal f is
     p-integral with image f_p; so ``_Lift`` keeps the largest degree.  A
     candidate that one more prime reproduces is accepted only after the
@@ -275,19 +287,15 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fract
     multiple of the minimal polynomial of degree deg f_p, which is at most
     its degree, so it is the minimal polynomial.
     """
-    n = len(image.rows)
     _, w = _integral(vector, QQ)
     lift = _Lift(+1)
     for field in _prime_fields():
         p = field.p
         if not image.denominator % p:
             continue
-        scale = pow(image.denominator, -1, p)
-        reduced = [[0] * n for _ in range(n)]
-        for out, row in zip(reduced, image.rows):
-            for j, a in row:
-                out[j] = a * scale % p
-        candidate = lift.add(vector_minimal_polynomial(reduced, [x % p for x in w], field), p)
+        # the dependence g of A = D*M gives f(t) = g(D t) / D^deg(g) for M
+        g, scale = krylov_dependence(image.entries, w, p), pow(image.denominator, -1, p)
+        candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
         if candidate is not None and not any(horner(candidate, image, vector, QQ)):
             return candidate
     raise ArithmeticError("the prime source is exhausted")

@@ -2,13 +2,14 @@
 another way, kept out of the package because only the tests read them."""
 
 import sys
+from itertools import accumulate, repeat
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from punctual.artinian import truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
-from punctual.linalg import mat_vec, rank, vector_minimal_polynomial  # noqa: E402
+from punctual.linalg import _first_dependence, mat_vec, rank  # noqa: E402
 from punctual.poly import Monomial, Polynomial  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
@@ -29,6 +30,27 @@ ORIGIN_CORPUS: tuple[str, ...] = (
     "x^2 + y^3, x*y^3, y^5",
     "x^3, x^2*y, x*y^2 - x^2, y^4",
 )
+
+
+def scaled_identity(factor, n: int, field) -> list[list]:
+    z = field.zero()
+    return [[factor if i == j else z for j in range(n)] for i in range(n)]
+
+
+def mat_sub(a: list[list], b: list[list], field) -> list[list]:
+    reduce = field.reduce
+    return [[reduce(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def vector_minimal_polynomial(matrix: list[list], vector: list, field) -> list:
+    """Coefficients (constant first, monic) of the least f with f(M)v = 0.
+
+    The first linear dependence among v, Mv, M**2 v, ..., eliminated on
+    field elements: the route before the packed ``krylov_dependence``.
+    """
+    n = len(matrix)
+    krylov = accumulate(repeat(matrix, n), lambda v, m: mat_vec(m, v, field), initial=vector)
+    return _first_dependence(krylov, field)
 
 
 def fraction_minimal_polynomial(matrix: list[list], vector: list) -> list:

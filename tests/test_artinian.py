@@ -7,7 +7,9 @@ import pytest
 from conftest import (
     is_zero_matrix,
     local_ideal_truncation,
+    mat_sub,
     minimal_generator_count,
+    scaled_identity,
     stacked_socle_dimension,
 )
 from hypothesis import given, settings, strategies as st
@@ -36,12 +38,10 @@ from punctual.linalg import (
     kernel_basis,
     mat_mul,
     mat_pow,
-    mat_sub,
     mat_vec,
     minimal_polynomial,
     rank,
     rref,
-    scaled_identity,
 )
 from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, Polynomial, X, Y, parse_generators
 from punctual.univariate import integer_image
@@ -488,7 +488,7 @@ def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
         for matrix in (pair.on_x, pair.on_y):
             image = integer_image(matrix, field)
-            assert artinian._minimal_polynomial(matrix, image, field) == (
+            assert artinian._minimal_polynomial(image, field) == (
                 minimal_polynomial(matrix, field)
             ), text
 

@@ -1,23 +1,22 @@
-"""Exact linear algebra: rank, kernel, minimal polynomials."""
+"""Exact linear algebra: rank, kernel, minimal polynomials, and the packed
+Krylov kernel mod p against the oracle ``vector_minimal_polynomial``."""
 
 from fractions import Fraction
 
-from conftest import is_zero_matrix
+from conftest import is_zero_matrix, mat_sub, scaled_identity, vector_minimal_polynomial
 from hypothesis import given, settings, strategies as st
 
 from punctual.fields import PrimeField, QQ
 from punctual.linalg import (
     identity,
     kernel_basis,
+    krylov_dependence,
     mat_mul,
     mat_pow,
-    mat_sub,
     mat_vec,
     minimal_polynomial,
     rank,
     rref,
-    scaled_identity,
-    vector_minimal_polynomial,
 )
 
 F101 = PrimeField(101)
@@ -162,3 +161,77 @@ def test_mat_vec_matches_mat_mul(entries, vector):
         v = [field.from_int(c) for c in vector]
         column = mat_mul(m, [[c] for c in v], field)
         assert mat_vec(m, v, field) == [row[0] for row in column]
+
+
+KRYLOV_PRIMES = [2, 3, 32003, 2**31 - 1]
+
+
+def entries_of(matrix):
+    return [a for row in matrix for a in row]
+
+
+def krylov_oracle(matrix, vector, p):
+    field = PrimeField(p)
+    reduced = [[a % p for a in row] for row in matrix]
+    return vector_minimal_polynomial(reduced, [x % p for x in vector], field)
+
+
+@st.composite
+def krylov_cases(draw):
+    """(p, M, v): an integer matrix of size 1..40, sparse or dense, and a
+    vector, with entries up to p^2 in size and of either sign, so that the
+    kernel's own reduction is exercised too."""
+    p = draw(st.sampled_from(KRYLOV_PRIMES))
+    n = draw(st.integers(1, 40))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry(chance):
+        return rng.randint(-p * p, p * p) if rng.random() < chance else 0
+
+    matrix = [[entry(density) for _ in range(n)] for _ in range(n)]
+    vector = draw(st.sampled_from([[1] + [0] * (n - 1), [entry(0.7) for _ in range(n)]]))
+    return p, matrix, vector
+
+
+@given(krylov_cases())
+@settings(max_examples=120, deadline=None)
+def test_krylov_dependence_matches_the_oracle(case):
+    p, matrix, vector = case
+    assert krylov_dependence(entries_of(matrix), vector, p) == krylov_oracle(matrix, vector, p)
+
+
+def test_krylov_dependence_on_dense_operators_at_the_widest_slots():
+    # every entry near p = 2^31 - 1 fills each slot's sum, so a slot one
+    # bitlen(2n + 2) too narrow spills into the next
+    p = KRYLOV_PRIMES[-1]
+    for n in (5, 17, 40):
+        matrix = [[p - 1 - (i * 7 + j * 3) % 11 for j in range(n)] for i in range(n)]
+        matrix[0][0] = 1
+        vector = [p - 1 - i for i in range(n)]
+        expected = krylov_oracle(matrix, vector, p)
+        assert krylov_dependence(entries_of(matrix), vector, p) == expected
+
+
+def companion(coeffs):
+    """The companion matrix of a monic polynomial: e0 sees all of it."""
+    n = len(coeffs) - 1
+    last = [-c for c in coeffs[:n]]
+    return [[last[i] if j == n - 1 else int(i == j + 1) for j in range(n)] for i in range(n)]
+
+
+def test_krylov_dependence_edge_cases():
+    for p in KRYLOV_PRIMES:
+        for n in (1, 2, 7, 40):
+            e0, shift = [1] + [0] * (n - 1), companion([0] * n + [1])
+            # the zero vector: f = 1
+            assert krylov_dependence(entries_of(shift), [0] * n, p) == [1]
+            # a nilpotent shift from its cyclic vector: t^n
+            assert krylov_dependence(entries_of(shift), e0, p) == [0] * n + [1]
+            # a dependence only at degree n, with every coefficient nonzero
+            coeffs = [(3 * i + 1) % p or 1 for i in range(n)] + [1]
+            assert krylov_dependence(entries_of(companion(coeffs)), e0, p) == coeffs
+            # the identity: t - 1 on any nonzero vector
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            for vector in (e0, [1] * n, [p - 1 - i for i in range(n)]):
+                assert krylov_dependence(entries_of(eye), vector, p) == [p - 1, 1]

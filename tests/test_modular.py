@@ -1,9 +1,9 @@
 """The certified modular kernels over QQ: the minimal polynomial of an
 operator and the squarefree part, and the integer Horner on an operator's
 integer image, against the Fraction routes they replaced (kept in
-``conftest``), with unlucky primes forced through the prime source, and the
-ladder x^k - 1, (y - x)^k - x, whose Fraction route ran for minutes at
-k = 11."""
+``conftest``), with unlucky primes forced through the prime source, lifts
+whose exact check never accepts, and the ladder x^k - 1, (y - x)^k - x,
+whose Fraction route ran for minutes at k = 11."""
 
 import subprocess
 import sys
@@ -13,7 +13,12 @@ from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from conftest import euclid_squarefree_part, fraction_horner, fraction_minimal_polynomial
+from conftest import (
+    euclid_squarefree_part,
+    fraction_horner,
+    fraction_minimal_polynomial,
+    vector_minimal_polynomial,
+)
 from hypothesis import given, settings, strategies as st
 
 import punctual.univariate as univariate
@@ -21,7 +26,7 @@ from punctual.artinian import LocalInvariants, analyze_quotient
 from punctual.fields import QQ, PrimeField
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, parse_generators
-from punctual.linalg import rank, vector_minimal_polynomial
+from punctual.linalg import rank
 from punctual.univariate import (
     _squarefree_part,
     horner,
@@ -39,17 +44,17 @@ def fields(*primes):
 
 
 def force_source(monkeypatch, primes):
-    """Make the kernels draw exactly these primes, and record the fields at
+    """Make the kernels draw exactly these primes, and record the primes at
     which a Krylov dependence is taken."""
     monkeypatch.setattr(univariate, "_prime_fields", lambda: iter(fields(*primes)))
     used = []
-    krylov = univariate.vector_minimal_polynomial
+    krylov = univariate.krylov_dependence
 
-    def recording(matrix, vector, field):
-        used.append(field.p)
-        return krylov(matrix, vector, field)
+    def recording(entries, vector, p):
+        used.append(p)
+        return krylov(entries, vector, p)
 
-    monkeypatch.setattr(univariate, "vector_minimal_polynomial", recording)
+    monkeypatch.setattr(univariate, "krylov_dependence", recording)
     return used
 
 
@@ -157,6 +162,52 @@ def test_a_gcd_that_only_unlucky_primes_reproduce_fails_the_trial_division(monke
     force_source(monkeypatch, SOURCE[:10])
     part, field = _squarefree_part(coeffs)
     assert part == euclid_squarefree_part(coeffs) == [c, -1 - c, 1]
+
+
+def run_isolated(code):
+    """Run code against the engine in a fresh interpreter, so that a lift
+    that never ends fails by timeout instead of hanging the suite; return
+    what it prints."""
+    src = Path(univariate.__file__).resolve().parents[1]
+    run = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+def test_a_certificate_that_never_accepts_ends_the_minimal_polynomial_lift():
+    word, seconds = run_isolated("""
+import time
+from fractions import Fraction as F
+import punctual.univariate as u
+u.horner = lambda coeffs, image, vector, field: [F(1)]  # f(M)v is never zero
+image = u.integer_image([[F(1, 3), F(2)], [F(0), F(5)]], u.QQ)
+start = time.perf_counter()
+try:
+    u.rational_minimal_polynomial(image, [F(1), F(1)])
+except ArithmeticError:
+    print("ArithmeticError", time.perf_counter() - start)
+""")
+    assert word == "ArithmeticError" and float(seconds) < 5
+
+
+def test_a_trial_division_that_never_accepts_ends_the_squarefree_lift():
+    word, seconds = run_isolated("""
+import time
+from fractions import Fraction as F
+import punctual.univariate as u
+exact = u.divmod
+def inexact(a, b, field):  # every division over QQ leaves a remainder
+    return (exact(a, b, field)[0], [F(1)]) if field == u.QQ else exact(a, b, field)
+u.divmod = inexact
+start = time.perf_counter()
+try:
+    u._squarefree_part([F(-2), F(5), F(-4), F(1)])  # (t - 1)^2 (t - 2)
+except ArithmeticError:
+    print("ArithmeticError", time.perf_counter() - start)
+""")
+    assert word == "ArithmeticError" and float(seconds) < 5
 
 
 entries = st.one_of(

@@ -3,6 +3,7 @@
 
 from fractions import Fraction
 
+from conftest import mat_sub, vector_minimal_polynomial
 from hypothesis import given, settings, strategies as st
 
 from punctual.artinian import local_components, multiplication_matrices, quotient_basis
@@ -10,11 +11,10 @@ from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger, normal_form, spolynomial
 from punctual.linalg import (
     kernel_basis,
+    krylov_dependence,
     mat_mul,
-    mat_sub,
     mat_vec,
     rref,
-    vector_minimal_polynomial,
 )
 from punctual.poly import ALL_ORDERS, Monomial, Polynomial
 
@@ -113,3 +113,7 @@ def test_linear_algebra_returns_reduced_values(case, data):
     if any(vector):
         coeffs = vector_minimal_polynomial(square, vector, field)
         assert_reduced(coeffs, field, "vector_minimal_polynomial")
+        if field.characteristic:
+            flat = [a for row in square for a in row]
+            coeffs = krylov_dependence(flat, vector, field.p)
+            assert_reduced(coeffs, field, "krylov_dependence")
