@@ -164,18 +164,17 @@ def minimal_polynomial(matrix: list[list], field) -> list:
 
 def krylov_dependence(entries: list[int], vector: list[int], p: int) -> list[int]:
     """The least monic f mod p (constant first) with f(A)v = 0, for
-    p < 2**31, an integer vector v of size n, and the integer n x n
+    p < 2**64, an integer vector v of size n, and the integer n x n
     matrix A by its entries, row after row.
 
-    One int packs r_k in its low n slots and q_k above them, each slot
-    B = 2*bitlen(p) + bitlen(2n + 2) + 1 bits rounded up to whole 64-bit
-    words, so no sum reaches 2**B before it is reduced.  From r_0 = v and
-    q_0 = 1, r_(k+1) is A r_k = sum_j r_kj col_j (a column is packed when
-    first touched) plus (p - c) r_i for each stored, never normalised r_i,
-    c = slot * inv(lead) mod p, one big-int multiply-add each; q_(k+1) is
-    t q_k plus the same multiples of the q_i, so r_k = q_k(A)v mod p.  Each
-    step unpacks once, to reduce mod p and find the lead; the first r_k
-    that vanishes gives q_k.
+    One int packs r_k in its low n slots and q_k above them, a slot being
+    2*bitlen(p) + bitlen(2n + 2) + 1 bits in whole 64-bit words, so no sum
+    overflows before it is reduced.  r_(k+1) is A r_k (a column is packed
+    when first touched) plus (p - c) r_i, c = slot * inv(lead) mod p, for
+    each stored, never normalised r_i, one big-int multiply-add each, and
+    q_(k+1) is t q_k plus the same multiples of the q_i.  Each step
+    unpacks once, to reduce mod p and find the lead; the first r_k that
+    vanishes gives f = q_k.
     """
     n = len(vector)
     words = (2 * p.bit_length() + (2 * n + 2).bit_length() + 64) // 64
@@ -204,8 +203,8 @@ def krylov_dependence(entries: list[int], vector: list[int], p: int) -> list[int
                 acc += (p - c) * stored
         count = words * (len(slots) + 1)
         values = struct.unpack(f"<{count}Q", acc.to_bytes(8 * count, "little"))
-        if words == 1:
-            slots = [w % p for w in values]
-        else:  # two words per slot, the low one first
-            slots = [(low | high << 64) % p for low, high in zip(values[::2], values[1::2])]
+        slots = values[::words]
+        for i in range(1, words):  # the higher words of each slot
+            slots = [s | h << 64 * i for s, h in zip(slots, values[i::words])]
+        slots = [s % p for s in slots]
     raise ValueError("no linear dependence found")

@@ -262,22 +262,6 @@ class Polynomial:
             return self
         return self.scaled(self.field.inv(lc))
 
-    def evaluate(self, px, py):
-        """Exact evaluation at a point given by two field elements."""
-        reduce = self.field.reduce
-        total = self.field.zero()
-        powers_x: dict[int, object] = {0: self.field.one()}
-        powers_y: dict[int, object] = {0: self.field.one()}
-
-        def power(cache, base, e):
-            if e not in cache:
-                cache[e] = reduce(power(cache, base, e - 1) * base)
-            return cache[e]
-
-        for m, c in self.terms.items():
-            total = reduce(total + c * power(powers_x, px, m.a) * power(powers_y, py, m.b))
-        return total
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -7,11 +7,10 @@ trailing zeros; [] is zero), every entry stored through the field's
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity.
 
-One ``horner`` on the rows of an operator's integer image
-(``integer_image``, the sparse rows and the entries of A = D*M, D = 1
-over Fp) gives f(M)v up to a positive scalar, in integers over QQ: it
-certifies the minimal polynomial and applies the cofactors from which
-``artinian`` builds each generator; the entries feed the Krylov kernel.
+One ``horner`` on an operator's integer image (``integer_image``, the
+sparse rows of A = D*M, with D = 1 over Fp) gives f(M)v up to a positive
+scalar, in integers over QQ: it certifies the minimal polynomial and
+applies the cofactors from which ``artinian`` builds each generator.
 
 Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
 minimal polynomial of an operator (``rational_minimal_polynomial``) and
@@ -157,8 +156,6 @@ def _prime_fields():
 
 # a reconstruction is kept only where the next quotient exceeds this
 _QUOTIENT_MARGIN = 2**10
-# reproduced candidates of one degree that a lift lets fail their exact check
-_CHECKS_PER_DEGREE = 8
 
 
 def _rational_reconstruction(u: int, m: int) -> Fraction | None:
@@ -193,22 +190,28 @@ class _Lift:
     rank over QQ), -1 the least (a gcd mod p is at least the gcd over QQ),
     and a better degree restarts the lift.  A failed reconstruction is
     retried after a quarter more primes, so that the retries of a lift
-    that needs many primes cost no more than the last one.  Each
-    reproduced candidate goes to the caller's exact check; once
-    ``_CHECKS_PER_DEGREE`` of them fail at one degree, which takes that
-    many unlucky primes or an engine bug, the lift raises ArithmeticError.
+    that needs many primes cost no more than the last one.
+
+    For images of degree k the caller's ``bounds(k)`` is (s, u) in bits:
+    were k the degree over QQ, each coefficient a/b has |a| b < 2^s, and
+    were it not, each prime of degree k divides one integer 0 < |N| < 2^u.
+    Past 2^u and 2^(2s + 1), s >= 11, a/b has the maximal quotient, so a
+    refused candidate means an engine bug: the lift raises ArithmeticError.
     """
 
-    def __init__(self, sign: int):
-        self.sign = sign
-        self.residues = None
+    def __init__(self, sign: int, bounds):
+        self.sign, self.bounds = sign, bounds
+        self.residues, self.past = None, False
 
     def add(self, image: list[int], p: int) -> list[Fraction] | None:
         """Combine the image mod p; return the candidate of the earlier
         primes if it reproduces this image too, else None."""
+        if self.past:  # the caller refused a candidate past the bounds
+            raise ArithmeticError("a candidate lifted past the coefficient bound failed its check")
         if self.residues is None or self.sign * len(image) > self.sign * len(self.residues):
             self.residues, self.modulus, self.primes, self.retry = [0] * len(image), 1, 0, 1
-            self.candidate, self.checks = None, 0
+            self.candidate, (size, unlucky) = None, self.bounds(len(image) - 1)
+            self.bound = max(unlucky, 2 * max(size, _QUOTIENT_MARGIN.bit_length()) + 1)
         elif len(image) != len(self.residues):
             return None
         candidate, self.candidate = self.candidate, None
@@ -220,9 +223,7 @@ class _Lift:
             c.denominator % p and (c.numerator - r * c.denominator) % p == 0
             for c, r in zip(candidate, image)
         ):
-            if self.checks == _CHECKS_PER_DEGREE:
-                raise ArithmeticError(f"{self.checks} lifted candidates failed their exact check")
-            self.checks += 1
+            self.past = m.bit_length() > self.bound  # m made the candidate
             self.retry = 0  # should the certificate fail, reconstruct at once
             return candidate
         if self.primes >= self.retry:
@@ -234,8 +235,7 @@ class _Lift:
 
 
 class IntegerImage(NamedTuple):
-    """M = A/D, by the nonzero (column, entry) pairs of each row of A and
-    by all the entries of A, row after row."""
+    """M = A/D, by A's nonzero (column, entry) pairs per row and its entries."""
 
     denominator: int
     rows: list
@@ -286,9 +286,22 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fract
     exact check f(M)v = 0, made in integers by ``horner``: then f is a
     multiple of the minimal polynomial of degree deg f_p, which is at most
     its degree, so it is the minimal polynomial.
+
+    Bounds at degree k, with r - 1 the largest absolute row sum of A: g
+    below is a monic factor of A's characteristic polynomial, in Z[t] with
+    roots within r.  Were the degree over QQ larger, a prime of degree k
+    would divide a nonzero minor of w, ..., A^k w, which Hadamard's bound
+    puts below ((k + 1) (1 + |w|)^2)^((k+1)/2) r^(k(k+1)/2).
     """
     _, w = _integral(vector, QQ)
-    lift = _Lift(+1)
+    r = (1 + max((sum(abs(a) for _, a in row) for row in image.rows), default=0)).bit_length()
+    height = (1 + max(map(abs, w), default=0)) ** 2
+
+    def bounds(k):  # in bits
+        hadamard = (k + 1) * ((k + 1) * height).bit_length() + k * (k + 1) * r
+        return k * (r + image.denominator.bit_length()), (hadamard + 1) // 2 * (k < len(w))
+
+    lift = _Lift(+1, bounds)
     for field in _prime_fields():
         p = field.p
         if not image.denominator % p:
@@ -312,10 +325,15 @@ def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:
     one gcd.  Otherwise G = gcd(f, f') comes from its images mod p (an
     image of degree 0 again certifies f), accepted only if G divides f and
     f' exactly, and g is the squarefree f / G.
+
+    Bounds at degree e: G times its leading coefficient, a divisor of
+    lc(f), is a factor of f over Z, within 2^e |f|_2 (Mignotte); an
+    unlucky prime divides a subresultant of f and f', below (d |f|^2)^d.
     """
     f = _primitive(coeffs)
     derivative = [i * c for i, c in enumerate(f)][1:]
-    lift = _Lift(-1)
+    d, bits = len(f) - 1, (len(f) * sum(c * c for c in f)).bit_length()
+    lift = _Lift(-1, lambda e: (e + bits + f[-1].bit_length(), d * bits))
     for field in _prime_fields():
         p = field.p
         if not f[-1] % p:

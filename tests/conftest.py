@@ -14,6 +14,12 @@ from punctual.poly import Monomial, Polynomial  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
 
+
+def evaluate(f: Polynomial, px, py):
+    """f at the point (px, py) of two field elements, exactly."""
+    return f.field.reduce(sum(c * px**m.a * py**m.b for m, c in f.terms.items()))
+
+
 # The curated ideals supported only at the origin, where degeneration
 # comparisons are meaningful.
 ORIGIN_CORPUS: tuple[str, ...] = (

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    evaluate,
     is_zero_matrix,
     local_ideal_truncation,
     mat_sub,
@@ -224,7 +225,7 @@ def test_support_points_kill_generators():
         gens = parse_generators(text, QQ)
         for lq in local_components(buchberger(gens, DEFAULT_ORDER)).components:
             for g in gens:
-                assert g.evaluate(*lq.point) == QQ.zero()
+                assert evaluate(g, *lq.point) == QQ.zero()
 
 
 def test_socle_dimension_pinned_cases():

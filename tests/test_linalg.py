@@ -235,3 +235,13 @@ def test_krylov_dependence_edge_cases():
             eye = [[int(i == j) for j in range(n)] for i in range(n)]
             for vector in (e0, [1] * n, [p - 1 - i for i in range(n)]):
                 assert krylov_dependence(entries_of(eye), vector, p) == [p - 1, 1]
+
+
+def test_krylov_dependence_with_three_words_per_slot():
+    # at p = 2^61 - 1 and n = 40 a slot needs 2*61 + 7 + 1 = 130 bits
+    p, n = 2**61 - 1, 40
+    coeffs = [p - 1 - 3 * i for i in range(n)] + [1]
+    e0 = [1] + [0] * (n - 1)
+    assert krylov_dependence(entries_of(companion(coeffs)), e0, p) == coeffs
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert krylov_dependence(entries_of(eye), [p - 1 - i for i in range(n)], p) == [p - 1, 1]

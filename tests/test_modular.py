@@ -9,7 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd
+from math import comb, gcd, prod
 from pathlib import Path
 
 import pytest
@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import punctual.univariate as univariate
 from punctual.artinian import LocalInvariants, analyze_quotient
+from punctual.cli import main
 from punctual.fields import QQ, PrimeField
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, parse_generators
@@ -162,6 +163,25 @@ def test_a_gcd_that_only_unlucky_primes_reproduce_fails_the_trial_division(monke
     force_source(monkeypatch, SOURCE[:10])
     part, field = _squarefree_part(coeffs)
     assert part == euclid_squarefree_part(coeffs) == [c, -1 - c, 1]
+
+
+# the first 24 primes of the source, each unlucky for the roots 1 and 1 + P
+P = prod(field.p for field in islice(univariate._prime_fields(), 24))
+
+
+def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_squarefree_lift(capsys):
+    # mod each prime of P the roots of x^2 - (2 + P) x + 1 + P meet, so the
+    # trial division refuses the reproduced gcd x - 1 over and over
+    assert main(["analyze", "--ideal", f"x^2 - {2 + P}*x + {1 + P}, y"]) == 0
+    points = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[4:]]
+    assert points == [["(1,", "0)"], [f"({1 + P},", "0)"]]
+
+
+def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_minimal_polynomial_lift():
+    # mod each prime of P the Krylov rank of diag(1, 1 + P) on (1, 1) drops to
+    # 1, so the exact check refuses the reproduced t - 1 every other prime
+    image = integer_image(diagonal(1, 1 + P), QQ)
+    assert rational_minimal_polynomial(image, ONES) == [1 + P, -2 - P, 1]
 
 
 def run_isolated(code):
