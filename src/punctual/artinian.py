@@ -1,25 +1,26 @@
 """Artinian quotients k[x,y]/I and their local invariants at rational points.
 
 The quotient of a zero-dimensional ideal is carried by the pair of
-commuting multiplication operators on the standard-monomial basis.  All
-invariants come out of exact linear algebra on those operators:
+commuting multiplication operators on the standard-monomial basis, each
+built once as its integer image M = A/D (D = 1 over Fp).  All invariants
+come out of exact linear algebra on integers over both fields:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
   polynomial is the first dependence among [1], M[1], M^2[1], ...: over
-  Fp by ``linalg.krylov_dependence`` on the operator's integer entries,
-  over QQ as the images of that dependence mod many primes lifted by
-  ``univariate.rational_minimal_polynomial``, which
-  accepts the lift only after checking f(M)[1] = 0 exactly; its roots in
-  the field come from ``univariate.roots``, by modular algorithms over
-  both fields, and are confirmed exactly;
+  Fp by ``linalg.krylov_dependence`` on A's entries, over QQ as the images
+  of that dependence mod many primes lifted by
+  ``univariate.rational_minimal_polynomial``, which accepts the lift only
+  after checking f(M)[1] = 0 exactly; its roots in the field come from
+  ``univariate.roots``, by modular algorithms, and are confirmed exactly;
 * a root p splits the minimal polynomial as (t - p)^s * g, and g(M) is
   invertible on the factors whose coordinate is p and zero on all others,
   non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
   local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
   w matters only up to a nonzero scalar (``univariate.horner``);
-* the words Nx^a Ny^b w in the operators translated on the matrix side,
-  N = M - p*Id, span A_p: the nilpotency index r is the first degree at
-  which they all vanish, and the words are built once, in that search;
+* the words Nx^a Ny^b w in the translated operators N, the integer rows
+  of b*D*(M - p*Id) for p = a/b, span A_p: the nilpotency index r is the
+  first degree at which they all vanish, and the words are built once, in
+  that search;
 * the local ideal's image in k[x,y]/m^(r+1) is the kernel of
   f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, read off
   those words once per factor; that map is onto A_p, so the local length
@@ -42,20 +43,21 @@ followed by ``local_invariants`` on every factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from itertools import count
+from itertools import count, repeat
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import kernel_basis, krylov_dependence, mat_vec, rank
 from .poly import Monomial, Polynomial, X, Y
-from .univariate import _cofactor, horner, integer_image, rational_minimal_polynomial, roots
+from .univariate import IntegerImage, _cofactor, _integral, horner, roots
+from .univariate import rational_minimal_polynomial
 
 # quotients above this colength are refused before their basis is listed:
-# on a 2-core VM analyze takes about 0.2 s on x^11, y^11 (colength 121),
-# 0.15 s on x^10, y^10 and 0.3 s on x^12, y^12; dense operators cost more,
-# about 1.5 s for (x - 1)^11, (y - 2)^11 and 2 s for the 121 points
-# of an 11 x 11 grid
+# in-process on a 2-core VM analyze takes about 0.05 s on x^11, y^11
+# (colength 121) and 0.03 s on x^10, y^10; dense operators cost more, about
+# 0.2 s for (x - 1)^11, (y - 2)^11 and 0.2-0.35 s for the 121 points of an
+# 11 x 11 grid, over QQ or Fp:32003, or of prod (3x - i), prod (5y - j)
 MAX_COLENGTH = 121
 
 
@@ -72,29 +74,30 @@ class QuotientBasis:
 
 @dataclass
 class MultiplicationPair:
-    """Matrices of multiplication by x and by y on the standard basis."""
+    """Multiplication by x and by y on the standard basis, as integer images."""
 
-    on_x: list
-    on_y: list
+    on_x: IntegerImage
+    on_y: IntegerImage
 
 
 @dataclass
 class LocalQuotient:
     """One local factor A_p of the quotient at a rational support point p.
 
-    ``mult_x`` and ``mult_y`` are the multiplication operators of the whole
-    quotient translated to p (N = M - p*Id), and ``generator`` is the
-    vector w = g_x(Mx) g_y(My)[1] with A_p = k[x,y] w.  The words
-    Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r at which
-    all words of degree r vanish; the function of that name returns r
-    together with the words of degree <= r, built in one pass.
+    ``mult_x`` and ``mult_y`` are the whole quotient's operators translated
+    to p = a/b, as the sparse integer rows of N = b*A - a*D*Id = c*(M - p*Id),
+    c = b*D (1 over Fp), and ``generator`` is the primitive integer vector
+    w, a multiple of g_x(Mx) g_y(My)[1], with A_p = k[x,y] w.
+    The words Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r
+    at which all words of degree r vanish; the function of that name
+    returns r together with the words of degree <= r, built in one pass.
     ``local_ideal`` is the echelon kernel of f -> f(Nx, Ny)w on the
-    monomials of degree <= r, read off those same words (coefficient
-    vectors ordered like ``truncation_monomials(r)``): the image of the
-    local ideal in k[x,y]/m^(r+1), which ``generator_count`` reads
-    directly.  ``dimension`` (the local length) is the number of those
-    monomials minus its size.  ``x_kernel``, ker(Nx), is filled by
-    ``socle_dimension`` and shared by the factors at one x-root.
+    monomials of degree <= r, read off those same words (primitive integer
+    vectors over QQ, ordered like ``truncation_monomials(r)``): the f with
+    f(c_x*x, c_y*y) in the local ideal, modulo m^(r+1), which
+    ``generator_count`` reads directly.  ``dimension`` (the local length) is
+    the number of those monomials minus its size.  ``x_kernel``, ker(Nx), is
+    filled by ``socle_dimension`` and shared by the factors at one x-root.
     """
 
     point: tuple
@@ -172,44 +175,39 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
 
 
 def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> MultiplicationPair:
-    """Column j of each matrix expands (variable times j-th basis monomial)."""
+    """Column j of each operator M = A/D expands (variable times j-th basis
+    monomial); A and D are read straight off those normal forms."""
     coeff_field = gb.field
     n = qb.dimension
     index = {m: i for i, m in enumerate(qb.monomials)}
-    zero, one = coeff_field.zero(), coeff_field.one()
 
-    def action(shift: Monomial) -> list:
-        columns = []
-        for m in qb.monomials:
+    def image(shift: Monomial) -> IntegerImage:
+        cells = []  # (row, column, coefficient)
+        for j, m in enumerate(qb.monomials):
             t = m * shift
-            col = [zero] * n
-            if t in index:
-                col[index[t]] = one
-            else:
-                nf = gb.normal_form(Polynomial.monomial(coeff_field, t))
-                for mm, c in nf.terms.items():
-                    col[index[mm]] = c
-            columns.append(col)
-        return [[columns[j][i] for j in range(n)] for i in range(n)]
+            nf = {t: 1} if t in index else gb.normal_form(Polynomial.monomial(coeff_field, t)).terms
+            cells.extend((index[mm], j, c) for mm, c in nf.items())
+        denominator, values = _integral([c for _, _, c in cells], coeff_field)
+        rows, entries = [[] for _ in range(n)], [0] * (n * n)
+        for (i, j, _), a in zip(cells, values):
+            rows[i].append((j, a))
+            entries[i * n + j] = a
+        return IntegerImage(denominator, rows, entries)
 
-    return MultiplicationPair(action(X), action(Y))
-
-
-def _class_of_one(n: int, coeff_field) -> list:
-    return [coeff_field.one()] + [coeff_field.zero()] * (n - 1)
+    return MultiplicationPair(image(X), image(Y))
 
 
-def _minimal_polynomial(image, coeff_field) -> list:
+def _minimal_polynomial(image: IntegerImage, coeff_field) -> list:
     """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0.
     Over Fp the first Krylov dependence, over QQ its certified lift from
     the images mod p of M's integer image."""
-    one = _class_of_one(len(image.rows), coeff_field)
+    one = [1] + [0] * (len(image) - 1)
     if coeff_field.characteristic:
         return krylov_dependence(image.entries, one, coeff_field.p)
     return rational_minimal_polynomial(image, one)
 
 
-def _eigenvalue_candidates(image, coeff_field) -> list:
+def _eigenvalue_candidates(image: IntegerImage, coeff_field) -> list:
     """(root, cofactor) for each root in the field of the minimal polynomial."""
     coeffs = _minimal_polynomial(image, coeff_field)
     return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots(coeffs, coeff_field)]
@@ -224,7 +222,11 @@ def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> 
     for a = 0..k.  Mixed products matter: for the pair coming from
     (x^2, y^2) both pure squares vanish while Nx*Ny does not, so the index
     is 3 there.  The index of a factor is at most its length, so the words
-    must all vanish by degree n.
+    must all vanish by degree n.  They are integer vectors, reduced mod p
+    over Fp; over QQ Nx = c_x*(Mx - px), Ny = c_y*(My - py) (``_translated``)
+    and no word loses its content: x -> c_x*x, y -> c_y*y is an automorphism
+    of k[x,y] fixing m, so the index, length, socle and generator count do
+    not change.
     """
     words, layer = [], [generator]
     for r in count():
@@ -254,9 +256,8 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     if pair is None:
         return None
     coeff_field = gb.field
-    generator = _class_of_one(len(pair.on_x), coeff_field)
-    for matrix, p in zip((pair.on_x, pair.on_y), point):
-        image = integer_image(matrix, coeff_field)
+    generator = [1] + [0] * (len(pair.on_x) - 1)
+    for image, p in zip((pair.on_x, pair.on_y), point):
         cofactor = _cofactor(_minimal_polynomial(image, coeff_field), p, coeff_field)
         if cofactor is None:
             return None
@@ -265,13 +266,18 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     return _component_at(point, nil_x, nil_y, generator, coeff_field)
 
 
-def _translated(matrix, p, coeff_field) -> list:
-    """M - p*Id, p subtracted on the diagonal only; at p = 0 the matrix
-    itself, shared, since no operator is ever mutated."""
+def _translated(image: IntegerImage, p, coeff_field) -> list:
+    """The sparse rows of b*A - a*D*Id = b*D*(M - p*Id) for p = a/b,
+    changed on the diagonal only; over Fp, where b = D = 1, M - p*Id mod
+    p.  At p = 0 A's own rows, shared, since no operator is ever mutated."""
     if not p:
-        return matrix
-    reduce = coeff_field.reduce
-    return [row[:i] + [reduce(row[i] - p)] + row[i + 1 :] for i, row in enumerate(matrix)]
+        return image.rows
+    b, shift, reduce = p.denominator, p.numerator * image.denominator, coeff_field.reduce
+    rows = [[(j, b * a) for j, a in row if j != i] for i, row in enumerate(image.rows)]
+    for i, row in enumerate(image.rows):
+        if diagonal := reduce(b * dict(row).get(i, 0) - shift):
+            rows[i].append((i, diagonal))
+    return rows
 
 
 def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
@@ -307,17 +313,16 @@ def local_components(gb: GroebnerBasis) -> Decomposition:
         return Decomposition(components=(), residual_dimension=0, colength=0)
     n = len(pair.on_x)
     coeff_field = gb.field
-    one = _class_of_one(n, coeff_field)
-    image_x, image_y = (integer_image(m, coeff_field) for m in (pair.on_x, pair.on_y))
+    one = [1] + [0] * (n - 1)
     roots_y = [
-        (py, _translated(pair.on_y, py, coeff_field), horner(g, image_y, one, coeff_field))
-        for py, g in _eigenvalue_candidates(image_y, coeff_field)
+        (py, _translated(pair.on_y, py, coeff_field), horner(g, pair.on_y, one, coeff_field))
+        for py, g in _eigenvalue_candidates(pair.on_y, coeff_field)
     ]
     components = []
-    for px, g in _eigenvalue_candidates(image_x, coeff_field):
+    for px, g in _eigenvalue_candidates(pair.on_x, coeff_field):
         nil_x, x_kernel = _translated(pair.on_x, px, coeff_field), []
         for py, nil_y, w_y in roots_y:
-            generator = horner(g, image_x, w_y, coeff_field)
+            generator = horner(g, pair.on_x, w_y, coeff_field)
             lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
             if lq is not None:
                 lq.x_kernel = x_kernel
@@ -338,7 +343,8 @@ def socle_dimension(lq: LocalQuotient) -> int:
     of Ny are applied.
     """
     if not lq.x_kernel:
-        lq.x_kernel.extend(kernel_basis(lq.mult_x, lq.field))
+        dense = [list(map(dict(row).get, range(len(lq.mult_x)), repeat(0))) for row in lq.mult_x]
+        lq.x_kernel.extend(kernel_basis(dense, lq.field))
     rows = [lq.mult_y[max(i for i, c in enumerate(k) if c)] for k in lq.x_kernel]
     images = [mat_vec(rows, k, lq.field) for k in lq.x_kernel]
     return len(lq.x_kernel) - rank(images, lq.field)
@@ -356,31 +362,22 @@ def generator_count(lq: LocalQuotient) -> int:
     <= r lies in the local ideal exactly when f(Nx, Ny)w vanishes.
     e = dim(I/mI) computed as dim(image) - dim(m * image); the shifts by
     x and y stay inside the truncation because products that leave degree
-    r are zero there.
+    r are zero there.  Times x (y) the monomial at index i, of degree d,
+    moves to index i + d + 2 (i + d + 1).
     """
     kernel, r = lq.local_ideal, lq.nilpotency_index
     if not kernel:
         raise ValueError("local ideal image is empty; quotient is not Artinian local")
-    coeff_field = lq.field
-    monos = truncation_monomials(r)
-    index = {mono: i for i, mono in enumerate(monos)}
-    zero = coeff_field.zero()
+    degrees = [mono.degree for mono in truncation_monomials(r)]
     shifted_rows = []
     for vec in kernel:
-        for dx, dy in ((1, 0), (0, 1)):
-            row = [zero] * len(monos)
-            nonzero = False
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
-                mono = monos[i]
-                if mono.degree + 1 > r:
-                    continue
-                row[index[Monomial(mono.a + dx, mono.b + dy)]] = c
-                nonzero = True
-            if nonzero:
-                shifted_rows.append(row)
-    return len(kernel) - rank(shifted_rows, coeff_field)
+        support = [(i + degrees[i], c) for i, c in enumerate(vec) if c and degrees[i] < r]
+        for step in (2, 1) if support else ():
+            row = [0] * len(degrees)
+            for i, c in support:
+                row[i + step] = c
+            shifted_rows.append(row)
+    return len(kernel) - rank(shifted_rows, lq.field)
 
 
 def multiplicity_from_socle(b2: int) -> int:

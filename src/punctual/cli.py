@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .artinian import analyze_quotient
+from .artinian import analyze_quotient, quotient_basis
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional, ParseError, SupportNotLocal
 from .fields import PrimeField, element_text, parse_field
 from .groebner import buchberger
@@ -183,15 +183,16 @@ def _analyze_payload(args) -> dict:
     coeff_field = _resolve_field(args.field, "QQ")
     order = MonomialOrder(args.order, args.vars)
     text = _read_ideal_text(args)
-    gens = parse_generators(text, coeff_field)
-    gb = buchberger(gens, order)
+    gb = buchberger(parse_generators(text, coeff_field), order)
+    quotient_basis(gb)  # its checks first; then a basis too large to print exits 2 before the split
+    basis = [str(g) for g in gb.generators]
     analysis = analyze_quotient(gb)
     return {
         "command": "analyze",
         "ideal": text,
         "field": coeff_field.label,
         "order": order.label,
-        "groebner_basis": [str(g) for g in gb.generators],
+        "groebner_basis": basis,
         "colength": analysis.colength,
         "residual_dimension": analysis.residual_dimension,
         "components": [

@@ -1,16 +1,21 @@
-"""Dense exact linear algebra over the coefficient fields.
+"""Exact linear algebra over the coefficient fields.
 
-Matrices are lists of row lists whose entries are field elements
-(Fraction, or int in [0, p)).  Every stored entry goes through the
-field's ``reduce`` and every division through its ``inv``, so one kernel
-serves both fields.  Pivoting always takes the first nonzero entry, the
-only sound choice for exact arithmetic, and every rank or kernel decision
-is therefore exact.  Only ``krylov_dependence``, a minimal polynomial
-mod p, reads integer entries and packs each vector into one int.
+The local layer works on integers over both fields: ints in [0, p) over
+Fp, integer matrices with cleared denominators over QQ.  ``rref``, and
+with it ``rank`` and ``kernel_basis``, eliminates a dense integer matrix,
+fraction-free with primitive rows over QQ and with normalised pivots mod
+p; ``mat_vec`` applies sparse integer rows.  Pivoting always takes the
+first nonzero entry, the only sound choice for exact arithmetic, so every
+rank or kernel decision is exact.  ``krylov_dependence``, a minimal
+polynomial mod p, packs each integer vector into one int.  ``mat_mul``,
+``mat_pow`` and ``minimal_polynomial`` act on dense matrices of field
+elements (``Fraction``, or int in [0, p)) through the field's ``reduce``
+and ``inv``.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from itertools import accumulate, repeat
 
@@ -38,20 +43,6 @@ def mat_mul(a: list[list], b: list[list], field) -> list[list]:
     return out
 
 
-def mat_vec(a: list[list], v: list, field) -> list:
-    zero, reduce = field.zero(), field.reduce
-    support = [(j, y) for j, y in enumerate(v) if y]
-    out = []
-    for row in a:
-        acc = zero
-        for j, y in support:
-            x = row[j]
-            if x:
-                acc = acc + x * y
-        out.append(reduce(acc))
-    return out
-
-
 def mat_pow(a: list[list], k: int, field) -> list[list]:
     n = len(a)
     result = identity(n, field)
@@ -65,64 +56,80 @@ def mat_pow(a: list[list], k: int, field) -> list[list]:
     return result
 
 
+def _normalised(row: list, p: int) -> list:
+    """A row reduced mod p, or over QQ (p = 0) divided by its content."""
+    if p:
+        return [v % p for v in row]
+    content = math.gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def mat_vec(rows: list[list], v: list, field) -> list:
+    """The sparse integer rows, (column, entry) pairs, applied to an
+    integer vector; over Fp every entry reduced mod p."""
+    out = [sum(a * v[j] for j, a in row) for row in rows]
+    p = field.characteristic
+    return [x % p for x in out] if p else out
+
+
 def rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (a fresh matrix) and its pivot columns."""
+    """Reduced row echelon form (a fresh matrix) and its pivot columns.
+
+    Over Fp each pivot is normalised to 1 and every entry reduced mod p.
+    Over QQ the elimination is fraction-free Gauss-Jordan on integers
+    (Bareiss, Math. Comp. 22, 1968): a row with f in the column of a
+    pivot d becomes d*row - f*lead, divided by its content, so every row
+    stays primitive and no pivot is normalised.
+    """
     rows = [row[:] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    one, inv, reduce = field.one(), field.inv, field.reduce
+    p = field.characteristic
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != one:
-            scale = inv(pv)
-            rows[r] = [reduce(v * scale) for v in rows[r]]
-        lead = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [reduce(v - f * w) if w else v for v, w in zip(rows[i], lead)]
+        lead = rows[pivot_row]
+        if p and lead[c] != 1:
+            scale = pow(lead[c], -1, p)
+            lead = [v * scale % p for v in lead]
+        elif not p:
+            lead = _normalised(lead, p)
+        rows[pivot_row], rows[r], d = rows[r], lead, lead[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                if p:
+                    rows[i] = [(v - f * w) % p if w else v for v, w in zip(row, lead)]
+                else:
+                    rows[i] = _normalised([d * v - f * w for v, w in zip(row, lead)], p)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == len(rows):
             break
     return rows, pivots
 
 
 def rank(matrix: list[list], field) -> int:
-    if not matrix:
-        return 0
-    return len(rref(matrix, field)[1])
+    return len(rref(matrix, field)[1]) if matrix else 0
 
 
 def kernel_basis(matrix: list[list], field) -> list[list]:
-    """Echelon basis of the right kernel, one vector per free column."""
+    """Echelon basis of the right kernel, one vector per free column, the
+    last nonzero entry of its vector: 1 over Fp, and over QQ a primitive
+    integer vector, positive there."""
     if not matrix:
         raise ValueError("kernel of a matrix with no rows is ambiguous")
     reduced, pivots = rref(matrix, field)
-    ncols = len(matrix[0])
-    pivot_set = set(pivots)
-    zero, one = field.zero(), field.one()
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[free] = one
-        for i, p in enumerate(pivots):
-            c = reduced[i][free]
-            if c:
-                v[p] = field.reduce(-c)
-        basis.append(v)
+    for free in sorted(set(range(len(matrix[0]))) - set(pivots)):
+        # (column, pivot d, entry) of the rows with an entry here; lcm(d) = 1 over Fp
+        column = [(c, row[c], row[free]) for row, c in zip(reduced, pivots) if row[free]]
+        common = math.lcm(*[d for _, d, _ in column])
+        v = [0] * len(matrix[0])
+        v[free] = common
+        for c, d, f in column:
+            v[c] = -f * (common // d)
+        basis.append(_normalised(v, field.characteristic))
     return basis
 
 

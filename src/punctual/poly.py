@@ -236,10 +236,6 @@ class Polynomial:
     def coeff(self, mono: Monomial):
         return self.terms.get(mono, self.field.zero())
 
-    @property
-    def constant_term(self):
-        return self.terms.get(UNIT, self.field.zero())
-
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
         if not self.terms:

@@ -7,10 +7,11 @@ trailing zeros; [] is zero), every entry stored through the field's
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity.
 
-One ``horner`` on an operator's integer image (``integer_image``, the
-sparse rows of A = D*M, with D = 1 over Fp) gives f(M)v up to a positive
-scalar, in integers over QQ: it certifies the minimal polynomial and
-applies the cofactors from which ``artinian`` builds each generator.
+One ``horner`` on an operator's ``IntegerImage`` (the sparse rows of
+A = D*M, with D = 1 over Fp, built by ``artinian`` from the normal forms)
+gives f(M)v up to a positive scalar, in integers: it certifies the
+minimal polynomial and applies the cofactors from which ``artinian``
+builds each generator.
 
 Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
 minimal polynomial of an operator (``rational_minimal_polynomial``) and
@@ -28,10 +29,10 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count
-from typing import NamedTuple
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
@@ -234,28 +235,26 @@ class _Lift:
         return None
 
 
-class IntegerImage(NamedTuple):
-    """M = A/D, by A's nonzero (column, entry) pairs per row and its entries."""
+@dataclass
+class IntegerImage:
+    """An operator M = A/D, D = 1 over Fp, by A's nonzero (column, entry)
+    pairs per row and its entries row after row; its length is M's size."""
 
     denominator: int
     rows: list
     entries: list
 
-
-def integer_image(matrix: list[list], field) -> IntegerImage:
-    n = len(matrix)
-    denominator, entries = _integral([c for row in matrix for c in row], field)
-    rows = [[(j, a) for j, a in enumerate(entries[i * n : (i + 1) * n]) if a] for i in range(n)]
-    return IntegerImage(denominator, rows, entries)
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
-    """f(M)v up to a positive scalar, for a monic f, as field elements.
+    """f(M)v up to a positive scalar, for a monic f, as integers.
 
     Horner's rule on sum_i F_i D^(d-i) A^i w with F = L*f and w = E*v
-    integral, which is L E D^d f(M)v: over QQ in integers, then divided by
-    its content; over Fp, where L = E = D = 1, f(M)v itself, every entry
-    reduced.  A degree-0 f returns v itself.
+    integral, which is L E D^d f(M)v: over QQ the primitive integer
+    vector, divided by its content; over Fp, where L = E = D = 1, f(M)v
+    itself, every entry reduced.  A degree-0 f returns v itself.
     """
     if len(coeffs) == 1:
         return vector
@@ -270,16 +269,16 @@ def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
             reduce(sum(a * acc[j] for j, a in row) + shift * x) for row, x in zip(image.rows, w)
         ]
     content = 1 if field.characteristic else math.gcd(*acc) or 1
-    return [field.from_int(a // content) for a in acc]
+    return [a // content for a in acc] if content > 1 else acc
 
 
 def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fraction]:
     """The least monic f over QQ with f(M)v = 0, from its images mod p.
 
-    With M = A/D (``integer_image``) and w = E*v integral, each prime p
+    With M = A/D (an ``IntegerImage``) and w = E*v integral, each prime p
     not dividing D gives f_p, the first Krylov dependence of w mod p under
     M mod p, read off that of A (``linalg.krylov_dependence`` on the
-    entries that ``integer_image`` lists once per operator).  Its degree,
+    entries that the image lists once per operator).  Its degree,
     the Krylov rank mod p, is at most deg f, and where they are equal f is
     p-integral with image f_p; so ``_Lift`` keeps the largest degree.  A
     candidate that one more prime reproduces is accepted only after the

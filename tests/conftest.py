@@ -2,6 +2,7 @@
 another way, kept out of the package because only the tests read them."""
 
 import sys
+from fractions import Fraction
 from itertools import accumulate, repeat
 from pathlib import Path
 
@@ -9,15 +10,129 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from punctual.artinian import truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
-from punctual.linalg import _first_dependence, mat_vec, rank  # noqa: E402
-from punctual.poly import Monomial, Polynomial  # noqa: E402
+from punctual.linalg import _first_dependence  # noqa: E402
+from punctual.poly import UNIT, Monomial, Polynomial  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
+from punctual.univariate import IntegerImage, _integral  # noqa: E402
 
 
 def evaluate(f: Polynomial, px, py):
     """f at the point (px, py) of two field elements, exactly."""
     return f.field.reduce(sum(c * px**m.a * py**m.b for m, c in f.terms.items()))
+
+
+def constant_term(f: Polynomial):
+    return f.terms.get(UNIT, f.field.zero())
+
+
+def dense_mat_vec(a: list[list], v: list, field) -> list:
+    """A dense matrix of field elements times a vector: the product before
+    the sparse integer ``mat_vec``."""
+    zero, reduce = field.zero(), field.reduce
+    support = [(j, y) for j, y in enumerate(v) if y]
+    out = []
+    for row in a:
+        acc = zero
+        for j, y in support:
+            x = row[j]
+            if x:
+                acc = acc + x * y
+        out.append(reduce(acc))
+    return out
+
+
+def dense_rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form on field elements (ints are read in the
+    field), pivots normalised to 1: the elimination before the integer
+    ``rref``."""
+    rows = [[field.from_int(v) for v in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    one, inv, reduce = field.one(), field.inv, field.reduce
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        if pv != one:
+            scale = inv(pv)
+            rows[r] = [reduce(v * scale) for v in rows[r]]
+        lead = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [reduce(v - f * w) if w else v for v, w in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_rank(matrix: list[list], field) -> int:
+    return len(dense_rref(matrix, field)[1]) if matrix else 0
+
+
+def dense_kernel_basis(matrix: list[list], field) -> list[list]:
+    """Echelon basis of the right kernel on field elements, 1 at each free
+    column."""
+    reduced, pivots = dense_rref(matrix, field)
+    ncols = len(matrix[0])
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for i, p in enumerate(pivots):
+            if reduced[i][free]:
+                v[p] = field.reduce(-reduced[i][free])
+        basis.append(v)
+    return basis
+
+
+def primitive_basis(basis: list[list], field) -> list[list]:
+    """Kernel vectors of ``dense_kernel_basis`` as the integer ``kernel_basis``
+    returns them: over QQ each one's primitive integer multiple, positive
+    at its free column; over Fp unchanged."""
+    return [univariate._primitive(v) for v in basis] if field == QQ else basis
+
+
+def integer_image(matrix: list[list], field) -> IntegerImage:
+    """The integer image of a dense matrix of field elements."""
+    n = len(matrix)
+    denominator, entries = _integral([c for row in matrix for c in row], field)
+    rows = [[(j, a) for j, a in enumerate(entries[i * n : (i + 1) * n]) if a] for i in range(n)]
+    return IntegerImage(denominator, rows, entries)
+
+
+def densify(operator, field) -> list[list]:
+    """The dense matrix of field elements of an operator: M = A/D for an
+    ``IntegerImage`` (a ``MultiplicationPair`` member), the matrix of the
+    sparse integer rows themselves otherwise (a factor's ``mult_x``,
+    ``mult_y``)."""
+    if isinstance(operator, IntegerImage):
+        rows, denominator = operator.rows, operator.denominator
+    else:
+        rows, denominator = operator, 1
+    matrix = [[field.zero()] * len(rows) for _ in rows]
+    for out, row in zip(matrix, rows):
+        for j, a in row:
+            out[j] = Fraction(a, denominator) if field == QQ else field.from_int(a)
+    return matrix
+
+
+def translated(matrix: list[list], p, field) -> list[list]:
+    """M - p*Id on field elements, p subtracted on the diagonal only: the
+    translation before the integer rows b*A - a*D*Id."""
+    reduce = field.reduce
+    return [row[:i] + [reduce(row[i] - p)] + row[i + 1 :] for i, row in enumerate(matrix)]
 
 
 # The curated ideals supported only at the origin, where degeneration
@@ -55,7 +170,7 @@ def vector_minimal_polynomial(matrix: list[list], vector: list, field) -> list:
     field elements: the route before the packed ``krylov_dependence``.
     """
     n = len(matrix)
-    krylov = accumulate(repeat(matrix, n), lambda v, m: mat_vec(m, v, field), initial=vector)
+    krylov = accumulate(repeat(matrix, n), lambda v, m: dense_mat_vec(m, v, field), initial=vector)
     return _first_dependence(krylov, field)
 
 
@@ -72,14 +187,15 @@ def fraction_horner(coeffs: list, matrix: list[list], vector: list, field) -> li
     reduce = field.reduce
     acc = vector
     for c in reversed(coeffs[:-1]):
-        acc = [reduce(a + c * v) for a, v in zip(mat_vec(matrix, acc, field), vector)]
+        acc = [reduce(a + c * v) for a, v in zip(dense_mat_vec(matrix, acc, field), vector)]
     return acc
 
 
 def stacked_socle_dimension(lq) -> int:
     """n minus the rank of the stacked translated pair: the socle route
-    before the kernel of Ny on ker(Nx)."""
-    return len(lq.mult_x) - rank(lq.mult_x + lq.mult_y, lq.field)
+    before the kernel of Ny on ker(Nx), on field elements."""
+    stacked = densify(lq.mult_x, lq.field) + densify(lq.mult_y, lq.field)
+    return len(lq.mult_x) - dense_rank(stacked, lq.field)
 
 
 def euclid_squarefree_part(coeffs: list) -> list[int]:
@@ -136,10 +252,12 @@ def partition_from_boxes(monomials) -> Partition:
 
 
 def local_ideal_truncation(lq) -> list[Polynomial]:
-    """A factor's ``local_ideal`` kernel vectors rendered as polynomials."""
+    """A factor's ``local_ideal`` kernel vectors rendered as polynomials:
+    members of the local ideal itself where the operators carry no scale
+    (a point with integer coordinates and D = 1)."""
     monos = truncation_monomials(lq.nilpotency_index)
     return [
-        Polynomial(lq.field, {monos[i]: c for i, c in enumerate(vec) if c})
+        Polynomial(lq.field, {monos[i]: lq.field.from_int(c) for i, c in enumerate(vec) if c})
         for vec in lq.local_ideal
     ]
 
@@ -156,7 +274,7 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
     if not gens:
         raise ValueError("no nonzero generators")
     coeff_field = gens[0].field
-    if any(g.constant_term for g in gens):
+    if any(constant_term(g) for g in gens):
         raise ValueError(
             "a generator has nonzero constant term, so the origin is not a support point"
         )
@@ -190,4 +308,4 @@ def minimal_generator_count(generators, nilpotency: int) -> int:
         for dx, dy in ((1, 0), (0, 1)):
             shifted.append([(Monomial(m.a + dx, m.b + dy), c) for m, c in source])
     shifted_rows = truncate_rows(shifted)
-    return rank(image_rows, coeff_field) - rank(shifted_rows, coeff_field)
+    return dense_rank(image_rows, coeff_field) - dense_rank(shifted_rows, coeff_field)

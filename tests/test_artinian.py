@@ -5,13 +5,20 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    dense_kernel_basis,
+    dense_mat_vec,
+    dense_rank,
+    dense_rref,
+    densify,
     evaluate,
     is_zero_matrix,
     local_ideal_truncation,
     mat_sub,
     minimal_generator_count,
+    primitive_basis,
     scaled_identity,
     stacked_socle_dimension,
+    translated,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -34,18 +41,8 @@ from punctual.artinian import (
 from punctual.errors import NotZeroDimensional
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
-from punctual.linalg import (
-    identity,
-    kernel_basis,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-    minimal_polynomial,
-    rank,
-    rref,
-)
+from punctual.linalg import identity, mat_mul, mat_pow, mat_vec, minimal_polynomial
 from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, Monomial, Polynomial, X, Y, parse_generators
-from punctual.univariate import integer_image
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -110,25 +107,25 @@ def test_multiplication_matrices_pinned_cases():
     gb = gb_of("x, y")
     qb = quotient_basis(gb)
     pair = multiplication_matrices(qb, gb)
-    assert pair.on_x == [[Fraction(0)]]
-    assert pair.on_y == [[Fraction(0)]]
+    assert densify(pair.on_x, QQ) == [[Fraction(0)]]
+    assert densify(pair.on_y, QQ) == [[Fraction(0)]]
 
     gb = gb_of("x^2, x*y, y^2")
     qb = quotient_basis(gb)
-    pair = multiplication_matrices(qb, gb)
+    on_x = densify(multiplication_matrices(qb, gb).on_x, QQ)
     index = {m: i for i, m in enumerate(qb.monomials)}
-    col_of_one = [pair.on_x[i][index[Monomial(0, 0)]] for i in range(3)]
+    col_of_one = [on_x[i][index[Monomial(0, 0)]] for i in range(3)]
     assert col_of_one[index[Monomial(1, 0)]] == Fraction(1)
     # x kills both x and y in this quotient
     for mono in (Monomial(1, 0), Monomial(0, 1)):
-        assert all(pair.on_x[i][index[mono]] == 0 for i in range(3))
+        assert all(on_x[i][index[mono]] == 0 for i in range(3))
 
     gb = gb_of("y, x^3")
     qb = quotient_basis(gb)
     pair = multiplication_matrices(qb, gb)
-    assert is_zero_matrix(pair.on_y)
-    assert mat_pow(pair.on_x, 3, QQ) == [[Fraction(0)] * 3 for _ in range(3)]
-    assert not is_zero_matrix(mat_pow(pair.on_x, 2, QQ))
+    assert is_zero_matrix(densify(pair.on_y, QQ))
+    assert mat_pow(densify(pair.on_x, QQ), 3, QQ) == [[Fraction(0)] * 3 for _ in range(3)]
+    assert not is_zero_matrix(mat_pow(densify(pair.on_x, QQ), 2, QQ))
 
 
 def test_matrices_commute_on_corpus():
@@ -136,7 +133,8 @@ def test_matrices_commute_on_corpus():
         gb = gb_of(text)
         qb = quotient_basis(gb)
         pair = multiplication_matrices(qb, gb)
-        assert mat_mul(pair.on_x, pair.on_y, QQ) == mat_mul(pair.on_y, pair.on_x, QQ)
+        on_x, on_y = densify(pair.on_x, QQ), densify(pair.on_y, QQ)
+        assert mat_mul(on_x, on_y, QQ) == mat_mul(on_y, on_x, QQ)
 
 
 def test_local_components_pinned_cases():
@@ -244,9 +242,10 @@ def test_nilpotency_index_mixed_words():
     # both squares vanish but x*y does not, so the index is 3
     lq = one_component("x^2, y^2")
     assert lq.nilpotency_index == 3
-    assert is_zero_matrix(mat_pow(lq.mult_x, 2, QQ))
-    assert is_zero_matrix(mat_pow(lq.mult_y, 2, QQ))
-    assert not is_zero_matrix(mat_mul(lq.mult_x, lq.mult_y, QQ))
+    nil_x, nil_y = densify(lq.mult_x, QQ), densify(lq.mult_y, QQ)
+    assert is_zero_matrix(mat_pow(nil_x, 2, QQ))
+    assert is_zero_matrix(mat_pow(nil_y, 2, QQ))
+    assert not is_zero_matrix(mat_mul(nil_x, nil_y, QQ))
 
 
 def test_nilpotency_invariants_on_corpus():
@@ -259,24 +258,24 @@ def test_nilpotency_invariants_on_corpus():
             # on the factor (the generalized eigenspace) every length-r word
             # vanishes and some length r-1 word survives
             space = generalized_eigenspace(pair, lq.point, QQ)
-            powers_x = [mat_pow(lq.mult_x, i, QQ) for i in range(r + 1)]
-            powers_y = [mat_pow(lq.mult_y, i, QQ) for i in range(r + 1)]
+            powers_x = [mat_pow(densify(lq.mult_x, QQ), i, QQ) for i in range(r + 1)]
+            powers_y = [mat_pow(densify(lq.mult_y, QQ), i, QQ) for i in range(r + 1)]
             for length, vanishes in ((r, True), (r - 1, False)):
                 words = [mat_mul(powers_x[i], powers_y[length - i], QQ) for i in range(length + 1)]
-                images = [mat_vec(word, v, QQ) for word in words for v in space]
+                images = [dense_mat_vec(word, v, QQ) for word in words for v in space]
                 assert (not any(map(any, images))) == vanishes, text
 
 
 def test_nilpotency_index_rejects_non_nilpotent(monkeypatch):
     with pytest.raises(ValueError):
-        nilpotency_index([[Fraction(1)]], [[Fraction(0)]], [Fraction(1)], QQ)
+        nilpotency_index([[(0, 1)]], [[]], [1], QQ)
     # the word loop gives up by degree n + 1: layers 1..3 of a 2 x 2 pair
     # take 2 + 3 + 4 products
     calls = []
     monkeypatch.setattr(artinian, "mat_vec", lambda *args: calls.append(1) or mat_vec(*args))
-    shift_plus_one = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+    shift_plus_one = [[(0, 1)], [(0, 1), (1, 1)]]
     with pytest.raises(ValueError):
-        nilpotency_index(shift_plus_one, shift_plus_one, [Fraction(1), Fraction(0)], QQ)
+        nilpotency_index(shift_plus_one, shift_plus_one, [1, 0], QQ)
     assert len(calls) <= 9
 
 
@@ -404,10 +403,10 @@ def generalized_eigenspace(pair, point, field):
     """Echelon basis of the joint kernel of (Mx - px)^n and (My - py)^n."""
     n = len(pair.on_x)
     powers = [
-        mat_pow(mat_sub(matrix, scaled_identity(p, n, field), field), n, field)
-        for matrix, p in zip((pair.on_x, pair.on_y), point)
+        mat_pow(mat_sub(densify(image, field), scaled_identity(p, n, field), field), n, field)
+        for image, p in zip((pair.on_x, pair.on_y), point)
     ]
-    return kernel_basis(powers[0] + powers[1], field)
+    return dense_kernel_basis(powers[0] + powers[1], field)
 
 
 def word_table_nilpotency_index(nil_x, nil_y, space, field):
@@ -418,7 +417,7 @@ def word_table_nilpotency_index(nil_x, nil_y, space, field):
         current = {(r, 0): mat_mul(words[(r - 1, 0)], nil_x, field)}
         for b in range(1, r + 1):
             current[(r - b, b)] = mat_mul(words[(r - b, b - 1)], nil_y, field)
-        if all(not any(mat_vec(w, v, field)) for w in current.values() for v in space):
+        if all(not any(dense_mat_vec(w, v, field)) for w in current.values() for v in space):
             return r
         words = current
     raise ValueError("not jointly nilpotent")
@@ -427,31 +426,36 @@ def word_table_nilpotency_index(nil_x, nil_y, space, field):
 def operator_evaluation_kernel(lq, space):
     """Kernel of f -> f(Nx, Ny) on the space, evaluated on every basis vector."""
     field, n, r = lq.field, len(lq.mult_x), lq.nilpotency_index
+    nil_x, nil_y = densify(lq.mult_x, field), densify(lq.mult_y, field)
     monos = truncation_monomials(r)
     words = {(0, 0): identity(n, field)}
     for a in range(1, r + 1):
-        words[(a, 0)] = mat_mul(words[(a - 1, 0)], lq.mult_x, field)
+        words[(a, 0)] = mat_mul(words[(a - 1, 0)], nil_x, field)
     for a in range(r + 1):
         for b in range(1, r + 1 - a):
-            words[(a, b)] = mat_mul(words[(a, b - 1)], lq.mult_y, field)
-    images = {mono: [mat_vec(words[(mono.a, mono.b)], v, field) for v in space] for mono in monos}
+            words[(a, b)] = mat_mul(words[(a, b - 1)], nil_y, field)
+    images = {
+        mono: [dense_mat_vec(words[(mono.a, mono.b)], v, field) for v in space] for mono in monos
+    }
     evaluation = [
         [images[mono][k][u] for mono in monos] for k in range(len(space)) for u in range(n)
     ]
-    return monos, kernel_basis(evaluation, field)
+    return monos, dense_kernel_basis(evaluation, field)
 
 
 def row_space(vectors, field):
-    reduced, pivots = rref(vectors, field)
+    reduced, pivots = dense_rref(vectors, field)
     return reduced[: len(pivots)]
 
 
 def cyclic_span(lq):
     """Echelon basis of the smallest space holding w and closed under Nx, Ny."""
-    basis = row_space([lq.generator], lq.field)
+    field = lq.field
+    basis = row_space([lq.generator], field)
+    operators = (densify(lq.mult_x, field), densify(lq.mult_y, field))
     while True:
-        images = [mat_vec(nil, v, lq.field) for nil in (lq.mult_x, lq.mult_y) for v in basis]
-        grown = row_space(basis + images, lq.field)
+        images = [dense_mat_vec(nil, v, field) for nil in operators for v in basis]
+        grown = row_space(basis + images, field)
         if len(grown) == len(basis):
             return grown
         basis = grown
@@ -479,7 +483,8 @@ def oracle_cases():
 def test_word_nilpotency_matches_word_table(oracle_cases):
     for text, field, _, components in oracle_cases:
         for lq, space in components:
-            expected = word_table_nilpotency_index(lq.mult_x, lq.mult_y, space, field)
+            nil_x, nil_y = densify(lq.mult_x, field), densify(lq.mult_y, field)
+            expected = word_table_nilpotency_index(nil_x, nil_y, space, field)
             assert lq.nilpotency_index == expected, text
             r, _ = nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field)
             assert r == expected, text
@@ -487,10 +492,9 @@ def test_word_nilpotency_matches_word_table(oracle_cases):
 
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
-        for matrix in (pair.on_x, pair.on_y):
-            image = integer_image(matrix, field)
+        for image in (pair.on_x, pair.on_y):
             assert artinian._minimal_polynomial(image, field) == (
-                minimal_polynomial(matrix, field)
+                minimal_polynomial(densify(image, field), field)
             ), text
 
 
@@ -504,10 +508,10 @@ def test_generator_words_span_the_generalized_eigenspace(oracle_cases):
 def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
     # w = g_x(Mx) g_y(My)[1] is a unit of the factor, so f(Nx, Ny)w = 0
     # exactly when f(Nx, Ny) kills the whole factor
-    for text, _, _, components in oracle_cases:
+    for text, field, _, components in oracle_cases:
         for lq, space in components:
             _, kernel = operator_evaluation_kernel(lq, space)
-            assert lq.local_ideal == kernel, text
+            assert lq.local_ideal == primitive_basis(kernel, field), text
 
 
 def test_root_search_runs_once_per_coordinate(monkeypatch):
@@ -532,8 +536,9 @@ def test_factor_on_the_whole_quotient_is_not_restricted():
         (lq,) = local_components(gb).components
         n = len(pair.on_x)
         assert lq.dimension == n
-        assert lq.mult_x == mat_sub(pair.on_x, scaled_identity(lq.point[0], n, field), field)
-        assert lq.mult_y == mat_sub(pair.on_y, scaled_identity(lq.point[1], n, field), field)
+        for image, p, nil in zip((pair.on_x, pair.on_y), lq.point, (lq.mult_x, lq.mult_y)):
+            identity_p = scaled_identity(p, n, field)
+            assert densify(nil, field) == mat_sub(densify(image, field), identity_p, field)
     # with two points each factor is a proper subspace, generated by its w
     # inside the whole quotient's translated operators
     gb = gb_of("x^2 - 1, y")
@@ -542,8 +547,9 @@ def test_factor_on_the_whole_quotient_is_not_restricted():
     assert len(components) == 2
     for lq in components:
         assert lq.dimension == 1
-        assert lq.mult_x == mat_sub(pair.on_x, scaled_identity(lq.point[0], 2, QQ), QQ)
-        assert rank([lq.generator] + generalized_eigenspace(pair, lq.point, QQ), QQ) == 1
+        on_x = densify(pair.on_x, QQ)
+        assert densify(lq.mult_x, QQ) == mat_sub(on_x, scaled_identity(lq.point[0], 2, QQ), QQ)
+        assert dense_rank([lq.generator] + generalized_eigenspace(pair, lq.point, QQ), QQ) == 1
 
 
 def test_translation_at_the_origin_shares_the_operator(monkeypatch):
@@ -564,12 +570,13 @@ def test_translation_at_the_origin_shares_the_operator(monkeypatch):
         }
         n = len(whole.on_x)
         for lq, pair in [(lq, whole) for lq in components] + [(at_origin, at)]:
-            for matrix, p, translated in (
+            for image, p, translated in (
                 (pair.on_x, lq.point[0], lq.mult_x),
                 (pair.on_y, lq.point[1], lq.mult_y),
             ):
-                assert translated == mat_sub(matrix, scaled_identity(p, n, field), field)
-                assert (translated is matrix) == (p == 0)
+                expected = mat_sub(densify(image, field), scaled_identity(p, n, field), field)
+                assert densify(translated, field) == expected
+                assert (translated is image.rows) == (p == 0)
         pairs.clear()
 
 
@@ -631,8 +638,9 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
         monkeypatch.undo()
         assert components and eliminated, text
         for lq in components:
-            assert all(matrix != lq.mult_x + lq.mult_y for matrix in eliminated), text
-            assert all(matrix != lq.mult_x for matrix in eliminated), text
+            nil_x, nil_y = densify(lq.mult_x, QQ), densify(lq.mult_y, QQ)
+            assert all(matrix != nil_x + nil_y for matrix in eliminated), text
+            assert all(matrix != nil_x for matrix in eliminated), text
 
 
 def test_socle_route_never_reads_the_generator():
@@ -653,7 +661,7 @@ def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):
     for _ in range(2):
         assert [socle_dimension(lq) for lq in components] == [1, 1, 1, 1]
     assert len(eliminated) == 2
-    assert [components[0].mult_x, components[2].mult_x] == eliminated
+    assert [densify(components[i].mult_x, QQ) for i in (0, 2)] == eliminated
 
 
 def non_square(field):
@@ -764,3 +772,77 @@ def test_socle_on_the_x_kernel_matches_the_stacked_pair(case, order):
     for a in components:
         for b in components:
             assert (a.x_kernel is b.x_kernel) == (a.point[0] == b.point[0])
+
+
+# Points p = a/b with b > 1 and operators with D > 1: the translated rows
+# are c*(M - p*Id), c = b*D, and the invariants must be those of M - p*Id.
+
+
+def linear(mono, scale, value):
+    """scale*mono - value over QQ."""
+    return Polynomial(QQ, {mono: Fraction(scale), Monomial(0, 0): -Fraction(value)})
+
+
+def product(factors):
+    out = Polynomial.monomial(QQ, Monomial(0, 0))
+    for f in factors:
+        out = out * f
+    return out
+
+
+def moved_to_origin(f, point):
+    """f(x + px, y + py): the generator in coordinates centred at the point."""
+    x, y = linear(X, 1, -point[0]), linear(Y, 1, -point[1])
+    out = Polynomial.zero(QQ)
+    for m, c in f.terms.items():
+        out = out + Polynomial(QQ, {Monomial(0, 0): c}) * product([x] * m.a + [y] * m.b)
+    return out
+
+
+def scaled_cases():
+    # prod (3x - i), prod (5y - j) for i, j = 0..3: sixteen points (i/3, j/5)
+    grid = [product(linear(X, 3, i) for i in range(4)), product(linear(Y, 5, j) for j in range(4))]
+    # (v - u^2, u^3) with u = 2x - 1, v = 3y + 2 at (1/2, -2/3), times
+    # (u^2, uv, v^2) with u = x - 2, v = 5y - 1 at (2, 1/5)
+    u, v = linear(X, 2, 1), linear(Y, 3, -2)
+    curvilinear = [v - u * u, u * u * u]
+    u, v = linear(X, 1, 2), linear(Y, 5, 1)
+    fat = [u * u, u * v, v * v]
+    return [grid, [f * g for f in curvilinear for g in fat]]
+
+
+def test_scaled_operators_keep_every_invariant():
+    grid, dense = scaled_cases()
+    for gens in (grid, dense):
+        gb = buchberger(gens, DEFAULT_ORDER)
+        pair = multiplication_matrices(quotient_basis(gb), gb)
+        components = local_components(gb).components
+        assert any(p.denominator > 1 for lq in components for p in lq.point)
+        if gens is dense:
+            assert pair.on_x.denominator > 1 or pair.on_y.denominator > 1
+            assert {lq.point for lq in components} == {
+                (Fraction(1, 2), Fraction(-2, 3)),
+                (Fraction(2), Fraction(1, 5)),
+            }
+        else:
+            assert len(components) == 16
+        n = len(pair.on_x)
+        for lq in components:
+            # the unscaled translated pair M - p*Id, on Fractions
+            nil_x, nil_y = (
+                translated(densify(image, QQ), p, QQ)
+                for image, p in zip((pair.on_x, pair.on_y), lq.point)
+            )
+            space = generalized_eigenspace(pair, lq.point, QQ)
+            invariants = local_invariants(lq)
+            assert lq.dimension == invariants.local_length == len(space)
+            r = word_table_nilpotency_index(nil_x, nil_y, space, QQ)
+            assert lq.nilpotency_index == r
+            socle = n - dense_rank(nil_x + nil_y, QQ)
+            assert invariants.socle == stacked_socle_dimension(lq) == socle
+            centred = [moved_to_origin(g, lq.point) for g in gens]
+            assert invariants.generators == minimal_generator_count(centred, r)
+    # the dense pair has one non-reduced factor of each shape
+    analysis = analyze_quotient(buchberger(dense, DEFAULT_ORDER))
+    rows = {(c.local_length, c.nilpotency_index, c.generators, c.socle) for c in analysis.components}
+    assert rows == {(3, 3, 2, 1), (3, 2, 3, 2)}

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -154,6 +156,32 @@ def test_huge_point_is_analyzed_without_printing_it():
     a = int("3" * 3000)
     assert c.point == (a, a * int("5" * 3000))
     assert (c.local_length, c.socle, c.multiplicity) == (1, 1, 1)
+
+
+def test_unprintable_basis_is_refused_before_the_analysis():
+    # a dense pair of degree 5 with 150-digit coefficients: Buchberger takes
+    # about a second, its basis has coefficients past the digit limit, and
+    # the local split of that basis ran for over a minute before the basis
+    # was printed; refused first, the run exits 2 within seconds
+    rng = random.Random(1)
+    pair = [
+        " + ".join(
+            f"{rng.randint(10**149, 10**150)}*x^{a}*y^{b}" for a in range(6) for b in range(6 - a)
+        )
+        for _ in range(2)
+    ]
+    run = subprocess.run(
+        [sys.executable, "-m", "punctual.cli", "analyze", "--ideal", ", ".join(pair)],
+        cwd=Path(cli.__file__).resolve().parents[1],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    limit = sys.get_int_max_str_digits()
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (
+        f"error: coordinate or coefficient too large to print (over {limit} digits)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["analyze", "verify"])

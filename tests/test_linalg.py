@@ -1,9 +1,20 @@
-"""Exact linear algebra: rank, kernel, minimal polynomials, and the packed
-Krylov kernel mod p against the oracle ``vector_minimal_polynomial``."""
+"""Exact linear algebra: the integer rank and kernel against the field
+oracle ``dense_rref``, minimal polynomials, and the packed Krylov kernel
+mod p against the oracle ``vector_minimal_polynomial``."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from conftest import is_zero_matrix, mat_sub, scaled_identity, vector_minimal_polynomial
+from conftest import (
+    dense_kernel_basis,
+    dense_mat_vec,
+    dense_rref,
+    is_zero_matrix,
+    mat_sub,
+    primitive_basis,
+    scaled_identity,
+    vector_minimal_polynomial,
+)
 from hypothesis import given, settings, strategies as st
 
 from punctual.fields import PrimeField, QQ
@@ -32,13 +43,14 @@ def test_mat_mul_and_pow():
     assert mat_mul(a, b, QQ) == qmat([[2, 1], [4, 3]])
     assert mat_pow(b, 2, QQ) == identity(2, QQ)
     assert mat_pow(a, 0, QQ) == identity(2, QQ)
-    assert mat_vec(a, [Fraction(1), Fraction(1)], QQ) == [Fraction(3), Fraction(7)]
+    assert mat_vec([[(0, 1), (1, 2)], [(0, 3), (1, 4)]], [1, 1], QQ) == [3, 7]
+    assert mat_vec([[(0, 1), (1, 2)], [(0, 3), (1, 4)]], [1, 1], PrimeField(5)) == [3, 2]
     assert is_zero_matrix(mat_sub(a, a, QQ))
     assert scaled_identity(Fraction(3), 2, QQ) == qmat([[3, 0], [0, 3]])
 
 
 def test_rref_and_rank():
-    m = qmat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
+    m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
     reduced, pivots = rref(m, QQ)
     assert pivots == [0, 1]
     assert rank(m, QQ) == 2
@@ -48,12 +60,12 @@ def test_rref_and_rank():
 
 
 def test_kernel_basis_is_exact():
-    m = qmat([[1, 2, 3], [2, 4, 6]])
+    m = [[1, 2, 3], [2, 4, 6]]
     basis = kernel_basis(m, QQ)
     assert len(basis) == 2
     for v in basis:
-        assert all(val == 0 for val in mat_vec(m, v, QQ))
-    full = qmat([[1, 0], [0, 1]])
+        assert all(val == 0 for val in dense_mat_vec(m, v, QQ))
+    full = [[1, 0], [0, 1]]
     assert kernel_basis(full, QQ) == []
 
 
@@ -118,11 +130,11 @@ def test_vector_minimal_polynomial_is_least(entries):
     vector = [F101.from_int(v) for v in entries[3]]
     coeffs = vector_minimal_polynomial(m, vector, F101)
     assert coeffs[-1] == F101.one()
-    assert not any(mat_vec(_eval_matrix_poly(coeffs, m, F101), vector, F101))
+    assert not any(dense_mat_vec(_eval_matrix_poly(coeffs, m, F101), vector, F101))
     # v, Mv, ..., M^(d-1) v are independent, so no lower degree works
     krylov = [vector]
     for _ in range(len(coeffs) - 2):
-        krylov.append(mat_vec(m, krylov[-1], F101))
+        krylov.append(dense_mat_vec(m, krylov[-1], F101))
     assert rank(krylov, F101) == len(coeffs) - 1
     # and it divides the minimal polynomial of the matrix: the remainder of
     # minimal_polynomial(m) by it is zero
@@ -143,10 +155,9 @@ def test_vector_minimal_polynomial_is_least(entries):
     )
 )
 def test_kernel_dimension_complements_rank(entries):
-    m = qmat(entries)
-    assert rank(m, QQ) + len(kernel_basis(m, QQ)) == 4
-    for v in kernel_basis(m, QQ):
-        assert all(val == 0 for val in mat_vec(m, v, QQ))
+    assert rank(entries, QQ) + len(kernel_basis(entries, QQ)) == 4
+    for v in kernel_basis(entries, QQ):
+        assert all(val == 0 for val in dense_mat_vec(entries, v, QQ))
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,12 +166,12 @@ def test_kernel_dimension_complements_rank(entries):
     st.lists(st.sampled_from([0, 0, 1, -2]), min_size=4, max_size=4),
 )
 def test_mat_vec_matches_mat_mul(entries, vector):
-    # mat_vec reads only the nonzero entries of the vector
+    # mat_vec reads the sparse rows, the nonzero (column, entry) pairs
     for field in (QQ, F101):
         m = [[field.from_int(v) for v in row] for row in entries]
-        v = [field.from_int(c) for c in vector]
-        column = mat_mul(m, [[c] for c in v], field)
-        assert mat_vec(m, v, field) == [row[0] for row in column]
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in entries]
+        column = mat_mul(m, [[field.from_int(c)] for c in vector], field)
+        assert mat_vec(rows, vector, field) == [row[0] for row in column]
 
 
 KRYLOV_PRIMES = [2, 3, 32003, 2**31 - 1]
@@ -245,3 +256,58 @@ def test_krylov_dependence_with_three_words_per_slot():
     assert krylov_dependence(entries_of(companion(coeffs)), e0, p) == coeffs
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     assert krylov_dependence(entries_of(eye), [p - 1 - i for i in range(n)], p) == [p - 1, 1]
+
+
+ELIMINATION_FIELDS = [QQ] + [PrimeField(p) for p in (2, 7, 32003, 2**31 - 1)]
+
+
+@st.composite
+def elimination_cases(draw):
+    """(field, M, A): a matrix M of field elements, random or of rank at
+    most k as a product B*C so that kernels are large, and its integer
+    form A: over QQ, where M's entries are rationals of large height, each
+    row of M times the lcm of its denominators; over Fp M itself."""
+    field = draw(st.sampled_from(ELIMINATION_FIELDS))
+    if field == QQ:
+        height = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+        element = st.builds(Fraction, height, st.one_of(st.integers(1, 9), st.integers(1, 10**30)))
+    else:
+        element = st.builds(field.from_int, st.integers(0, field.p - 1))
+    element = st.one_of(st.just(field.zero()), element)
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+
+    def block(nrows, ncols):
+        return [[draw(element) for _ in range(ncols)] for _ in range(nrows)]
+
+    k = draw(st.integers(1, 7))
+    matrix = block(rows, cols) if k == 7 else mat_mul(block(rows, k), block(k, cols), field)
+    if field != QQ:
+        return field, matrix, matrix
+    common = [lcm(*(c.denominator for c in row)) for row in matrix]
+    return field, matrix, [[int(c * m) for c in row] for row, m in zip(matrix, common)]
+
+
+@given(elimination_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_elimination_matches_the_field_oracle(case):
+    field, matrix, integers = case
+    expected_rows, expected_pivots = dense_rref(matrix, field)
+    reduced, pivots = rref(integers, field)
+    assert pivots == expected_pivots
+    assert rank(integers, field) == len(expected_pivots)
+    for row, pivot, expected in zip(reduced, pivots, expected_rows):
+        if field == QQ:
+            # fraction-free: a primitive multiple of the normalised row
+            assert all(type(v) is int for v in row) and gcd(*row) == 1
+            assert [Fraction(v, row[pivot]) for v in row] == expected
+        else:
+            assert row == expected
+    assert not any(map(any, reduced[len(pivots):]))
+    basis = kernel_basis(integers, field)
+    assert basis == primitive_basis(dense_kernel_basis(matrix, field), field)
+    for v in basis:
+        assert not any(dense_mat_vec(integers, v, field))
+        if field == QQ:
+            assert gcd(*v) == 1 and v[max(i for i, c in enumerate(v) if c)] > 0
+        else:
+            assert all(0 <= c < field.p for c in v)

@@ -1,5 +1,7 @@
 """Every value a kernel stores is a reduced field element: over Fp an int in
-[0, p), over QQ a Fraction (so no division of two ints ever yields a float)."""
+[0, p), over QQ a Fraction (so no division of two ints ever yields a float).
+The local layer and the integer linear algebra store integers instead:
+reduced ints over Fp, ints over QQ."""
 
 from fractions import Fraction
 
@@ -28,9 +30,17 @@ def reduced(value, field) -> bool:
     return type(value) is int and 0 <= value < field.p
 
 
-def assert_reduced(values, field, what):
-    bad = [v for v in values if not reduced(v, field)]
+def integral(value, field) -> bool:
+    return type(value) is int and (field == QQ or 0 <= value < field.p)
+
+
+def assert_reduced(values, field, what, kind=reduced):
+    bad = [v for v in values if not kind(v, field)]
     assert not bad, f"{what} over {field}: unreduced {bad[:3]}"
+
+
+def assert_integral(values, field, what):
+    assert_reduced(values, field, what, integral)
 
 
 def entries(matrix):
@@ -79,37 +89,44 @@ def test_engine_stores_reduced_values(case, order, data):
         assert_reduced(s.terms.values(), field, "S-polynomial")
     assert_reduced(normal_form(g, gb.generators, order).terms.values(), field, "normal form")
     pair = multiplication_matrices(quotient_basis(gb), gb)
-    assert_reduced(entries(pair.on_x) + entries(pair.on_y), field, "multiplication matrix")
+    for image in (pair.on_x, pair.on_y):
+        assert_integral(image.entries + [a for row in image.rows for _, a in row], field, "image")
+        assert image.denominator >= 1 and (field == QQ or image.denominator == 1)
     for lq in local_components(gb).components:
         assert_reduced(lq.point, field, "point")
-        assert_reduced(entries(lq.mult_x) + entries(lq.mult_y), field, "local factor")
-        assert_reduced(lq.generator, field, "local generator")
-        assert_reduced(entries(lq.local_ideal), field, "local ideal")
+        operators = [a for row in lq.mult_x + lq.mult_y for _, a in row]
+        assert_integral(operators, field, "local factor")
+        assert_integral(lq.generator, field, "local generator")
+        assert_integral(entries(lq.local_ideal), field, "local ideal")
 
 
 @st.composite
 def matrices(draw):
     field = draw(st.sampled_from(FIELDS))
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    cell = st.builds(field.from_int, coefficients)
-    row = st.lists(cell, min_size=cols, max_size=cols)
+    row = st.lists(coefficients, min_size=cols, max_size=cols)
     return field, draw(st.lists(row, min_size=rows, max_size=rows))
 
 
 @settings(max_examples=80, deadline=None)
 @given(matrices(), st.data())
 def test_linear_algebra_returns_reduced_values(case, data):
-    field, m = case
-    n = len(m[0])
-    reduced_rows, _ = rref(m, field)
-    assert_reduced(entries(reduced_rows), field, "rref")
-    assert_reduced(entries(kernel_basis(m, field)), field, "kernel basis")
-    assert_reduced(entries(mat_sub(m, reduced_rows, field)), field, "mat_sub")
+    field, ints = case
+    n = len(ints[0])
+    # the integer kernels read ints over QQ and reduced ints over Fp
+    integers = ints if field == QQ else [[field.from_int(v) for v in row] for row in ints]
+    m = [[field.from_int(v) for v in row] for row in ints]
+    reduced_rows, _ = rref(integers, field)
+    assert_integral(entries(reduced_rows), field, "rref")
+    assert_integral(entries(kernel_basis(integers, field)), field, "kernel basis")
+    assert_reduced(entries(mat_sub(m, m[::-1], field)), field, "mat_sub")
     transpose = [list(col) for col in zip(*m)]
     assert_reduced(entries(mat_mul(m, transpose, field)), field, "mat_mul")
     square = [row[:] for row in (m * n)[:n]]
     vector = data.draw(st.lists(st.builds(field.from_int, coefficients), min_size=n, max_size=n))
-    assert_reduced(mat_vec(square, vector, field), field, "mat_vec")
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in (ints * n)[:n]]
+    ints_vector = data.draw(st.lists(coefficients, min_size=n, max_size=n))
+    assert_integral(mat_vec(rows, ints_vector, field), field, "mat_vec")
     if any(vector):
         coeffs = vector_minimal_polynomial(square, vector, field)
         assert_reduced(coeffs, field, "vector_minimal_polynomial")
