@@ -2,8 +2,9 @@
 
 The quotient of a zero-dimensional ideal is carried by the pair of
 commuting multiplication operators on the standard-monomial basis, each
-built once as its integer image M = A/D (D = 1 over Fp).  All invariants
-come out of exact linear algebra on integers over both fields:
+built once as its integer image M = A/D (D = 1 over Fp) from normal
+forms recombined out of the basis's tails, not by division.  All
+invariants come out of exact linear algebra on integers over both fields:
 
 * the quotient is cyclic on the class of 1, so each operator's minimal
   polynomial is the first dependence among [1], M[1], M^2[1], ...: over
@@ -49,7 +50,7 @@ from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import kernel_basis, krylov_dependence, mat_vec, rank
-from .poly import Monomial, Polynomial, X, Y
+from .poly import Monomial, X, Y
 from .univariate import IntegerImage, _cofactor, _integral, horner, roots
 from .univariate import rational_minimal_polynomial
 
@@ -175,18 +176,32 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
 
 
 def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> MultiplicationPair:
-    """Column j of each operator M = A/D expands (variable times j-th basis
-    monomial); A and D are read straight off those normal forms."""
-    coeff_field = gb.field
+    """Column j of M_v = A/D is the normal form of v*m_j (v = x, y), read
+    without division: the border monomials v*m_j outside the basis are
+    visited ascending in gb's order.  A leading monomial is minus its
+    generator's tail.  Any other t has s = t/v on the border, and
+    NF(t) = sum c_b*NF(v*b) over the terms c_b*b of NF(s): each b < s, so
+    v*b < t is a basis monomial or a border monomial already visited."""
+    coeff_field, reduce = gb.field, gb.field.reduce
     n = qb.dimension
     index = {m: i for i, m in enumerate(qb.monomials)}
+    forms = {m: [(i, 1)] for m, i in index.items()}  # monomial -> [(row, coefficient)]
+    generators = dict(zip(gb.leading_monomials(), gb.generators))
+    shifted = {v: [m * v for m in qb.monomials] for v in (X, Y)}
+    border = {t for column in shifted.values() for t in column} - forms.keys()
+    for t in sorted(border, key=gb.order.key_func()):
+        if g := generators.get(t):
+            forms[t] = [(index[m], reduce(-c)) for m, c in g.terms.items() if m != t]
+            continue
+        v = X if t.a and Monomial(t.a - 1, t.b) not in index else Y
+        expanded = {}
+        for i, c in forms[t.divided_by(v)]:
+            for k, d in forms[shifted[v][i]]:
+                expanded[k] = expanded.get(k, 0) + c * d
+        forms[t] = [(k, a) for k, c in expanded.items() if (a := reduce(c))]
 
     def image(shift: Monomial) -> IntegerImage:
-        cells = []  # (row, column, coefficient)
-        for j, m in enumerate(qb.monomials):
-            t = m * shift
-            nf = {t: 1} if t in index else gb.normal_form(Polynomial.monomial(coeff_field, t)).terms
-            cells.extend((index[mm], j, c) for mm, c in nf.items())
+        cells = [(i, j, c) for j, t in enumerate(shifted[shift]) for i, c in forms[t]]
         denominator, values = _integral([c for _, _, c in cells], coeff_field)
         rows, entries = [[] for _ in range(n)], [0] * (n * n)
         for (i, j, _), a in zip(cells, values):
@@ -240,9 +255,10 @@ def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> 
         ]
 
 
-def _operators(gb: GroebnerBasis):
-    """The multiplication pair of the quotient, or None for the unit ideal."""
-    qb = quotient_basis(gb)
+def _operators(gb: GroebnerBasis, qb: QuotientBasis | None = None):
+    """The multiplication pair of the quotient, or None for the unit ideal;
+    qb is gb's quotient basis where the caller has already listed it."""
+    qb = quotient_basis(gb) if qb is None else qb
     if qb.dimension == 0:
         return None
     assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
@@ -299,16 +315,17 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
     )
 
 
-def local_components(gb: GroebnerBasis) -> Decomposition:
+def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
     """Split the quotient into local factors at rational support points.
 
     Points are located as joint eigenvalues of the commuting pair: each
     pair of roots (px, py) gives w = g_x(Mx) g_y(My)[1], and a nonzero w
     generates the factor at (px, py); the factors at one x-root share one
     ``x_kernel``.  Any dimension carried by non-rational points is
-    reported as the residual and gets no local invariants.
+    reported as the residual and gets no local invariants (qb as for
+    ``_operators``).
     """
-    pair = _operators(gb)
+    pair = _operators(gb, qb)
     if pair is None:
         return Decomposition(components=(), residual_dimension=0, colength=0)
     n = len(pair.on_x)
@@ -406,9 +423,9 @@ def local_invariants(lq: LocalQuotient) -> LocalInvariants:
     raise LemmaViolation(f"{problem} at point {point_text(lq.point)}")
 
 
-def analyze_quotient(gb: GroebnerBasis) -> Decomposition:
-    """Full pipeline: split locally, then the invariants of every factor."""
-    decomposition = local_components(gb)
+def analyze_quotient(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
+    """Split locally, then every factor's invariants (qb as for ``_operators``)."""
+    decomposition = local_components(gb, qb)
     return replace(
         decomposition, components=tuple(map(local_invariants, decomposition.components))
     )

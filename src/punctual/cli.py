@@ -184,9 +184,11 @@ def _analyze_payload(args) -> dict:
     order = MonomialOrder(args.order, args.vars)
     text = _read_ideal_text(args)
     gb = buchberger(parse_generators(text, coeff_field), order)
-    quotient_basis(gb)  # its checks first; then a basis too large to print exits 2 before the split
+    # zero-dimensionality and colength first; then a basis too large to print
+    # exits 2 before the split, which reuses this checked basis
+    qb = quotient_basis(gb)
     basis = [str(g) for g in gb.generators]
-    analysis = analyze_quotient(gb)
+    analysis = analyze_quotient(gb, qb)
     return {
         "command": "analyze",
         "ideal": text,

@@ -7,7 +7,7 @@ For a fixed ideal and order that basis is unique, which is what makes the
 golden tests and the permutation-invariance property possible.
 
 Division reads a reducer list: one ``(leading monomial, inverse leading
-coefficient, polynomial)`` triple per divisor, made once per basis rather
+coefficient, polynomial)`` triple per divisor, made once per element rather
 than once per division.  Buchberger keeps such a list for the elements it
 still needs and prunes its pairs with the Gebauer-Moeller criteria, so
 most S-polynomials that would reduce to zero are never formed.
@@ -29,17 +29,12 @@ class GroebnerBasis:
     generators: tuple[Polynomial, ...]
 
     @cached_property
-    def reducers(self) -> tuple:
-        """One ``(lm, 1/lc, g)`` triple per generator, computed once."""
-        return tuple(_reducer(g, self.order) for g in self.generators)
+    def _leading_monomials(self) -> tuple[Monomial, ...]:
+        return tuple(g.leading_monomial(self.order) for g in self.generators)
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(lm for lm, _, _ in self.reducers)
-
-    def normal_form(self, f: Polynomial) -> Polynomial:
-        if f.field != self.field:
-            raise ValueError("polynomials over different fields")
-        return _divide(f, self.reducers, self.order)
+        """One per generator, computed once."""
+        return self._leading_monomials
 
 
 def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
@@ -57,8 +52,8 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     smaller monomials; otherwise it moves to the remainder for good.  This
     is the rule "always reduce the order-largest reducible monomial", so
     the result is the same for any divisor list, Groebner basis or not.
-    The reducer list is built here on every call; ``GroebnerBasis`` and
-    ``buchberger`` keep theirs and divide by it directly.
+    The reducer list is built here on every call; ``buchberger`` keeps its
+    own and divides by it directly.
     """
     for g in basis:
         f._check_field(g)

@@ -81,24 +81,35 @@ def _minus(a: list, b: list, field) -> list:
     return _trim(a)
 
 
-def _mulmod(a: list, b: list, f: list, field) -> list:
-    product = [field.zero()] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                product[i + j] += x * y
-    return divmod(_image(product, field), f, field)[1]
+def _powmod(a: list, e: int, f: list, field: PrimeField) -> list:
+    """a^e mod f over Fp, by repeated squaring on plain ints.  With f made
+    monic of degree d, t^d = tail(t) mod f: a product is taken unreduced and
+    folded from the top, each coefficient reduced once."""
+    p, d, inv = field.p, len(f) - 1, field.inv(f[-1])
+    tail = [-c * inv % p for c in f[:-1]]
 
+    def fold(product: list) -> list:
+        for k in range(len(product) - 1, d - 1, -1):
+            if c := product[k] % p:
+                for i, t in enumerate(tail, k - d):
+                    product[i] += c * t
+        return _trim([c % p for c in product[:d]])
 
-def _powmod(a: list, e: int, f: list, field) -> list:
-    """a^e mod f, by repeated squaring."""
-    result, a = [field.one()], divmod(a, f, field)[1]
+    def mul(a: list, b: list) -> list:
+        product = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    product[j] += x * y
+        return fold(product)
+
+    result, a = [1], fold(list(a))
     while e:
         if e & 1:
-            result = _mulmod(result, a, f, field)
+            result = mul(result, a)
         e >>= 1
         if e:
-            a = _mulmod(a, a, f, field)
+            a = mul(a, a)
     return result
 
 

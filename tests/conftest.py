@@ -8,13 +8,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from punctual.artinian import truncation_monomials  # noqa: E402
+from punctual.artinian import MultiplicationPair, truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
+from punctual.groebner import normal_form  # noqa: E402
 from punctual.linalg import _first_dependence  # noqa: E402
-from punctual.poly import UNIT, Monomial, Polynomial  # noqa: E402
+from punctual.poly import UNIT, Monomial, Polynomial, X, Y  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
-from punctual.univariate import IntegerImage, _integral  # noqa: E402
+from punctual.univariate import IntegerImage, _image, _integral  # noqa: E402
 
 
 def evaluate(f: Polynomial, px, py):
@@ -110,6 +111,53 @@ def integer_image(matrix: list[list], field) -> IntegerImage:
     denominator, entries = _integral([c for row in matrix for c in row], field)
     rows = [[(j, a) for j, a in enumerate(entries[i * n : (i + 1) * n]) if a] for i in range(n)]
     return IntegerImage(denominator, rows, entries)
+
+
+def division_operators(qb, gb) -> MultiplicationPair:
+    """The multiplication pair with column j of M_v the normal form of
+    v*m_j by multivariate division: the build before recombination."""
+    n = qb.dimension
+    index = {m: i for i, m in enumerate(qb.monomials)}
+
+    def image(shift: Monomial) -> IntegerImage:
+        cells = []  # (row, column, coefficient)
+        for j, m in enumerate(qb.monomials):
+            t = m * shift
+            if t in index:
+                nf = {t: 1}
+            else:
+                nf = normal_form(Polynomial.monomial(gb.field, t), gb.generators, gb.order).terms
+            cells.extend((index[mm], j, c) for mm, c in nf.items())
+        denominator, values = _integral([c for _, _, c in cells], gb.field)
+        rows, entries = [[] for _ in range(n)], [0] * (n * n)
+        for (i, j, _), a in zip(cells, values):
+            rows[i].append((j, a))
+            entries[i * n + j] = a
+        return IntegerImage(denominator, rows, entries)
+
+    return MultiplicationPair(image(X), image(Y))
+
+
+def schoolbook_mulmod(a: list, b: list, f: list, field) -> list:
+    product = [field.zero()] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+    return univariate.divmod(_image(product, field), f, field)[1]
+
+
+def schoolbook_powmod(a: list, e: int, f: list, field) -> list:
+    """a^e mod f by repeated squaring, each product reduced by ``divmod``:
+    the route before the folded ``_powmod``."""
+    result, a = [field.one()], univariate.divmod(a, f, field)[1]
+    while e:
+        if e & 1:
+            result = schoolbook_mulmod(result, a, f, field)
+        e >>= 1
+        if e:
+            a = schoolbook_mulmod(a, a, f, field)
+    return result
 
 
 def densify(operator, field) -> list[list]:

@@ -100,6 +100,17 @@ def test_oversized_quotient_is_refused_before_its_basis_is_listed(capsys):
     assert err == "error: colength 99999999 exceeds the limit colength <= 121\n"
 
 
+def test_analyze_lists_the_quotient_basis_once(capsys, monkeypatch):
+    calls = []
+    original = artinian.quotient_basis
+    counted = lambda gb: calls.append(gb) or original(gb)  # noqa: E731
+    monkeypatch.setattr(artinian, "quotient_basis", counted)
+    monkeypatch.setattr(cli, "quotient_basis", counted)
+    code, out, _ = run_cli(capsys, "analyze", "--ideal", "x^2, x*y, y^2", "--format", "csv")
+    assert code == 0 and out.count("\n") == 2
+    assert len(calls) == 1
+
+
 def test_colength_limit_is_inclusive(capsys, monkeypatch):
     assert artinian.MAX_COLENGTH == 121
     monkeypatch.setattr(artinian, "MAX_COLENGTH", 9)

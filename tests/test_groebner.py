@@ -50,7 +50,7 @@ def test_normal_form_hand_oracles():
     r = normal_form(h, basis, LEX_XY)
     assert str(r) == "x*y"
     gb = buchberger(basis, LEX_XY)
-    assert gb.normal_form(h - r).is_zero()
+    assert normal_form(h - r, gb.generators, gb.order).is_zero()
 
 
 def test_buchberger_pinned_cases():
@@ -165,7 +165,7 @@ def test_buchberger_certificate_randomized(gens):
 def test_ideal_membership_consistency(gens, multiplier):
     gb = buchberger(gens, DEFAULT_ORDER)
     for g in gb.generators:
-        assert gb.normal_form(multiplier * g).is_zero()
+        assert normal_form(multiplier * g, gb.generators, gb.order).is_zero()
 
 
 @settings(max_examples=25, deadline=None)
@@ -175,7 +175,7 @@ def test_division_correctness(gens, f):
     if not gb.generators:
         return
     r = normal_form(f, gb.generators, DEFAULT_ORDER)
-    assert gb.normal_form(f - r).is_zero()
+    assert normal_form(f - r, gb.generators, gb.order).is_zero()
     lms = gb.leading_monomials()
     for m in r.terms:
         assert not any(lm.divides(m) for lm in lms)

@@ -9,11 +9,13 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from conftest import schoolbook_powmod
 from hypothesis import given, settings, strategies as st
 
 from punctual.fields import QQ, PrimeField
 from punctual.univariate import (
     _cofactor,
+    _powmod,
     _rational_roots,
     _squarefree_part,
     divmod,
@@ -110,6 +112,28 @@ def prime_field_polys(draw):
 def test_fp_roots_match_the_field_scan(case):
     p, coeffs = case
     assert roots(coeffs, PrimeField(p)) == scan_roots(coeffs, p)
+
+
+@st.composite
+def powmod_cases(draw):
+    """A base polynomial (any length), an exponent p, (p - 1)/2 or random,
+    and a non-monic modulus of degree 1..30."""
+    p = draw(st.sampled_from([3, 7, 32003, 2**31 - 1]))
+    residue = st.integers(0, p - 1)
+    d = draw(st.integers(1, 30))
+    f = draw(st.lists(residue, min_size=d, max_size=d)) + [draw(st.integers(2, p - 1))]
+    a = draw(st.lists(residue, max_size=2 * d + 2))
+    while a and not a[-1]:
+        a.pop()
+    e = draw(st.sampled_from([p, (p - 1) // 2]) | st.integers(0, 10**12))
+    return PrimeField(p), a, e, f
+
+
+@given(powmod_cases())
+@settings(max_examples=150, deadline=None)
+def test_powmod_matches_the_schoolbook_ladder(case):
+    field, a, e, f = case
+    assert _powmod(a, e, f, field) == schoolbook_powmod(a, e, f, field)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 32003])
