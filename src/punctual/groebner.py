@@ -6,17 +6,21 @@ monomial of another, generators listed ascending by leading monomial.
 For a fixed ideal and order that basis is unique, which is what makes the
 golden tests and the permutation-invariance property possible.
 
-Division reads a reducer list: one ``(leading monomial, inverse leading
-coefficient, polynomial)`` triple per divisor, made once per element rather
-than once per division.  Buchberger keeps such a list for the elements it
-still needs and prunes its pairs with the Gebauer-Moeller criteria, so
-most S-polynomials that would reduce to zero are never formed.
+Division and Buchberger run on monomials packed into one int (Monagan
+and Pearce, *Sparse polynomial division using a heap*): x^a*y^b is the
+fields k1 | k2 | a | b, where (k1, k2) is the order's key, linear in
+(a, b).  Each field has W value bits and a guard bit above them, so a
+product is an int addition, the order is int comparison, and lm divides
+m iff m - lm sets no guard bit.  A product that sets one raises
+``_Overflow``, and the run restarts at twice the width.  Each element is
+kept once, monic, as (packed leading monomial, tail): division subtracts
+shifted tails, and an S-pair is two tails shifted to the lcm, so no
+leading term is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .poly import Monomial, MonomialOrder, Polynomial
@@ -27,19 +31,99 @@ class GroebnerBasis:
     order: MonomialOrder
     field: object
     generators: tuple[Polynomial, ...]
-
-    @cached_property
-    def _leading_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
+    lms: tuple[Monomial, ...]
 
     def leading_monomials(self) -> tuple[Monomial, ...]:
-        """One per generator, computed once."""
-        return self._leading_monomials
+        """One per generator, as the run that built the basis found them."""
+        return self.lms
 
 
-def _reducer(g: Polynomial, order: MonomialOrder) -> tuple:
-    lm = g.leading_monomial(order)
-    return lm, g.field.inv(g.terms[lm]), g
+class _Overflow(Exception):
+    """A packed product set a guard bit."""
+
+
+class _Packing:
+    """Packed monomials of one order, with fields of W = width value bits."""
+
+    def __init__(self, order: MonomialOrder, width: int):
+        s = width + 1
+        (k1a, k2a), (k1b, k2b) = order.key(Monomial(1, 0)), order.key(Monomial(0, 1))
+        self.order, self.shift, self.mask = order, s, (1 << width) - 1
+        self.pa = k1a << 3 * s | k2a << 2 * s | 1 << s
+        self.pb = k1b << 3 * s | k2b << 2 * s | 1
+        self.guard = sum(1 << width + i * s for i in range(4))
+
+    def pack(self, m: Monomial) -> int:
+        if m.a + m.b > self.mask:  # k1, k2, a and b are at most a + b
+            raise _Overflow
+        return m.a * self.pa + m.b * self.pb
+
+    def unpack(self, m: int) -> Monomial:
+        return Monomial(m >> self.shift & self.mask, m & self.mask)
+
+    def divides(self, d: int, m: int) -> bool:
+        return m >= d and not (m - d) & self.guard
+
+    def lcm(self, m: int, n: int) -> int:
+        s, mask = self.shift, self.mask
+        l = max(m >> s & mask, n >> s & mask) * self.pa + max(m & mask, n & mask) * self.pb
+        if l & self.guard:
+            raise _Overflow
+        return l
+
+    def monic(self, g: Polynomial) -> tuple:
+        lm = g.leading_monomial(self.order)
+        inv, reduce = g.field.inv(g.terms[lm]), g.field.reduce
+        tail = [(self.pack(m), reduce(c * inv)) for m, c in g.terms.items() if m != lm]
+        return self.pack(lm), tail
+
+
+def _width(polys) -> int:
+    """Room for 2*d^2, d the largest degree: lex bases reach d^2 (Bezout)."""
+    return 2 * max((m.a + m.b for g in polys for m in g.terms), default=0).bit_length() + 1
+
+
+def _packed(polys, order: MonomialOrder, run):
+    width = _width(polys)
+    while True:
+        try:
+            return run(_Packing(order, width))
+        except _Overflow:
+            width *= 2
+
+
+def _divide(work: dict, reducers, reduce, guard: int) -> list:
+    """Remainder items, largest first, of the packed work (consumed) on
+    division by the monic packed reducers, in one descending pass over a
+    heap of negated monomials; see ``normal_form``."""
+    pending = [-m for m in work]
+    heapify(pending)
+    remainder = []
+    while pending:
+        m = -heappop(pending)
+        c = work.pop(m, None)
+        if c is None:  # cancelled since it was pushed
+            continue
+        for lm, tail in reducers:
+            if m >= lm and not (m - lm) & guard:
+                break
+        else:
+            remainder.append((m, c))
+            continue
+        shift = m - lm
+        for t, ct in tail:
+            mm = t + shift
+            prev = work.get(mm)
+            if prev is None:
+                if mm & guard:
+                    raise _Overflow
+                work[mm] = reduce(-c * ct)
+                heappush(pending, -mm)
+            elif value := reduce(prev - c * ct):
+                work[mm] = value
+            else:
+                del work[mm]
+    return remainder
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -52,49 +136,17 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     smaller monomials; otherwise it moves to the remainder for good.  This
     is the rule "always reduce the order-largest reducible monomial", so
     the result is the same for any divisor list, Groebner basis or not.
-    The reducer list is built here on every call; ``buchberger`` keeps its
-    own and divides by it directly.
     """
     for g in basis:
         f._check_field(g)
-    return _divide(f, [_reducer(g, order) for g in basis if g], order)
+    divisors = [g for g in basis if g]
 
+    def run(packing: _Packing) -> Polynomial:
+        work = {packing.pack(m): c for m, c in f.terms.items()}
+        items = _divide(work, [packing.monic(g) for g in divisors], f.field.reduce, packing.guard)
+        return Polynomial(f.field, [(packing.unpack(m), c) for m, c in items])
 
-def _divide(f: Polynomial, reducers, order: MonomialOrder) -> Polynomial:
-    reduce = f.field.reduce
-    key = order.key_func()
-
-    def descending(m: Monomial) -> tuple:
-        high, low = key(m)
-        return -high, -low, m
-
-    work = dict(f.terms)
-    pending = [descending(m) for m in work]
-    heapify(pending)
-    remainder = {}
-    while pending:
-        m = heappop(pending)[2]
-        if m not in work:  # cancelled since it was pushed
-            continue
-        for lm, lc_inv, g in reducers:
-            if lm.divides(m):
-                break
-        else:
-            remainder[m] = work.pop(m)
-            continue
-        factor = reduce(work[m] * lc_inv)
-        shift = m.divided_by(lm)
-        for mg, cg in g.terms.items():
-            mm = mg * shift
-            prev = work.get(mm)
-            value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
-            if value:
-                if prev is None:
-                    heappush(pending, descending(mm))
-                work[mm] = value
-            else:
-                work.pop(mm, None)
-    return Polynomial(f.field, remainder)
+    return _packed([f, *divisors], order, run)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -105,6 +157,17 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     left = f.times_term(l.divided_by(lm_f), inv(f.leading_coefficient(order)))
     right = g.times_term(l.divided_by(lm_g), inv(g.leading_coefficient(order)))
     return left - right
+
+
+def _spair(f: tuple, g: tuple, l: int, reduce, guard: int) -> dict:
+    """S-polynomial of the monic packed elements f and g with lcm l."""
+    work = {t + l - f[0]: c for t, c in f[1]}
+    for t, c in g[1]:
+        m = t + l - g[0]
+        work[m] = reduce(work.get(m, 0) - c)
+    if any(m & guard for m in work):
+        raise _Overflow
+    return {m: c for m, c in work.items() if c}
 
 
 def buchberger(generators, order: MonomialOrder) -> GroebnerBasis:
@@ -130,64 +193,67 @@ def buchberger(generators, order: MonomialOrder) -> GroebnerBasis:
     coeff_field = generators[0].field
     for g in generators:
         generators[0]._check_field(g)
-    key = order.key_func()
-    entries: list[tuple] = []  # (lm, 1/lc, g) of every element added; pairs index it
-    active: list[int] = []  # the elements still needed, in insertion order
-    reducers: list[tuple] = []  # entries[i] for i in active
-    pairs: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+    nonzero = [g for g in generators if g]
+    return _packed(nonzero, order, lambda packing: _buchberger(nonzero, coeff_field, packing))
 
-    def add(h: Polynomial) -> None:
+
+def _buchberger(generators, coeff_field, packing: _Packing) -> GroebnerBasis:
+    reduce, guard, lcm, divides = coeff_field.reduce, packing.guard, packing.lcm, packing.divides
+    elements: list[tuple] = []  # (lm, tail) of every element added; pairs index it
+    active: list[int] = []  # the elements still needed, in insertion order
+    reducers: list[tuple] = []  # elements[i] for i in active
+    pairs: list[tuple] = []  # heap of (lcm, i, j)
+
+    def add(lm_h: int, tail: list) -> None:
         nonlocal pairs, active, reducers
-        entry = _reducer(h, order)
-        lm_h, j = entry[0], len(entries)
-        candidates = [(entries[i][0].lcm(lm_h), i) for i in active]
+        j = len(elements)
+        candidates = [(lcm(elements[i][0], lm_h), i) for i in active]
         new = []  # survivors of the chain criterion, coprime pairs included
         for idx, (l, i) in enumerate(candidates):
             others = candidates[idx + 1 :] + new
-            if entries[i][0].coprime_with(lm_h) or not any(o.divides(l) for o, _ in others):
+            if l == elements[i][0] + lm_h or not any(divides(o, l) for o, _ in others):
                 new.append((l, i))
         pairs = [
             pair
             for pair in pairs
-            if not lm_h.divides(pair[3])
-            or entries[pair[1]][0].lcm(lm_h) == pair[3]
-            or entries[pair[2]][0].lcm(lm_h) == pair[3]
+            if not divides(lm_h, pair[0])
+            or lcm(elements[pair[1]][0], lm_h) == pair[0]
+            or lcm(elements[pair[2]][0], lm_h) == pair[0]
         ]
         heapify(pairs)
         for l, i in new:
-            if not entries[i][0].coprime_with(lm_h):
-                heappush(pairs, (key(l), i, j, l))
-        entries.append(entry)
-        active = [i for i in active if not lm_h.divides(entries[i][0])] + [j]
-        reducers = [entries[i] for i in active]
+            if l != elements[i][0] + lm_h:  # not coprime
+                heappush(pairs, (l, i, j))
+        elements.append((lm_h, tail))
+        active = [i for i in active if not divides(lm_h, elements[i][0])] + [j]
+        reducers = [elements[i] for i in active]
 
     for g in generators:
-        if g:
-            add(g.monic(order))
+        add(*packing.monic(g))
     while pairs:
-        _, i, j, _ = heappop(pairs)
-        remainder = _divide(spolynomial(entries[i][2], entries[j][2], order), reducers, order)
-        if remainder:
-            add(remainder.monic(order))
-    return _reduce_basis(reducers, order, coeff_field)
+        l, i, j = heappop(pairs)
+        spair = _spair(elements[i], elements[j], l, reduce, guard)
+        if remainder := _divide(spair, reducers, reduce, guard):
+            lc_inv = coeff_field.inv(remainder[0][1])
+            add(remainder[0][0], [(m, reduce(c * lc_inv)) for m, c in remainder[1:]])
+    return _reduce_basis(reducers, coeff_field, packing)
 
 
-def _reduce_basis(reducers, order, coeff_field) -> GroebnerBasis:
-    key = order.key_func()
-    kept: list[Polynomial] = []
-    kept_lms: list[Monomial] = []
-    for lm, _, g in sorted(reducers, key=lambda r: key(r[0])):
-        if any(other.divides(lm) for other in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
-    # tail reduction: leading monomials are pairwise non-divisible, so one
-    # pass against the full set leaves every tail monomial irreducible
-    reduced: list[Polynomial] = []
-    for idx, g in enumerate(kept):
-        others = reduced + kept[idx + 1 :]
-        reduced.append(normal_form(g, others, order).monic(order))
-    return GroebnerBasis(order=order, field=coeff_field, generators=tuple(reduced))
+def _reduce_basis(reducers, coeff_field, packing: _Packing) -> GroebnerBasis:
+    # minimalize, then reduce each tail by the others: leading monomials are
+    # pairwise non-divisible, so one pass leaves every tail irreducible
+    kept: list[tuple] = []
+    for lm, tail in sorted(reducers, key=lambda r: r[0]):
+        if not any(packing.divides(other, lm) for other, _ in kept):
+            kept.append((lm, tail))
+    for idx, (lm, tail) in enumerate(kept):
+        others = kept[:idx] + kept[idx + 1 :]
+        kept[idx] = lm, _divide(dict(tail), others, coeff_field.reduce, packing.guard)
+    one, unpack = coeff_field.one(), packing.unpack
+    gens = tuple(
+        Polynomial(coeff_field, [(unpack(m), c) for m, c in [(lm, one), *t]]) for lm, t in kept
+    )
+    return GroebnerBasis(packing.order, coeff_field, gens, tuple(unpack(lm) for lm, _ in kept))
 
 
 def groebner_from_monomials(monomials, order: MonomialOrder, coeff_field) -> GroebnerBasis:
@@ -200,7 +266,7 @@ def groebner_from_monomials(monomials, order: MonomialOrder, coeff_field) -> Gro
     key = order.key_func()
     minimal.sort(key=key)
     gens = tuple(Polynomial.monomial(coeff_field, m) for m in minimal)
-    return GroebnerBasis(order=order, field=coeff_field, generators=gens)
+    return GroebnerBasis(order=order, field=coeff_field, generators=gens, lms=tuple(minimal))
 
 
 def initial_ideal(gb: GroebnerBasis) -> tuple[Monomial, ...]:

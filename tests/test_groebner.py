@@ -29,6 +29,7 @@ from punctual.poly import (
 )
 
 F101 = PrimeField(101)
+F32003 = PrimeField(32003)
 LEX_XY = MonomialOrder("lex", "xy")
 LEX_YX = MonomialOrder("lex", "yx")
 
@@ -221,7 +222,7 @@ def division_cases(draw):
     non-monic divisors, possibly a zero divisor, and possibly two divisors
     with the same leading monomial but different leading coefficients and
     tails."""
-    field = draw(st.sampled_from([QQ, PrimeField(7), F101]))
+    field = draw(st.sampled_from([QQ, PrimeField(7), F101, F32003]))
     order = draw(st.sampled_from(ALL_ORDERS))
     coefficient = st.builds(field.from_int, st.integers(-9, 9))
 
@@ -251,10 +252,13 @@ def test_single_pass_division_matches_sorted_every_step(case):
 
 
 def test_spair_sequence_is_pinned(monkeypatch):
-    # spolynomial calls per Buchberger run with the Gebauer-Moeller pair
-    # update, then without the criteria (only coprime pairs skipped), the
-    # count before the update: 14, 5, 5 and 13.  The last case is a `sample`
-    # draw: two dense degree-4 polynomials with no constant term.
+    # S-pairs formed per Buchberger run with the Gebauer-Moeller pair
+    # update (calls to the packed `_spair`), then without the criteria
+    # (calls to `spolynomial` in the reference loop, which skips only
+    # coprime pairs), the count before the update: 14, 5, 5, 13 and 14.
+    # The fourth case is a `sample` draw: two dense degree-4 polynomials
+    # with no constant term.  The fifth forms 7 S-pairs if the pairs are
+    # popped in lex order instead of by degree.
     dense_sample_pair = (
         "31*x + 39*y + 14*x^2 + 93*x*y + 51*y^2 + 62*x^3 + 20*x^2*y + 12*x*y^2"
         " + 9*y^3 + 3*x^4 + 52*x^3*y + 71*x^2*y^2 + 38*x*y^3 + 98*y^4,"
@@ -272,17 +276,21 @@ def test_spair_sequence_is_pinned(monkeypatch):
         ),
         ("x^3, x^2*y, x*y^2 - x^2, y^4", DEFAULT_ORDER, QQ, 3, 5),
         (dense_sample_pair, DEFAULT_ORDER, PrimeField(32003), 5, 13),
+        ("x^3*y^2, x^4*y^2 + y^4 + x^2, x*y^2 + x^4*y^2", DEFAULT_ORDER, QQ, 5, 14),
     )
-    calls = []
-    original = groebner.spolynomial
-    monkeypatch.setattr(groebner, "spolynomial", lambda *args: calls.append(args) or original(*args))
+    calls, reference_calls = [], []
+    spair, spolynomial = groebner._spair, groebner.spolynomial
+    monkeypatch.setattr(groebner, "_spair", lambda *args: calls.append(args) or spair(*args))
+    monkeypatch.setattr(
+        groebner, "spolynomial", lambda *args: reference_calls.append(args) or spolynomial(*args)
+    )
     for text, order, field, expected, without_criteria in cases:
         calls.clear()
+        reference_calls.clear()
         gb = gb_of(text, order, field)
-        assert len(calls) == expected < without_criteria, text
-        calls.clear()
+        assert len(calls) == expected < without_criteria and not reference_calls, text
         assert gb.generators == criteria_free_buchberger(parse_generators(text, field), order)
-        assert len(calls) == without_criteria, text
+        assert len(reference_calls) == without_criteria and len(calls) == expected, text
 
 
 def criteria_free_buchberger(generators, order):
@@ -328,7 +336,7 @@ def ideal_cases(draw):
     generator, so that one leading monomial divides another and, depending
     on the shuffled order, prunes the reducer list or is minimalized away
     at the end."""
-    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7), F101]))
+    field = draw(st.sampled_from([QQ, PrimeField(2), PrimeField(7), F101, F32003]))
     order = draw(st.sampled_from(ALL_ORDERS))
     coefficient = st.builds(field.from_int, st.integers(-9, 9))
     monos = st.builds(Monomial, st.integers(0, 3), st.integers(0, 3))
@@ -353,7 +361,85 @@ def ideal_cases(draw):
 @given(ideal_cases())
 def test_pair_criteria_match_criteria_free_loop(case):
     gens, order = case
-    assert buchberger(gens, order).generators == criteria_free_buchberger(gens, order)
+    gb = buchberger(gens, order)
+    assert gb.generators == criteria_free_buchberger(gens, order)
+    assert gb.leading_monomials() == tuple(g.leading_monomial(order) for g in gb.generators)
+
+
+def smallest_width(polys):
+    """The narrowest field width that still packs every input monomial, so
+    that the first product past the input's degrees overflows."""
+    return max((m.a + m.b for g in polys for m in g.terms), default=1).bit_length() or 1
+
+
+def recorded_widths(monkeypatch):
+    """Start every packed run at `smallest_width`; list the widths tried."""
+    widths = []
+
+    class Recording(groebner._Packing):
+        def __init__(self, order, width):
+            widths.append(width)
+            super().__init__(order, width)
+
+    monkeypatch.setattr(groebner, "_Packing", Recording)
+    monkeypatch.setattr(groebner, "_width", smallest_width)
+    return widths
+
+
+def test_width_restart_gives_the_same_results(monkeypatch):
+    # lex bases reach degree d^2 from inputs of degree d; the first S-pair
+    # of x - y^3 and x*y is y^4; and the lex normal form of x^3 + y by
+    # 2*x - y^9 has degree 27 from inputs of degree 9
+    cases = [
+        ("x - y^3, x*y", LEX_XY, QQ),
+        ("x^3 + 2*x*y - y^2 + x, y^3 - x^2*y + 3*x*y + y", LEX_XY, QQ),
+        ("x^3 + 2*x*y - y^2 + x, y^3 - x^2*y + 3*x*y + y", LEX_YX, F32003),
+        ("x^4 + y^3 + x*y + 1, y^4 + x^3 + 3*x", LEX_XY, PrimeField(7)),
+        ("y - x^2, x^3", DEFAULT_ORDER, QQ),
+    ]
+    expected = [gb_of(*case).generators for case in cases]
+    division = parse_polynomial("x^3 + y", QQ), parse_generators("2*x - y^9", QQ)
+    remainder = normal_form(*division, LEX_XY)
+    widths = recorded_widths(monkeypatch)
+    for case, generators in zip(cases, expected):
+        widths.clear()
+        assert gb_of(*case).generators == generators, case
+        assert len(widths) > 1 and widths[1:] == [2 * w for w in widths[:-1]], case
+    widths.clear()
+    assert normal_form(*division, LEX_XY) == remainder
+    assert remainder == sorted_every_step_normal_form(*division, LEX_XY)
+    assert str(remainder) == "1/8*y^27 + y" and len(widths) > 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal_cases(), division_cases())
+def test_narrowest_start_matches_the_oracles(ideals, division):
+    # each run starts at the narrowest width and restarts on overflow
+    gens, order = ideals
+    f, divisors, division_order = division
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        recorded_widths(monkeypatch)
+        assert buchberger(gens, order).generators == criteria_free_buchberger(gens, order)
+        assert normal_form(f, divisors, division_order) == sorted_every_step_normal_form(
+            f, divisors, division_order
+        )
+
+
+def test_exponents_past_two_to_the_64():
+    # S-pairs and divisions on monomials with exponents past 2^64 and 2^32
+    big = 2**64 + 1
+    gens = parse_generators(f"x^{big} - y^2, x*y", QQ)
+    for order in ALL_ORDERS:
+        assert buchberger(gens, order).generators == criteria_free_buchberger(gens, order)
+    gb = buchberger(gens, DEFAULT_ORDER)
+    assert [str(g) for g in gb.generators] == ["x*y", "y^3", f"x^{big} - y^2"]
+    lex = parse_generators("x^4294967297 - y^2, x*y - y", F32003)
+    assert buchberger(lex, LEX_YX).generators == criteria_free_buchberger(lex, LEX_YX)
+    # x^big*y^2 leads in every order, and f takes two reduction steps
+    f = Polynomial(F32003, {Monomial(2 * big, big): 3, Monomial(2, 5): 1})
+    divisors = [Polynomial(F32003, {Monomial(big, 2): 5, Monomial(3, 0): 1})]
+    for order in ALL_ORDERS:
+        assert normal_form(f, divisors, order) == sorted_every_step_normal_form(f, divisors, order)
 
 
 def _sympy_reduced_basis(gens, order, sympy):
