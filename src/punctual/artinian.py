@@ -6,18 +6,21 @@ built once as its integer image M = A/D (D = 1 over Fp) from normal
 forms recombined out of the basis's tails, not by division.  All
 invariants come out of exact linear algebra on integers over both fields:
 
-* the quotient is cyclic on the class of 1, so each operator's minimal
-  polynomial is the first dependence among [1], M[1], M^2[1], ...: over
-  Fp by ``linalg.krylov_dependence`` on A's entries, over QQ as the images
-  of that dependence mod many primes lifted by
+* the minimal polynomial of an operator on the cyclic space k[x,y] v is
+  the first dependence among v, Mv, M^2 v, ...: over Fp by
+  ``linalg.krylov_dependence`` on A's entries, over QQ as the images of
+  that dependence mod many primes lifted by
   ``univariate.rational_minimal_polynomial``, which accepts the lift only
-  after checking f(M)[1] = 0 exactly; its roots in the field come from
+  after checking f(M)v = 0 exactly; its roots in the field come from
   ``univariate.roots``, by modular algorithms, and are confirmed exactly;
-* a root p splits the minimal polynomial as (t - p)^s * g, and g(M) is
-  invertible on the factors whose coordinate is p and zero on all others,
-  non-rational ones included, so w = g_x(Mx) g_y(My)[1] generates the
-  local factor A_p = k[x,y] w, and p is in the support exactly when w != 0;
-  w matters only up to a nonzero scalar (``univariate.horner``);
+* the quotient is cyclic on the class of 1, and a root px splits the
+  minimal polynomial of Mx on [1] as (t - px)^s * g_x; g_x(Mx) is
+  invertible on the factors with x = px and zero on all others, non-rational
+  ones included, so u = g_x(Mx)[1] generates their sum V.  Since My
+  commutes with Mx, the minimal polynomial of My on u is that of My on V:
+  its roots py are exactly the points (px, py) of the support, and with
+  (t - py)^s' * h its split, w = h(My)u generates the local factor
+  A_p = k[x,y] w.  w matters only up to a unit of A_p (``univariate.horner``);
 * the words Nx^a Ny^b w in the translated operators N, the integer rows
   of b*D*(M - p*Id) for p = a/b, span A_p: the nilpotency index r is the
   first degree at which they all vanish, and the words are built once, in
@@ -55,10 +58,10 @@ from .univariate import IntegerImage, _cofactor, _integral, horner, roots
 from .univariate import rational_minimal_polynomial
 
 # quotients above this colength are refused before their basis is listed:
-# in-process on a 2-core VM analyze takes about 0.05 s on x^11, y^11
-# (colength 121) and 0.03 s on x^10, y^10; dense operators cost more, about
-# 0.2 s for (x - 1)^11, (y - 2)^11 and 0.2-0.35 s for the 121 points of an
-# 11 x 11 grid, over QQ or Fp:32003, or of prod (3x - i), prod (5y - j)
+# in-process on a 2-core VM analyze takes 0.03-0.045 s on x^11, y^11
+# (colength 121) and 0.02-0.03 s on x^10, y^10; dense operators cost more,
+# 0.12-0.15 s for (x - 1)^11, (y - 2)^11 and 0.2-0.3 s for the 121 points of
+# an 11 x 11 grid, over QQ or Fp:32003, or of prod (3x - i), prod (5y - j)
 MAX_COLENGTH = 121
 
 
@@ -88,7 +91,7 @@ class LocalQuotient:
     ``mult_x`` and ``mult_y`` are the whole quotient's operators translated
     to p = a/b, as the sparse integer rows of N = b*A - a*D*Id = c*(M - p*Id),
     c = b*D (1 over Fp), and ``generator`` is the primitive integer vector
-    w, a multiple of g_x(Mx) g_y(My)[1], with A_p = k[x,y] w.
+    w, a multiple of h(My) g_x(Mx)[1], with A_p = k[x,y] w.
     The words Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r
     at which all words of degree r vanish; the function of that name
     returns r together with the words of degree <= r, built in one pass.
@@ -212,20 +215,32 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     return MultiplicationPair(image(X), image(Y))
 
 
-def _minimal_polynomial(image: IntegerImage, coeff_field) -> list:
-    """From the class of 1 (basis vector 0): f(M) = 0 iff f(M)[1] = 0.
-    Over Fp the first Krylov dependence, over QQ its certified lift from
-    the images mod p of M's integer image."""
-    one = [1] + [0] * (len(image) - 1)
+def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()) -> list:
+    """The least monic f with f(M)v = 0, the minimal polynomial of M on the
+    cyclic space k[x,y] v (M commutes with both operators); on the class of
+    1 (basis vector 0) that of M itself.  Over Fp the first Krylov
+    dependence, over QQ its certified lift from the images mod p of M's
+    integer image, with the polynomials ``known`` tried first."""
     if coeff_field.characteristic:
-        return krylov_dependence(image.entries, one, coeff_field.p)
-    return rational_minimal_polynomial(image, one)
+        p = coeff_field.p
+        return krylov_dependence(image.entries, vector, p, image.packed_columns(p))
+    return rational_minimal_polynomial(image, vector, known)
 
 
-def _eigenvalue_candidates(image: IntegerImage, coeff_field) -> list:
-    """(root, cofactor) for each root in the field of the minimal polynomial."""
-    coeffs = _minimal_polynomial(image, coeff_field)
-    return [(p, _cofactor(coeffs, p, coeff_field)) for p in roots(coeffs, coeff_field)]
+def _eigenvalue_candidates(image: IntegerImage, vector: list, coeff_field, found: list) -> list:
+    """(root p, cofactor, rows of M translated to p) for each root in the
+    field of the minimal polynomial of M on v.  ``found`` pairs each
+    polynomial already searched with its candidates, matched by equality
+    (a dict would hash every ``Fraction``), and offers the polynomials to
+    the lift."""
+    coeffs = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
+    if (known := next((c for f, c in found if f == coeffs), None)) is None:
+        known = [
+            (p, _cofactor(coeffs, p, coeff_field), _translated(image, p, coeff_field))
+            for p in roots(coeffs, coeff_field)
+        ]
+        found.append((coeffs, known))
+    return known
 
 
 def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> tuple[int, list]:
@@ -274,7 +289,7 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     coeff_field = gb.field
     generator = [1] + [0] * (len(pair.on_x) - 1)
     for image, p in zip((pair.on_x, pair.on_y), point):
-        cofactor = _cofactor(_minimal_polynomial(image, coeff_field), p, coeff_field)
+        cofactor = _cofactor(_minimal_polynomial(image, generator, coeff_field), p, coeff_field)
         if cofactor is None:
             return None
         generator = horner(cofactor, image, generator, coeff_field)
@@ -296,11 +311,10 @@ def _translated(image: IntegerImage, p, coeff_field) -> list:
     return rows
 
 
-def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field):
-    """The factor k[x,y] w generated by w = g_x(Mx) g_y(My)[1] (up to a
-    scalar), or None if w = 0 (the point is not in the support)."""
-    if not any(generator):
-        return None
+def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> LocalQuotient:
+    """The factor k[x,y] w generated by w = h(My) g_x(Mx)[1] (up to a unit
+    of the factor), nonzero since h is a proper factor of the minimal
+    polynomial of My on u = g_x(Mx)[1]."""
     r, words = nilpotency_index(nil_x, nil_y, generator, coeff_field)
     local_ideal = kernel_basis([list(row) for row in zip(*words)], coeff_field)
     return LocalQuotient(
@@ -319,11 +333,13 @@ def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Deco
     """Split the quotient into local factors at rational support points.
 
     Points are located as joint eigenvalues of the commuting pair: each
-    pair of roots (px, py) gives w = g_x(Mx) g_y(My)[1], and a nonzero w
-    generates the factor at (px, py); the factors at one x-root share one
-    ``x_kernel``.  Any dimension carried by non-rational points is
-    reported as the residual and gets no local invariants (qb as for
-    ``_operators``).
+    root px of Mx's minimal polynomial gives u = g_x(Mx)[1], and each root
+    py of My's minimal polynomial on u gives w = h(My)u, which generates
+    the factor at (px, py); the factors at one x-root share one
+    ``x_kernel``, and each distinct polynomial on u has its roots, their
+    cofactors and the translated My built once.  Any dimension carried by
+    non-rational points is reported as the residual and gets no local
+    invariants (qb as for ``_operators``).
     """
     pair = _operators(gb, qb)
     if pair is None:
@@ -331,19 +347,14 @@ def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Deco
     n = len(pair.on_x)
     coeff_field = gb.field
     one = [1] + [0] * (n - 1)
-    roots_y = [
-        (py, _translated(pair.on_y, py, coeff_field), horner(g, pair.on_y, one, coeff_field))
-        for py, g in _eigenvalue_candidates(pair.on_y, coeff_field)
-    ]
-    components = []
-    for px, g in _eigenvalue_candidates(pair.on_x, coeff_field):
-        nil_x, x_kernel = _translated(pair.on_x, px, coeff_field), []
-        for py, nil_y, w_y in roots_y:
-            generator = horner(g, pair.on_x, w_y, coeff_field)
+    components, found_y = [], []
+    for px, g, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, []):
+        u, x_kernel = horner(g, pair.on_x, one, coeff_field), []
+        for py, h, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y):
+            generator = horner(h, pair.on_y, u, coeff_field)
             lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
-            if lq is not None:
-                lq.x_kernel = x_kernel
-                components.append(lq)
+            lq.x_kernel = x_kernel
+            components.append(lq)
     components.sort(key=lambda c: c.point)
     residual = n - sum(c.dimension for c in components)
     return Decomposition(components=tuple(components), residual_dimension=residual, colength=n)

@@ -169,10 +169,12 @@ def minimal_polynomial(matrix: list[list], field) -> list:
     return _first_dependence(([v for row in p for v in row] for p in powers), field)
 
 
-def krylov_dependence(entries: list[int], vector: list[int], p: int) -> list[int]:
+def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None) -> list[int]:
     """The least monic f mod p (constant first) with f(A)v = 0, for
     p < 2**64, an integer vector v of size n, and the integer n x n
-    matrix A by its entries, row after row.
+    matrix A by its entries, row after row.  ``packed``, if given, is a
+    list of n slots holding A's packed columns mod p, filled on first use
+    and shared by the calls on one A and p.
 
     One int packs r_k in its low n slots and q_k above them, a slot being
     2*bitlen(p) + bitlen(2n + 2) + 1 bits in whole 64-bit words, so no sum
@@ -187,7 +189,7 @@ def krylov_dependence(entries: list[int], vector: list[int], p: int) -> list[int
     words = (2 * p.bit_length() + (2 * n + 2).bit_length() + 64) // 64
     width, slot = 64 * words, "Q" + "8x" * (words - 1)
     top, mask = n * width, (1 << width) - 1
-    packed: list = [None] * n
+    packed = [None] * n if packed is None else packed
     # stored rows: (packed r_i and q_i, shift to the lead slot, inverse of the lead)
     echelon: list[tuple[int, int, int]] = []
     slots = [x % p for x in vector] + [1]

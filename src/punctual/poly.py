@@ -38,9 +38,6 @@ class Monomial(NamedTuple):
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(max(self.a, other.a), max(self.b, other.b))
 
-    def coprime_with(self, other: "Monomial") -> bool:
-        return min(self.a, other.a) == 0 and min(self.b, other.b) == 0
-
     def __str__(self) -> str:
         if self.a == 0 and self.b == 0:
             return "1"
@@ -211,15 +208,6 @@ class Polynomial:
         out.terms = data
         return out
 
-    def scaled(self, factor) -> "Polynomial":
-        if not factor:
-            return Polynomial(self.field)
-        out = Polynomial.__new__(Polynomial)
-        out.field = self.field
-        reduce = self.field.reduce
-        out.terms = {m: reduce(c * factor) for m, c in self.terms.items()}
-        return out
-
     def times_term(self, mono: Monomial, coeff=None) -> "Polynomial":
         """Multiply by a single term coeff * mono (coeff defaults to 1)."""
         out = Polynomial.__new__(Polynomial)
@@ -249,14 +237,6 @@ class Polynomial:
 
     def leading_coefficient(self, order: MonomialOrder):
         return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if not self.terms:
-            return self
-        lc = self.leading_coefficient(order)
-        if lc == self.field.one():
-            return self
-        return self.scaled(self.field.inv(lc))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):

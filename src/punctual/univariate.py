@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, count
@@ -193,6 +193,14 @@ def _rational_reconstruction(u: int, m: int) -> Fraction | None:
     return best and Fraction(*best)
 
 
+def _reproduces(candidate, image: list[int], p: int) -> bool:
+    """Whether a Fraction polynomial is p-integral with the image mod p."""
+    return len(candidate) == len(image) and all(
+        c.denominator % p and (c.numerator - r * c.denominator) % p == 0
+        for c, r in zip(candidate, image)
+    )
+
+
 class _Lift:
     """The polynomial over QQ with given monic images modulo many primes,
     by the Chinese remainder theorem and rational reconstruction.
@@ -209,10 +217,12 @@ class _Lift:
     were it not, each prime of degree k divides one integer 0 < |N| < 2^u.
     Past 2^u and 2^(2s + 1), s >= 11, a/b has the maximal quotient, so a
     refused candidate means an engine bug: the lift raises ArithmeticError.
+    At each restart a polynomial of ``hints`` that the image reproduces is
+    the candidate at once, offered to the caller's check after one prime.
     """
 
-    def __init__(self, sign: int, bounds):
-        self.sign, self.bounds = sign, bounds
+    def __init__(self, sign: int, bounds, hints=()):
+        self.sign, self.bounds, self.hints = sign, bounds, hints
         self.residues, self.past = None, False
 
     def add(self, image: list[int], p: int) -> list[Fraction] | None:
@@ -222,7 +232,8 @@ class _Lift:
             raise ArithmeticError("a candidate lifted past the coefficient bound failed its check")
         if self.residues is None or self.sign * len(image) > self.sign * len(self.residues):
             self.residues, self.modulus, self.primes, self.retry = [0] * len(image), 1, 0, 1
-            self.candidate, (size, unlucky) = None, self.bounds(len(image) - 1)
+            self.candidate = next((list(h) for h in self.hints if _reproduces(h, image, p)), None)
+            size, unlucky = self.bounds(len(image) - 1)
             self.bound = max(unlucky, 2 * max(size, _QUOTIENT_MARGIN.bit_length()) + 1)
         elif len(image) != len(self.residues):
             return None
@@ -231,10 +242,7 @@ class _Lift:
         inverse = pow(m, -1, p)
         self.residues = [x + m * ((r - x) * inverse % p) for x, r in zip(self.residues, image)]
         self.modulus, self.primes = m * p, self.primes + 1
-        if candidate is not None and all(
-            c.denominator % p and (c.numerator - r * c.denominator) % p == 0
-            for c, r in zip(candidate, image)
-        ):
+        if candidate is not None and _reproduces(candidate, image, p):
             self.past = m.bit_length() > self.bound  # m made the candidate
             self.retry = 0  # should the certificate fail, reconstruct at once
             return candidate
@@ -249,14 +257,20 @@ class _Lift:
 @dataclass
 class IntegerImage:
     """An operator M = A/D, D = 1 over Fp, by A's nonzero (column, entry)
-    pairs per row and its entries row after row; its length is M's size."""
+    pairs per row and its entries row after row; its length is M's size.
+    ``columns`` holds A's packed columns per prime for
+    ``linalg.krylov_dependence``, each column packed on first use."""
 
     denominator: int
     rows: list
     entries: list
+    columns: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def packed_columns(self, p: int) -> list:
+        return self.columns.setdefault(p, [None] * len(self.rows))
 
 
 def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
@@ -269,21 +283,21 @@ def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
     """
     if len(coeffs) == 1:
         return vector
-    reduce = field.reduce
+    p = field.characteristic
     _, scaled = _integral(coeffs, field)
     _, w = _integral(vector, field)
     acc, power = [scaled[-1] * x for x in w], 1
     for c in reversed(scaled[:-1]):
         power *= image.denominator
         shift = c * power
-        acc = [
-            reduce(sum(a * acc[j] for j, a in row) + shift * x) for row, x in zip(image.rows, w)
-        ]
-    content = 1 if field.characteristic else math.gcd(*acc) or 1
+        acc = [sum(a * acc[j] for j, a in row) + shift * x for row, x in zip(image.rows, w)]
+        if p:
+            acc = [a % p for a in acc]
+    content = 1 if p else math.gcd(*acc) or 1
     return [a // content for a in acc] if content > 1 else acc
 
 
-def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fraction]:
+def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> list[Fraction]:
     """The least monic f over QQ with f(M)v = 0, from its images mod p.
 
     With M = A/D (an ``IntegerImage``) and w = E*v integral, each prime p
@@ -295,7 +309,9 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fract
     candidate that one more prime reproduces is accepted only after the
     exact check f(M)v = 0, made in integers by ``horner``: then f is a
     multiple of the minimal polynomial of degree deg f_p, which is at most
-    its degree, so it is the minimal polynomial.
+    its degree, so it is the minimal polynomial.  That holds as well for a
+    polynomial of ``known`` (the lift's hints) that the first image
+    reproduces, so one prime and the check can suffice.
 
     Bounds at degree k, with r - 1 the largest absolute row sum of A: g
     below is a monic factor of A's characteristic polynomial, in Z[t] with
@@ -311,13 +327,14 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list) -> list[Fract
         hadamard = (k + 1) * ((k + 1) * height).bit_length() + k * (k + 1) * r
         return k * (r + image.denominator.bit_length()), (hadamard + 1) // 2 * (k < len(w))
 
-    lift = _Lift(+1, bounds)
+    lift = _Lift(+1, bounds, known)
     for field in _prime_fields():
         p = field.p
         if not image.denominator % p:
             continue
         # the dependence g of A = D*M gives f(t) = g(D t) / D^deg(g) for M
-        g, scale = krylov_dependence(image.entries, w, p), pow(image.denominator, -1, p)
+        g = krylov_dependence(image.entries, w, p, image.packed_columns(p))
+        scale = pow(image.denominator, -1, p)
         candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
         if candidate is not None and not any(horner(candidate, image, vector, QQ)):
             return candidate

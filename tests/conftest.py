@@ -8,6 +8,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from punctual import artinian  # noqa: E402
 from punctual.artinian import MultiplicationPair, truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
 from punctual.groebner import normal_form  # noqa: E402
@@ -25,6 +26,20 @@ def evaluate(f: Polynomial, px, py):
 
 def constant_term(f: Polynomial):
     return f.terms.get(UNIT, f.field.zero())
+
+
+def coprime(m: Monomial, n: Monomial) -> bool:
+    """Whether two monomials share no variable: the packed Buchberger tests
+    this as lcm == product."""
+    return min(m.a, n.a) == 0 and min(m.b, n.b) == 0
+
+
+def monic(f: Polynomial, order) -> Polynomial:
+    """f divided by its leading coefficient (zero stays zero): the packed
+    Buchberger stores its elements monic itself."""
+    if not f:
+        return f
+    return f.times_term(UNIT, f.field.inv(f.leading_coefficient(order)))
 
 
 def dense_mat_vec(a: list[list], v: list, field) -> list:
@@ -237,6 +252,42 @@ def fraction_horner(coeffs: list, matrix: list[list], vector: list, field) -> li
     for c in reversed(coeffs[:-1]):
         acc = [reduce(a + c * v) for a, v in zip(dense_mat_vec(matrix, acc, field), vector)]
     return acc
+
+
+def pairwise_components(gb) -> list:
+    """The local factors, ordered by point, as the split before the
+    restriction to each x-root found them: from the minimal polynomials of
+    both operators on [1], w = g_x(Mx) g_y(My)[1] for every pair of roots,
+    a factor wherever w != 0."""
+    pair = artinian._operators(gb)
+    if pair is None:
+        return []
+    field = gb.field
+    one = [1] + [0] * (len(pair.on_x) - 1)
+
+    def candidates(image):
+        coeffs = artinian._minimal_polynomial(image, one, field)
+        roots = univariate.roots(coeffs, field)
+        return [(p, univariate._cofactor(coeffs, p, field)) for p in roots]
+
+    roots_y = [
+        (
+            py,
+            artinian._translated(pair.on_y, py, field),
+            univariate.horner(g, pair.on_y, one, field),
+        )
+        for py, g in candidates(pair.on_y)
+    ]
+    components = []
+    for px, g in candidates(pair.on_x):
+        nil_x = artinian._translated(pair.on_x, px, field)
+        for py, nil_y, w_y in roots_y:
+            generator = univariate.horner(g, pair.on_x, w_y, field)
+            if any(generator):
+                components.append(
+                    artinian._component_at((px, py), nil_x, nil_y, generator, field)
+                )
+    return sorted(components, key=lambda lq: lq.point)
 
 
 def stacked_socle_dimension(lq) -> int:

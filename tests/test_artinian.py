@@ -16,10 +16,12 @@ from conftest import (
     local_ideal_truncation,
     mat_sub,
     minimal_generator_count,
+    pairwise_components,
     primitive_basis,
     scaled_identity,
     stacked_socle_dimension,
     translated,
+    vector_minimal_polynomial,
 )
 from hypothesis import example, given, settings, strategies as st
 
@@ -53,6 +55,7 @@ from punctual.poly import (
     Y,
     parse_generators,
 )
+from punctual.univariate import _cofactor, horner, roots
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -556,10 +559,20 @@ def test_word_nilpotency_matches_word_table(oracle_cases):
 
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
+        one = [1] + [0] * (len(pair.on_x) - 1)
         for image in (pair.on_x, pair.on_y):
-            assert artinian._minimal_polynomial(image, field) == (
+            assert artinian._minimal_polynomial(image, one, field) == (
                 minimal_polynomial(densify(image, field), field)
             ), text
+        # on u = g_x(Mx)[1] of each x-root, the minimal polynomial of My
+        # restricted to the cyclic space of u
+        on_y = densify(pair.on_y, field)
+        f_x = artinian._minimal_polynomial(pair.on_x, one, field)
+        for px in roots(f_x, field):
+            u = horner(_cofactor(f_x, px, field), pair.on_x, one, field)
+            assert artinian._minimal_polynomial(pair.on_y, u, field) == (
+                vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field)
+            ), (text, px)
 
 
 def test_generator_words_span_the_generalized_eigenspace(oracle_cases):
@@ -570,7 +583,7 @@ def test_generator_words_span_the_generalized_eigenspace(oracle_cases):
 
 
 def test_unit_vector_kernel_matches_operator_evaluation(oracle_cases):
-    # w = g_x(Mx) g_y(My)[1] is a unit of the factor, so f(Nx, Ny)w = 0
+    # w = h(My) g_x(Mx)[1] generates the factor, so f(Nx, Ny)w = 0
     # exactly when f(Nx, Ny) kills the whole factor
     for text, field, _, components in oracle_cases:
         for lq, space in components:
@@ -836,6 +849,39 @@ def test_socle_on_the_x_kernel_matches_the_stacked_pair(case, order):
     for a in components:
         for b in components:
             assert (a.x_kernel is b.x_kernel) == (a.point[0] == b.point[0])
+
+
+def ladder(k, field):
+    """x^k - 1, (y - x)^k - x: over QQ for k = 4, and over F7, the fiber
+    over x = -1 holds no rational point."""
+    step = Polynomial(field, {Y: field.one(), X: field.from_int(-1)})
+    power = Polynomial.monomial(field, Monomial(0, 0))
+    for _ in range(k):
+        power = power * step
+    gens = [minus(field, Monomial(k, 0), field.one()), power - Polynomial.monomial(field, X)]
+    return field, gens, []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(split_ideals(), fat_point_products()), st.sampled_from(ALL_ORDERS))
+@example(ladder(3, QQ), DEFAULT_ORDER)
+@example(ladder(4, QQ), DEFAULT_ORDER)
+@example(ladder(4, F7), DEFAULT_ORDER)
+def test_restricted_split_matches_the_pairwise_split(case, order):
+    # the y-split on each x-root's u = g_x(Mx)[1] finds the factors that
+    # every pair of roots of the two minimal polynomials on [1] finds; its
+    # generator differs by a unit of the factor, so it spans the same space
+    field, gens, _ = case
+    gb = buchberger(gens, order)
+    components = local_components(gb).components
+    expected = pairwise_components(gb)
+    assert [lq.point for lq in components] == [lq.point for lq in expected]
+    pair = multiplication_matrices(quotient_basis(gb), gb)
+    for lq, oracle in zip(components, expected):
+        for name in ("dimension", "nilpotency_index", "local_ideal", "mult_x", "mult_y"):
+            assert getattr(lq, name) == getattr(oracle, name), (field, lq.point, name)
+        space = generalized_eigenspace(pair, lq.point, field)
+        assert cyclic_span(lq) == row_space(space, field), (field, lq.point)
 
 
 # Points p = a/b with b > 1 and operators with D > 1: the translated rows

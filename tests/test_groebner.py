@@ -5,7 +5,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 import pytest
-from conftest import is_reduced
+from conftest import coprime, is_reduced, monic
 from hypothesis import given, settings, strategies as st
 
 import punctual.groebner as groebner
@@ -310,21 +310,21 @@ def criteria_free_buchberger(generators, order):
 
     for g in generators:
         if g:
-            add(g.monic(order))
+            add(monic(g, order))
     while pairs:
         _, i, j = heappop(pairs)
-        if lms[i].coprime_with(lms[j]):
+        if coprime(lms[i], lms[j]):
             continue
         s_poly = groebner.spolynomial(basis[i], basis[j], order)
         remainder = sorted_every_step_normal_form(s_poly, basis, order)
         if remainder:
-            add(remainder.monic(order))
+            add(monic(remainder, order))
     minimal = []
     for g in sorted(basis, key=lambda g: key(g.leading_monomial(order))):
         if not any(m.leading_monomial(order).divides(g.leading_monomial(order)) for m in minimal):
             minimal.append(g)
     return tuple(
-        sorted_every_step_normal_form(g, minimal[:idx] + minimal[idx + 1 :], order).monic(order)
+        monic(sorted_every_step_normal_form(g, minimal[:idx] + minimal[idx + 1 :], order), order)
         for idx, g in enumerate(minimal)
     )
 
@@ -462,7 +462,7 @@ def _sympy_reduced_basis(gens, order, sympy):
             Monomial(a, b): Fraction(c.p, c.q) if field is QQ else int(c) % field.p
             for (a, b), c in sympy.Poly(expr, x, y, **options).terms()
         }
-        out.append(Polynomial(field, terms).monic(order))
+        out.append(monic(Polynomial(field, terms), order))
     key = order.key_func()
     return tuple(sorted(out, key=lambda g: key(g.leading_monomial(order))))
 

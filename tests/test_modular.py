@@ -51,9 +51,9 @@ def force_source(monkeypatch, primes):
     used = []
     krylov = univariate.krylov_dependence
 
-    def recording(entries, vector, p):
+    def recording(entries, vector, p, packed=None):
         used.append(p)
-        return krylov(entries, vector, p)
+        return krylov(entries, vector, p, packed)
 
     monkeypatch.setattr(univariate, "krylov_dependence", recording)
     return used
@@ -175,6 +175,23 @@ def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_squarefree_lift(capsys
     assert main(["analyze", "--ideal", f"x^2 - {2 + P}*x + {1 + P}, y"]) == 0
     points = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[4:]]
     assert points == [["(1,", "0)"], [f"({1 + P},", "0)"]]
+
+
+def test_a_known_polynomial_is_checked_after_one_prime(monkeypatch):
+    # the right hint is accepted after one prime; one that only the first
+    # prime reproduces, or of another degree, is refused by the exact check
+    q = SOURCE[0]
+    matrix = diagonal(Fraction(1, 3), 2, 5)
+    vector = [Fraction(1)] * 3
+    expected = fraction_minimal_polynomial(matrix, vector)
+    image = integer_image(matrix, QQ)
+    used = force_source(monkeypatch, SOURCE[:12])
+    assert rational_minimal_polynomial(image, vector, [expected[:-1], expected]) == expected
+    assert used == [q]
+    used.clear()
+    impostor = [expected[0] + q] + expected[1:]
+    assert rational_minimal_polynomial(image, vector, [impostor]) == expected
+    assert used[0] == q and len(used) > 1
 
 
 def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_minimal_polynomial_lift():

@@ -1,7 +1,7 @@
 """Monomials, orders, polynomial arithmetic, and the text grammar."""
 
 import pytest
-from conftest import constant_term, evaluate
+from conftest import constant_term, coprime, evaluate, monic
 from hypothesis import given, strategies as st
 
 from punctual.errors import ParseError
@@ -31,7 +31,7 @@ def test_monomial_basics():
     assert X.divides(XY) and not X2.divides(XY)
     assert XY.divided_by(X) == Y
     assert X2.lcm(XY) == Monomial(2, 1)
-    assert X2.coprime_with(Y2) and not X2.coprime_with(XY)
+    assert coprime(X2, Y2) and not coprime(X2, XY)
     assert str(Monomial(0, 0)) == "1"
     assert str(Monomial(2, 1)) == "x^2*y"
     with pytest.raises(ValueError):
@@ -100,8 +100,7 @@ def test_leading_data_depends_on_order():
     assert f.leading_monomial(DEFAULT_ORDER) == X2
     assert f.leading_monomial(MonomialOrder("lex", "yx")) == Y
     assert f.leading_coefficient(DEFAULT_ORDER) == QQ.from_int(-1)
-    monic = f.monic(DEFAULT_ORDER)
-    assert monic.leading_coefficient(DEFAULT_ORDER) == QQ.one()
+    assert monic(f, DEFAULT_ORDER).leading_coefficient(DEFAULT_ORDER) == QQ.one()
     with pytest.raises(ValueError):
         Polynomial.zero(QQ).leading_monomial(DEFAULT_ORDER)
 
