@@ -46,7 +46,6 @@ from .fields import PrimeField, QQ, RationalField, parse_field
 from .groebner import (
     GroebnerBasis,
     buchberger,
-    groebner_from_monomials,
     initial_ideal,
     is_zero_dimensional,
     normal_form,

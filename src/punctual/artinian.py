@@ -41,7 +41,9 @@ generator route only the words on w, so they are independent.
 socle); it is the one place that asserts socle = generators - 1 and
 multiplicity <= length, and a violation raises LemmaViolation because it
 can only mean an engine bug.  ``analyze_quotient`` is the local split
-followed by ``local_invariants`` on every factor.
+followed by ``local_invariants`` on every factor.  ``local_components``
+and ``local_component_at`` run one split loop; at a given point each
+coordinate's root search is replaced by one cofactor test.
 """
 
 from __future__ import annotations
@@ -227,17 +229,20 @@ def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()
     return rational_minimal_polynomial(image, vector, known)
 
 
-def _eigenvalue_candidates(image: IntegerImage, vector: list, coeff_field, found: list) -> list:
+def _eigenvalue_candidates(
+    image: IntegerImage, vector: list, coeff_field, found: list, root=None
+) -> list:
     """(root p, cofactor, rows of M translated to p) for each root in the
-    field of the minimal polynomial of M on v.  ``found`` pairs each
-    polynomial already searched with its candidates, matched by equality
-    (a dict would hash every ``Fraction``), and offers the polynomials to
-    the lift."""
+    field of the minimal polynomial of M on v, or for ``root`` alone when
+    given and a root, with no root search.  ``found`` pairs each polynomial
+    already searched with its candidates, matched by equality (a dict would
+    hash every ``Fraction``), and offers the polynomials to the lift."""
     coeffs = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
     if (known := next((c for f, c in found if f == coeffs), None)) is None:
         known = [
-            (p, _cofactor(coeffs, p, coeff_field), _translated(image, p, coeff_field))
-            for p in roots(coeffs, coeff_field)
+            (p, g, _translated(image, p, coeff_field))
+            for p in (roots(coeffs, coeff_field) if root is None else [root])
+            if (g := _cofactor(coeffs, p, coeff_field)) is not None
         ]
         found.append((coeffs, known))
     return known
@@ -280,23 +285,6 @@ def _operators(gb: GroebnerBasis, qb: QuotientBasis | None = None):
     return multiplication_matrices(qb, gb)
 
 
-def local_component_at(gb: GroebnerBasis, point: tuple):
-    """The local factor at one rational point, or None if the point is not
-    in the support."""
-    pair = _operators(gb)
-    if pair is None:
-        return None
-    coeff_field = gb.field
-    generator = [1] + [0] * (len(pair.on_x) - 1)
-    for image, p in zip((pair.on_x, pair.on_y), point):
-        cofactor = _cofactor(_minimal_polynomial(image, generator, coeff_field), p, coeff_field)
-        if cofactor is None:
-            return None
-        generator = horner(cofactor, image, generator, coeff_field)
-    nil_x, nil_y = (_translated(m, p, coeff_field) for m, p in zip((pair.on_x, pair.on_y), point))
-    return _component_at(point, nil_x, nil_y, generator, coeff_field)
-
-
 def _translated(image: IntegerImage, p, coeff_field) -> list:
     """The sparse rows of b*A - a*D*Id = b*D*(M - p*Id) for p = a/b,
     changed on the diagonal only; over Fp, where b = D = 1, M - p*Id mod
@@ -329,32 +317,49 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> L
     )
 
 
-def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
-    """Split the quotient into local factors at rational support points.
+def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
+    """The colength and the local factors at rational support points, or
+    only at ``point`` where its coordinates are given (qb as for
+    ``_operators``).
 
     Points are located as joint eigenvalues of the commuting pair: each
     root px of Mx's minimal polynomial gives u = g_x(Mx)[1], and each root
     py of My's minimal polynomial on u gives w = h(My)u, which generates
     the factor at (px, py); the factors at one x-root share one
     ``x_kernel``, and each distinct polynomial on u has its roots, their
-    cofactors and the translated My built once.  Any dimension carried by
-    non-rational points is reported as the residual and gets no local
-    invariants (qb as for ``_operators``).
+    cofactors and the translated My built once.  A given coordinate
+    replaces its root search by one cofactor test.
     """
     pair = _operators(gb, qb)
     if pair is None:
-        return Decomposition(components=(), residual_dimension=0, colength=0)
+        return 0, []
     n = len(pair.on_x)
     coeff_field = gb.field
     one = [1] + [0] * (n - 1)
     components, found_y = [], []
-    for px, g, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, []):
+    for px, g, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, [], point[0]):
         u, x_kernel = horner(g, pair.on_x, one, coeff_field), []
-        for py, h, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y):
+        for py, h, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y, point[1]):
             generator = horner(h, pair.on_y, u, coeff_field)
             lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
             lq.x_kernel = x_kernel
             components.append(lq)
+    return n, components
+
+
+def local_component_at(gb: GroebnerBasis, point: tuple):
+    """The local factor at one rational point, or None if the point is not
+    in the support: the split with both coordinates given."""
+    _, components = _split(gb, None, point)
+    return components[0] if components else None
+
+
+def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
+    """Split the quotient into local factors at rational support points
+    (``_split``), sorted by point.  Any dimension carried by non-rational
+    points is reported as the residual and gets no local invariants.
+    """
+    n, components = _split(gb, qb)
     components.sort(key=lambda c: c.point)
     residual = n - sum(c.dimension for c in components)
     return Decomposition(components=tuple(components), residual_dimension=residual, colength=n)

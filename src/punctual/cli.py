@@ -179,21 +179,26 @@ ANALYZE_CSV_COLUMNS = [
 ]
 
 
-def _analyze_payload(args) -> dict:
+def _analyzed_ideal(args):
+    """The ideal's text, reduced basis, printed basis and analysis, shared
+    by analyze and verify."""
     coeff_field = _resolve_field(args.field, "QQ")
-    order = MonomialOrder(args.order, args.vars)
     text = _read_ideal_text(args)
-    gb = buchberger(parse_generators(text, coeff_field), order)
+    gb = buchberger(parse_generators(text, coeff_field), MonomialOrder(args.order, args.vars))
     # zero-dimensionality and colength first; then a basis too large to print
     # exits 2 before the split, which reuses this checked basis
     qb = quotient_basis(gb)
     basis = [str(g) for g in gb.generators]
-    analysis = analyze_quotient(gb, qb)
+    return text, gb, basis, analyze_quotient(gb, qb)
+
+
+def _analyze_payload(args) -> dict:
+    text, gb, basis, analysis = _analyzed_ideal(args)
     return {
         "command": "analyze",
         "ideal": text,
-        "field": coeff_field.label,
-        "order": order.label,
+        "field": gb.field.label,
+        "order": gb.order.label,
         "groebner_basis": basis,
         "colength": analysis.colength,
         "residual_dimension": analysis.residual_dimension,
@@ -279,11 +284,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    coeff_field = _resolve_field(args.field, "QQ")
-    order = MonomialOrder(args.order, args.vars)
-    text = _read_ideal_text(args)
-    gb = buchberger(parse_generators(text, coeff_field), order)
-    analysis = analyze_quotient(gb)
+    text, gb, _, analysis = _analyzed_ideal(args)
     reports = [
         check_socle_identity(text, gb, analysis),
         check_multiplicity_formula(text, gb, analysis),
@@ -294,7 +295,7 @@ def _cmd_verify(args) -> int:
         reports.append(
             VerificationReport(
                 check="initial_degeneration",
-                inputs={"ideal": text, "field": coeff_field.label},
+                inputs={"ideal": text, "field": gb.field.label},
                 rows=[],
                 summary={"skipped": str(exc)},
                 passed=True,
@@ -304,8 +305,8 @@ def _cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "ideal": text,
-        "field": coeff_field.label,
-        "order": order.label,
+        "field": gb.field.label,
+        "order": gb.order.label,
         "reports": [r.to_jsonable() for r in reports],
         "passed": passed,
     }

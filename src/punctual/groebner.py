@@ -256,19 +256,6 @@ def _reduce_basis(reducers, coeff_field, packing: _Packing) -> GroebnerBasis:
     return GroebnerBasis(packing.order, coeff_field, gens, tuple(unpack(lm) for lm, _ in kept))
 
 
-def groebner_from_monomials(monomials, order: MonomialOrder, coeff_field) -> GroebnerBasis:
-    """The reduced basis of a monomial ideal, built without division."""
-    minimal: list[Monomial] = []
-    for m in sorted(set(monomials)):
-        if not any(other.divides(m) for other in minimal):
-            minimal = [other for other in minimal if not m.divides(other)]
-            minimal.append(m)
-    key = order.key_func()
-    minimal.sort(key=key)
-    gens = tuple(Polynomial.monomial(coeff_field, m) for m in minimal)
-    return GroebnerBasis(order=order, field=coeff_field, generators=gens, lms=tuple(minimal))
-
-
 def initial_ideal(gb: GroebnerBasis) -> tuple[Monomial, ...]:
     """Minimal monomial generators of the ideal of leading terms."""
     return gb.leading_monomials()

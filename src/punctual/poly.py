@@ -164,22 +164,7 @@ class Polynomial:
         return out
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_field(other)
-        reduce = self.field.reduce
-        data = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in data:
-                s = reduce(data[m] - c)
-                if s:
-                    data[m] = s
-                else:
-                    del data[m]
-            else:
-                data[m] = reduce(-c)
-        out = Polynomial.__new__(Polynomial)
-        out.field = self.field
-        out.terms = data
-        return out
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         out = Polynomial.__new__(Polynomial)

@@ -10,7 +10,10 @@ whose ``LocalInvariants`` already passed the socle and multiplicity guards
 of ``local_invariants``; their ``ok`` columns compare those invariants
 again, and the sampler calls ``local_invariants`` on each origin factor.
 Degeneration adds one basis per distinct order (deglex and degrevlex
-coincide in two variables) and still reports all six.  ``socle_census``
+coincide in two variables) and still reports all six; the monomial
+ideals it and the staircase cross-check analyze get their bases from
+``buchberger`` too, and the sampler's origin factor comes from
+``local_component_at``, the one-point case of the split.  ``socle_census``
 reads the census of n from one row of ``distinct_part_table``, so a range
 of n shares one table, and the staircase bound is read off it; the
 enumeration of the partitions of n runs only in ``check_staircase_bound``
@@ -20,7 +23,7 @@ up to the cross-check cutoff, as the second route to the same census.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import isqrt
 
 from .artinian import (
@@ -34,7 +37,7 @@ from .artinian import (
 )
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional, SupportNotLocal
 from .fields import MAX_PRIME, PrimeField, QQ, is_prime
-from .groebner import GroebnerBasis, buchberger, groebner_from_monomials, initial_ideal
+from .groebner import GroebnerBasis, buchberger, initial_ideal
 from .poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial
 from .staircase import (
     Partition,
@@ -83,13 +86,7 @@ class VerificationReport:
     passed: bool
 
     def to_jsonable(self) -> dict:
-        return {
-            "check": self.check,
-            "inputs": dict(self.inputs),
-            "rows": [dict(row) for row in self.rows],
-            "summary": dict(self.summary),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -241,8 +238,8 @@ def check_staircase_bound(census: SocleCensus, crosscheck_cutoff: int = 10) -> V
             tally[c.inner_count] = tally.get(c.inner_count, 0) + 1
             if c.inner_count > best:
                 best, first_best = c.inner_count, partition
-            gb = groebner_from_monomials(monomial_ideal_of(partition), DEFAULT_ORDER, QQ)
-            analysis = analyze_quotient(gb)
+            gens = [Polynomial.monomial(QQ, m) for m in monomial_ideal_of(partition)]
+            analysis = analyze_quotient(buchberger(gens, DEFAULT_ORDER))
             component = analysis.components[0]
             ok = (
                 analysis.colength == n
@@ -313,7 +310,7 @@ def check_degeneration(
         if key not in degenerations:
             order_gb = gb if key is gb.order.key_func() else buchberger(gb.generators, order)
             init = initial_ideal(order_gb)
-            monomial_gb = groebner_from_monomials(init, order, coeff_field)
+            monomial_gb = buchberger([Polynomial.monomial(coeff_field, m) for m in init], order)
             degenerations[key] = (init, analyze_quotient(monomial_gb))
         init, init_analysis = degenerations[key]
         init_b2 = init_analysis.components[0].socle

@@ -445,12 +445,34 @@ def test_invariants_are_order_invariant():
         assert len(profiles) == 1
 
 
-def test_local_component_at():
+def test_local_component_at(monkeypatch):
     gb = gb_of("x^2 - x, y")
     origin = local_component_at(gb, (QQ.zero(), QQ.zero()))
     assert origin is not None and origin.dimension == 1
     outside = local_component_at(gb, (QQ.from_int(2), QQ.zero()))
     assert outside is None
+    # the one-point case of the split: each support point's factor equals
+    # the whole split's, and no root is searched for
+    searched = []
+    original = artinian.roots
+    monkeypatch.setattr(artinian, "roots", lambda *args: searched.append(args) or original(*args))
+
+    def absent(field, taken):
+        return next(field.from_int(i) for i in range(8) if field.from_int(i) not in taken)
+
+    for field in (QQ, F7):
+        for text in (*CURATED_CORPUS, "x^2 - x, y^2 - 2*y"):
+            gb = gb_of(text, field=field)
+            components = local_components(gb).components
+            searched.clear()
+            for lq in components:
+                assert local_component_at(gb, lq.point) == lq
+            px = absent(field, {lq.point[0] for lq in components})
+            assert local_component_at(gb, (px, field.zero())) is None
+            for x in {lq.point[0] for lq in components}:
+                py = absent(field, {lq.point[1] for lq in components if lq.point[0] == x})
+                assert local_component_at(gb, (x, py)) is None
+            assert searched == []
 
 
 def test_analysis_over_prime_field():

@@ -169,11 +169,12 @@ def test_huge_point_is_analyzed_without_printing_it():
     assert (c.local_length, c.socle, c.multiplicity) == (1, 1, 1)
 
 
-def test_unprintable_basis_is_refused_before_the_analysis():
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_unprintable_basis_is_refused_before_the_analysis(command):
     # a dense pair of degree 5 with 150-digit coefficients: Buchberger takes
     # about a second, its basis has coefficients past the digit limit, and
     # the local split of that basis ran for over a minute before the basis
-    # was printed; refused first, the run exits 2 within seconds
+    # was printed; refused first, either command exits 2 within seconds
     rng = random.Random(1)
     pair = [
         " + ".join(
@@ -182,7 +183,7 @@ def test_unprintable_basis_is_refused_before_the_analysis():
         for _ in range(2)
     ]
     run = subprocess.run(
-        [sys.executable, "-m", "punctual.cli", "analyze", "--ideal", ", ".join(pair)],
+        [sys.executable, "-m", "punctual.cli", command, "--ideal", ", ".join(pair)],
         cwd=Path(cli.__file__).resolve().parents[1],
         capture_output=True,
         text=True,

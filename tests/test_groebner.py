@@ -12,7 +12,6 @@ import punctual.groebner as groebner
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import (
     buchberger,
-    groebner_from_monomials,
     initial_ideal,
     is_zero_dimensional,
     normal_form,
@@ -114,10 +113,9 @@ def test_certificate_on_curated_bases():
             assert spolynomial_certificate(gb_of(text, order))
 
 
-def test_groebner_from_monomials_minimalizes():
-    gb = groebner_from_monomials(
-        [Monomial(2, 0), Monomial(2, 1), Monomial(0, 2), Monomial(1, 1)], DEFAULT_ORDER, QQ
-    )
+def test_buchberger_minimalizes_monomials():
+    monomials = [Monomial(2, 0), Monomial(2, 1), Monomial(0, 2), Monomial(1, 1)]
+    gb = buchberger([Polynomial.monomial(QQ, m) for m in monomials], DEFAULT_ORDER)
     assert set(initial_ideal(gb)) == {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
     assert is_reduced(gb)
 
