@@ -67,6 +67,8 @@ def _normalised(row: list, p: int) -> list:
 def mat_vec(rows: list[list], v: list, field) -> list:
     """The sparse integer rows, (column, entry) pairs, applied to an
     integer vector; over Fp every entry reduced mod p."""
+    if not any(v):  # a zero word needs no products
+        return [0] * len(rows)
     out = [sum(a * v[j] for j, a in row) for row in rows]
     p = field.characteristic
     return [x % p for x in out] if p else out

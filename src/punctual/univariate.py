@@ -5,7 +5,7 @@ trailing zeros; [] is zero), every entry stored through the field's
 ``reduce``.  As in ``linalg``, every division goes through ``inv``, so one
 ``divmod`` and one monic ``gcd`` serve both fields, and so do ``roots``,
 the roots in the field, and ``_cofactor``, which splits one off with its
-multiplicity.
+multiplicity by synthetic division in integers.
 
 One ``horner`` on an operator's ``IntegerImage`` (the sparse rows of
 A = D*M, with D = 1 over Fp, built by ``artinian`` from the normal forms)
@@ -18,11 +18,11 @@ minimal polynomial of an operator (``rational_minimal_polynomial``) and
 the squarefree part (``_squarefree_part``) are computed mod the primes of
 one shared source (``_prime_fields``, from 32003 up) with the Fp kernels,
 combined by the Chinese remainder theorem and rational reconstruction
-(``_Lift``), and accepted only after an exact check: f(M)v = 0, in
-integers, for the minimal polynomial, and trial division of f and f' by
-their gcd for the squarefree part.  Where f mod p is already squarefree,
-that one gcd is the certificate, and the same prime starts the Hensel
-lifting of the roots.
+(``_Lift``), each reconstruction going straight to an exact check, the
+only certificate: f(M)v = 0, in integers, for the minimal polynomial, and
+trial division of f and f' by their gcd for the squarefree part.  Where
+f mod p is already squarefree, that one gcd is the certificate, and the
+same prime starts the Hensel lifting of the roots.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, count
+from itertools import count
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
@@ -208,9 +208,9 @@ class _Lift:
     Images of other degrees than the preferred one are unlucky: ``sign``
     +1 keeps the largest degree seen (a Krylov rank mod p is at most the
     rank over QQ), -1 the least (a gcd mod p is at least the gcd over QQ),
-    and a better degree restarts the lift.  A failed reconstruction is
-    retried after a quarter more primes, so that the retries of a lift
-    that needs many primes cost no more than the last one.
+    and a better degree restarts the lift.  The residues are reconstructed
+    at the first prime and after each quarter more (all retries cost no
+    more than the last); each result, even one refused before, is offered.
 
     For images of degree k the caller's ``bounds(k)`` is (s, u) in bits:
     were k the degree over QQ, each coefficient a/b has |a| b < 2^s, and
@@ -218,7 +218,7 @@ class _Lift:
     Past 2^u and 2^(2s + 1), s >= 11, a/b has the maximal quotient, so a
     refused candidate means an engine bug: the lift raises ArithmeticError.
     At each restart a polynomial of ``hints`` that the image reproduces is
-    the candidate at once, offered to the caller's check after one prime.
+    offered first, and the reconstruction waits for the next prime.
     """
 
     def __init__(self, sign: int, bounds, hints=()):
@@ -226,32 +226,30 @@ class _Lift:
         self.residues, self.past = None, False
 
     def add(self, image: list[int], p: int) -> list[Fraction] | None:
-        """Combine the image mod p; return the candidate of the earlier
-        primes if it reproduces this image too, else None."""
+        """Combine the image mod p; return a candidate for the caller's
+        check, a hint or a reconstruction, else None."""
         if self.past:  # the caller refused a candidate past the bounds
             raise ArithmeticError("a candidate lifted past the coefficient bound failed its check")
+        hint = None
         if self.residues is None or self.sign * len(image) > self.sign * len(self.residues):
             self.residues, self.modulus, self.primes, self.retry = [0] * len(image), 1, 0, 1
-            self.candidate = next((list(h) for h in self.hints if _reproduces(h, image, p)), None)
+            hint = next((list(h) for h in self.hints if _reproduces(h, image, p)), None)
             size, unlucky = self.bounds(len(image) - 1)
             self.bound = max(unlucky, 2 * max(size, _QUOTIENT_MARGIN.bit_length()) + 1)
         elif len(image) != len(self.residues):
             return None
-        candidate, self.candidate = self.candidate, None
         m = self.modulus
         inverse = pow(m, -1, p)
         self.residues = [x + m * ((r - x) * inverse % p) for x, r in zip(self.residues, image)]
         self.modulus, self.primes = m * p, self.primes + 1
-        if candidate is not None and _reproduces(candidate, image, p):
-            self.past = m.bit_length() > self.bound  # m made the candidate
-            self.retry = 0  # should the certificate fail, reconstruct at once
-            return candidate
-        if self.primes >= self.retry:
-            reconstructed = [_rational_reconstruction(x, self.modulus) for x in self.residues]
-            if None not in reconstructed:
-                self.candidate = reconstructed
-            self.retry = self.primes + max(1, self.primes // 4)
-        return None
+        if hint is not None or self.primes < self.retry:
+            return hint
+        self.retry = self.primes + max(1, self.primes // 4)
+        reconstructed = [_rational_reconstruction(x, self.modulus) for x in self.residues]
+        if None in reconstructed:
+            return None
+        self.past = self.modulus.bit_length() > self.bound
+        return reconstructed
 
 
 @dataclass
@@ -305,13 +303,13 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
     M mod p, read off that of A (``linalg.krylov_dependence`` on the
     entries that the image lists once per operator).  Its degree,
     the Krylov rank mod p, is at most deg f, and where they are equal f is
-    p-integral with image f_p; so ``_Lift`` keeps the largest degree.  A
-    candidate that one more prime reproduces is accepted only after the
-    exact check f(M)v = 0, made in integers by ``horner``: then f is a
+    p-integral with image f_p; so ``_Lift`` keeps the largest degree.
+    Each candidate, a reconstruction or a polynomial of ``known`` (the
+    lift's hints) that the first image reproduces, is accepted only after
+    the exact check f(M)v = 0, made in integers by ``horner``: then f is a
     multiple of the minimal polynomial of degree deg f_p, which is at most
-    its degree, so it is the minimal polynomial.  That holds as well for a
-    polynomial of ``known`` (the lift's hints) that the first image
-    reproduces, so one prime and the check can suffice.
+    its degree, so it is the minimal polynomial.  A candidate is refused
+    before the check unless each D^(d-i) f_i is an integer, as in g below.
 
     Bounds at degree k, with r - 1 the largest absolute row sum of A: g
     below is a monic factor of A's characteristic polynomial, in Z[t] with
@@ -336,7 +334,10 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
         g = krylov_dependence(image.entries, w, p, image.packed_columns(p))
         scale = pow(image.denominator, -1, p)
         candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
-        if candidate is not None and not any(horner(candidate, image, vector, QQ)):
+        integral = candidate and not any(
+            pow(image.denominator, e, c.denominator) for e, c in enumerate(reversed(candidate))
+        )
+        if integral and not any(horner(candidate, image, vector, QQ)):
             return candidate
     raise ArithmeticError("the prime source is exhausted")
 
@@ -350,8 +351,8 @@ def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:
     gcd(f mod p, f' mod p) = 1 certifies that f is squarefree, since a
     repeated factor would survive mod p; that is the usual case and costs
     one gcd.  Otherwise G = gcd(f, f') comes from its images mod p (an
-    image of degree 0 again certifies f), accepted only if G divides f and
-    f' exactly, and g is the squarefree f / G.
+    image of degree 0 again certifies f): each reconstruction is accepted
+    only if it divides f and f' exactly, and g is the squarefree f / G.
 
     Bounds at degree e: G times its leading coefficient, a divisor of
     lc(f), is a factor of f over Z, within 2^e |f|_2 (Mignotte); an
@@ -451,12 +452,23 @@ def roots(coeffs: list, field) -> list:
 
 
 def _cofactor(coeffs, root, field):
-    """The g with coeffs = (t - root)^s * g and g(root) != 0, by synthetic
-    division, or None if root is not a root."""
-    reduce = field.reduce
-    cofactor = None
+    """The g with coeffs = (t - root)^s * g, s >= 1, g(root) != 0 and
+    lc(g) = lc(coeffs), or None if root is not a root: synthetic division
+    by b*t - a, root = a/b, over QQ on the primitive integer polynomial,
+    whose quotients stay integral (Gauss's lemma), over Fp (b = 1) mod p."""
+    p, a, b = field.characteristic, root.numerator, root.denominator
+    g, s = (coeffs if p else _primitive(coeffs)), 0
     while True:
-        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: reduce(acc * root + c))
-        if remainder:
-            return cofactor
-        coeffs = cofactor = quotient[::-1]
+        quotient, acc = [], 0  # q_(i-1) = (c_i + a*q_i) / b from the top, then c_0 + a*q_0
+        for c in reversed(g):
+            acc = c + a * acc
+            if acc % b:  # inexact, so root is not a root of g
+                break
+            quotient.append(acc := acc // b % p if p else acc // b)
+        if len(quotient) < len(g) or acc:
+            break
+        g, s = quotient[-2::-1], s + 1
+    if not s or p:
+        return g if s else None
+    scale = Fraction(coeffs[-1], g[-1])
+    return [c * scale for c in g]

@@ -23,7 +23,7 @@ up to the cross-check cutoff, as the second route to the same census.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import isqrt
 
 from .artinian import (
@@ -85,8 +85,9 @@ class VerificationReport:
     summary: dict
     passed: bool
 
-    def to_jsonable(self) -> dict:
-        return asdict(self)
+    def to_jsonable(self) -> dict:  # one level deep: dataclasses.asdict copies every leaf
+        copies = {"inputs": dict(self.inputs), "rows": [dict(row) for row in self.rows]}
+        return {**vars(self), **copies, "summary": dict(self.summary)}
 
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

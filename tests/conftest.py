@@ -244,6 +244,19 @@ def fraction_minimal_polynomial(matrix: list[list], vector: list) -> list:
     return vector_minimal_polynomial(matrix, vector, QQ)
 
 
+def fraction_cofactor(coeffs: list, root, field):
+    """The g with coeffs = (t - root)^s * g, s >= 1 and g(root) != 0, or
+    None if root is not a root, by synthetic division by t - root on field
+    elements: the route before the integer division by b*t - a."""
+    reduce = field.reduce
+    cofactor = None
+    while True:
+        *quotient, remainder = accumulate(reversed(coeffs), lambda acc, c: reduce(acc * root + c))
+        if remainder:
+            return cofactor
+        coeffs = cofactor = quotient[::-1]
+
+
 def fraction_horner(coeffs: list, matrix: list[list], vector: list, field) -> list:
     """f(M)v for a monic f by Horner's rule with ``mat_vec`` on field
     elements: the cofactor route before the integer image."""

@@ -81,15 +81,71 @@ def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
     assert q not in used and used
 
 
+def record_moduli(monkeypatch):
+    """Record the lift's modulus after each prime it is offered."""
+    moduli = []
+
+    class Recording(univariate._Lift):
+        def add(self, image, p):
+            candidate = super().add(image, p)
+            moduli.append(self.modulus)
+            return candidate
+
+    monkeypatch.setattr(univariate, "_Lift", Recording)
+    return moduli
+
+
+def record_checks(monkeypatch):
+    """Record each candidate the exact check f(M)v = 0 sees, and whether it
+    passed."""
+    checks = []
+    exact = univariate.horner
+
+    def recording(coeffs, image, vector, field):
+        value = exact(coeffs, image, vector, field)
+        checks.append((coeffs, not any(value)))
+        return value
+
+    monkeypatch.setattr(univariate, "horner", recording)
+    return checks
+
+
 def test_a_prime_that_drops_the_degree_is_not_combined(monkeypatch):
-    # mod q the two eigenvalues 1 and 1 + q meet, and the degree drops to 1
+    # mod q the two eigenvalues 1 and 1 + q meet, and the degree drops to 1;
+    # q comes second, before two primes of full degree can finish the lift
     q = SOURCE[2]
     matrix = diagonal(1, 1 + q)
-    assert len(fraction_minimal_polynomial(matrix, ONES)) == 3
-    used = force_source(monkeypatch, [SOURCE[0], SOURCE[1], q, SOURCE[3]])
     expected = fraction_minimal_polynomial(matrix, ONES)
+    assert len(expected) == 3
+    moduli = record_moduli(monkeypatch)
+    used = force_source(monkeypatch, [SOURCE[0], q, SOURCE[1], SOURCE[3]])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
-    assert used == [SOURCE[0], SOURCE[1], q, SOURCE[3]]
+    assert used == [SOURCE[0], q, SOURCE[1]]
+    assert moduli == [SOURCE[0], SOURCE[0], SOURCE[0] * SOURCE[1]]
+
+
+def test_a_small_minimal_polynomial_takes_one_prime(monkeypatch):
+    # (t - 1)(t - 2)(t - 5): each coefficient is reconstructed from one prime
+    # and the exact check accepts it at once
+    matrix = diagonal(1, 2, 5)
+    vector = [Fraction(1)] * 3
+    used = force_source(monkeypatch, SOURCE[:4])
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector) == [-10, 17, -8, 1]
+    assert used == [SOURCE[0]]
+
+
+def test_the_exact_check_refuses_a_first_reconstruction_of_too_low_degree(monkeypatch):
+    # mod q the Krylov rank of diag(1, 1 + q) on (1, 1) drops to 1, and the
+    # first prime reconstructs t - 1 at once; only the exact check stops it
+    q = SOURCE[0]
+    matrix = diagonal(1, 1 + q)
+    expected = fraction_minimal_polynomial(matrix, ONES)
+    checks = record_checks(monkeypatch)
+    used = force_source(monkeypatch, SOURCE[:6])
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert checks[0] == ([-1, 1], False)
+    assert checks[-1] == (expected, True) and len(expected) == 3
+    assert used[0] == q and len(used) > 1
 
 
 def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeypatch):
@@ -100,6 +156,26 @@ def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeyp
     force_source(monkeypatch, SOURCE[:10])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
     assert len(expected) == 3
+
+
+def test_a_candidate_with_a_denominator_off_the_operator_never_reaches_the_check(monkeypatch):
+    # M = diag(1, 2) is integral (D = 1), so its minimal polynomial is in Z[t]:
+    # a candidate with a coefficient 1/3 is refused before the exact check
+    impostor = [Fraction(1, 3), Fraction(-3), Fraction(1)]
+    offered = []
+
+    class Offering(univariate._Lift):
+        def add(self, image, p):
+            candidate = super().add(image, p)
+            offered.append(candidate)
+            return impostor if len(offered) == 1 else candidate
+
+    monkeypatch.setattr(univariate, "_Lift", Offering)
+    checks = record_checks(monkeypatch)
+    force_source(monkeypatch, SOURCE[:4])
+    image = integer_image(diagonal(1, 2), QQ)
+    assert rational_minimal_polynomial(image, ONES) == [2, -3, 1]
+    assert len(offered) == 2 and [coeffs for coeffs, _ in checks] == [[2, -3, 1]]
 
 
 def test_coefficients_wider_than_one_prime_are_combined(monkeypatch):
@@ -171,7 +247,7 @@ P = prod(field.p for field in islice(univariate._prime_fields(), 24))
 
 def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_squarefree_lift(capsys):
     # mod each prime of P the roots of x^2 - (2 + P) x + 1 + P meet, so the
-    # trial division refuses the reproduced gcd x - 1 over and over
+    # trial division refuses the reconstructed gcd x - 1 over and over
     assert main(["analyze", "--ideal", f"x^2 - {2 + P}*x + {1 + P}, y"]) == 0
     points = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[4:]]
     assert points == [["(1,", "0)"], [f"({1 + P},", "0)"]]
@@ -196,7 +272,7 @@ def test_a_known_polynomial_is_checked_after_one_prime(monkeypatch):
 
 def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_minimal_polynomial_lift():
     # mod each prime of P the Krylov rank of diag(1, 1 + P) on (1, 1) drops to
-    # 1, so the exact check refuses the reproduced t - 1 every other prime
+    # 1, so the exact check refuses t - 1 at each reconstruction
     image = integer_image(diagonal(1, 1 + P), QQ)
     assert rational_minimal_polynomial(image, ONES) == [1 + P, -2 - P, 1]
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from conftest import schoolbook_powmod
+from conftest import fraction_cofactor, schoolbook_powmod
 from hypothesis import given, settings, strategies as st
 
 from punctual.fields import QQ, PrimeField
@@ -96,6 +96,39 @@ def root_multiplicity(coeffs, root):
         product = times_linear(product, root)
     assert product == coeffs
     return s
+
+
+@st.composite
+def cofactor_cases(draw):
+    """(field, f, root): f = c (t - root)^s h with a random h, s from 0 to 3
+    and a random nonzero leading coefficient c, so mostly not monic; over QQ
+    the root a/b has b up to 9 and the coefficients have denominators."""
+    field = draw(st.sampled_from([QQ] + [PrimeField(p) for p in (3, 7, 32003)]))
+    if field == QQ:
+        root = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+        element = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    else:
+        root = draw(st.integers(0, field.p - 1))
+        element = st.integers(0, field.p - 1)
+    coeffs = stored(draw(st.lists(element, max_size=4)) + [draw(element.filter(bool))], field)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = stored(times_linear(coeffs, root), field)
+    return field, coeffs, root
+
+
+@given(cofactor_cases())
+@settings(max_examples=300, deadline=None)
+def test_cofactor_matches_the_fraction_synthetic_division(case):
+    field, coeffs, root = case
+    g = _cofactor(coeffs, root, field)
+    assert g == fraction_cofactor(coeffs, root, field)
+    if g is not None:
+        # exact: coeffs = (t - root)^s g, with coeffs' leading coefficient
+        assert g[-1] == coeffs[-1]
+        product = g
+        for _ in range(len(coeffs) - len(g)):
+            product = stored(times_linear(product, root), field)
+        assert product == coeffs
 
 
 @st.composite
