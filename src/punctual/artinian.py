@@ -48,8 +48,8 @@ coordinate's root search is replaced by one cofactor test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
 from itertools import count, repeat
+from typing import NamedTuple
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
@@ -67,8 +67,7 @@ from .univariate import rational_minimal_polynomial
 MAX_COLENGTH = 121
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(NamedTuple):
     """Standard monomials (those outside the initial ideal), order ascending."""
 
     monomials: tuple[Monomial, ...]
@@ -78,15 +77,13 @@ class QuotientBasis:
         return len(self.monomials)
 
 
-@dataclass
-class MultiplicationPair:
+class MultiplicationPair(NamedTuple):
     """Multiplication by x and by y on the standard basis, as integer images."""
 
     on_x: IntegerImage
     on_y: IntegerImage
 
 
-@dataclass
 class LocalQuotient:
     """One local factor A_p of the quotient at a rational support point p.
 
@@ -103,22 +100,29 @@ class LocalQuotient:
     f(c_x*x, c_y*y) in the local ideal, modulo m^(r+1), which
     ``generator_count`` reads directly.  ``dimension`` (the local length) is
     the number of those monomials minus its size.  ``x_kernel``, ker(Nx), is
-    filled by ``socle_dimension`` and shared by the factors at one x-root.
+    filled by ``socle_dimension`` and shared by the factors at one x-root;
+    factors compare equal by every other attribute.
     """
 
-    point: tuple
-    dimension: int
-    mult_x: list
-    mult_y: list
-    nilpotency_index: int
-    field: object
-    generator: list
-    local_ideal: list
-    x_kernel: list = dataclass_field(default_factory=list, compare=False, repr=False)
+    __slots__ = (
+        "point", "dimension", "mult_x", "mult_y", "nilpotency_index", "field", "generator",
+        "local_ideal", "x_kernel",
+    )
+
+    def __init__(
+        self, point, dimension, mult_x, mult_y, nilpotency_index, field, generator, local_ideal
+    ):
+        self.point, self.dimension, self.mult_x, self.mult_y = point, dimension, mult_x, mult_y
+        self.nilpotency_index, self.field, self.generator = nilpotency_index, field, generator
+        self.local_ideal, self.x_kernel = local_ideal, []
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LocalQuotient:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:-1])
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Local factors at rational points (``LocalQuotient`` from
     ``local_components``, ``LocalInvariants`` from ``analyze_quotient``)."""
 
@@ -127,8 +131,7 @@ class Decomposition:
     colength: int
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
+class LocalInvariants(NamedTuple):
     """The invariants of one local factor; b1 = generators, b2 = socle."""
 
     point: tuple
@@ -442,6 +445,6 @@ def local_invariants(lq: LocalQuotient) -> LocalInvariants:
 def analyze_quotient(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
     """Split locally, then every factor's invariants (qb as for ``_operators``)."""
     decomposition = local_components(gb, qb)
-    return replace(
-        decomposition, components=tuple(map(local_invariants, decomposition.components))
+    return decomposition._replace(
+        components=tuple(map(local_invariants, decomposition.components))
     )

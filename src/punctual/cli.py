@@ -5,15 +5,18 @@ checks for one ideal), census and sweep (partition sweeps over a range of
 colengths), sample (randomized trials over a prime field).  Output is
 byte-identical for identical invocations; exit codes are 0 success,
 2 parse or configuration error, 3 not zero-dimensional, 4 check failure.
+
+Importing this module loads the engine that analyze runs, and verify and
+staircase too, since perfbench/tracer.py wraps only the functions of
+modules loaded by then.  The json and csv writers are imported by the
+output formats that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
 import os
 import sys
 
@@ -143,6 +146,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _emit(payload: dict, fmt: str, text_renderer, csv_renderer) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
         print(csv_renderer(payload), end="")
@@ -151,6 +156,8 @@ def _emit(payload: dict, fmt: str, text_renderer, csv_renderer) -> None:
 
 
 def _csv_string(header: list[str], rows: list[list]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

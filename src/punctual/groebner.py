@@ -20,14 +20,13 @@ leading term is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .poly import Monomial, MonomialOrder, Polynomial
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(NamedTuple):
     order: MonomialOrder
     field: object
     generators: tuple[Polynomial, ...]

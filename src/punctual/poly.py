@@ -7,7 +7,6 @@ precedence compare every pair of monomials identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import ParseError
@@ -70,18 +69,17 @@ _KEY_FUNCS[("degrevlex", "xy")] = _KEY_FUNCS[("deglex", "xy")]
 _KEY_FUNCS[("degrevlex", "yx")] = _KEY_FUNCS[("deglex", "yx")]
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple("MonomialOrder", [("tag", str), ("precedence", str)])):
     """A monomial order: tag in {lex, deglex, degrevlex}, precedence 'xy' (x > y) or 'yx'."""
 
-    tag: str = "degrevlex"
-    precedence: str = "xy"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tag not in ORDER_TAGS:
-            raise ValueError(f"unknown order tag {self.tag!r}")
-        if self.precedence not in PRECEDENCES:
-            raise ValueError(f"unknown precedence {self.precedence!r}")
+    def __new__(cls, tag: str = "degrevlex", precedence: str = "xy"):
+        if tag not in ORDER_TAGS:
+            raise ValueError(f"unknown order tag {tag!r}")
+        if precedence not in PRECEDENCES:
+            raise ValueError(f"unknown precedence {precedence!r}")
+        return super().__new__(cls, tag, precedence)
 
     def key_func(self) -> Callable[[Monomial], tuple[int, int]]:
         return _KEY_FUNCS[(self.tag, self.precedence)]
@@ -256,16 +254,17 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
+def _tokenize(text: str, i: int = 0, end: int | None = None) -> list[tuple[str, object, int]]:
+    """Tokens of text[i:end], each with its position in text."""
     tokens: list[tuple[str, object, int]] = []
-    i = 0
-    while i < len(text):
+    end = len(text) if end is None else end
+    while i < end:
         ch = text[i]
         if ch.isspace():
             i += 1
         elif ch.isdigit():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < end and text[j].isdigit():
                 j += 1
             try:
                 value = int(text[i:j])
@@ -287,7 +286,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 def parse_polynomial(text: str, field) -> Polynomial:
     """Parse one polynomial: integer coefficients, variables x and y,
     '^' exponents, optional '*' between factors, whitespace ignored."""
-    tokens = _tokenize(text)
+    return _polynomial(_tokenize(text), field)
+
+
+def _polynomial(tokens: list, field) -> Polynomial:
     if not tokens:
         raise ParseError("empty polynomial")
     terms: list[tuple[Monomial, object]] = []
@@ -348,8 +350,13 @@ def parse_polynomial(text: str, field) -> Polynomial:
 
 
 def parse_generators(text: str, field) -> list[Polynomial]:
-    """Parse a comma-separated list of generators."""
-    pieces = [piece.strip() for piece in text.split(",")]
-    if any(not piece for piece in pieces):
+    """Parse a comma-separated list of generators; every position an error
+    names is an offset into text."""
+    pieces = text.split(",")
+    if any(not piece.strip() for piece in pieces):
         raise ParseError("empty generator in ideal text")
-    return [parse_polynomial(piece, field) for piece in pieces]
+    generators, start = [], 0
+    for piece in pieces:
+        generators.append(_polynomial(_tokenize(text, start, start + len(piece)), field))
+        start += len(piece) + 1
+    return generators

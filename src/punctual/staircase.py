@@ -11,25 +11,24 @@ generating-function table rather than enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .poly import Monomial
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
+class Partition(NamedTuple("Partition", [("parts", tuple)])):
     """A weakly decreasing tuple of positive parts."""
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.parts:
+    def __new__(cls, parts: tuple[int, ...]):
+        if not parts:
             raise ValueError("partition needs at least one part")
-        if any(p < 1 for p in self.parts):
+        if any(p < 1 for p in parts):
             raise ValueError("parts must be positive")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
+        if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing")
+        return super().__new__(cls, parts)
 
     @property
     def size(self) -> int:
@@ -51,8 +50,7 @@ class Partition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
-class Corners:
+class Corners(NamedTuple):
     """Outer corners (minimal generators) and inner corners of a staircase."""
 
     outer: tuple[tuple[int, int], ...]

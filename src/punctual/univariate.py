@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -252,17 +251,22 @@ class _Lift:
         return reconstructed
 
 
-@dataclass
 class IntegerImage:
     """An operator M = A/D, D = 1 over Fp, by A's nonzero (column, entry)
     pairs per row and its entries row after row; its length is M's size.
     ``columns`` holds A's packed columns per prime for
-    ``linalg.krylov_dependence``, each column packed on first use."""
+    ``linalg.krylov_dependence``, each column packed on first use; images
+    compare equal by D, rows and entries, whatever their caches hold."""
 
-    denominator: int
-    rows: list
-    entries: list
-    columns: dict = dataclass_field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("denominator", "rows", "entries", "columns")
+
+    def __init__(self, denominator: int, rows: list, entries: list):
+        self.denominator, self.rows, self.entries, self.columns = denominator, rows, entries, {}
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IntegerImage:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:-1])
 
     def __len__(self) -> int:
         return len(self.rows)

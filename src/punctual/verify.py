@@ -23,8 +23,8 @@ up to the cross-check cutoff, as the second route to the same census.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .artinian import (
     MAX_COLENGTH,
@@ -77,17 +77,16 @@ CURATED_CORPUS: tuple[str, ...] = (
     "x^3, x^2*y, x*y^2 - x^2, y^4",
 )
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check: str
     inputs: dict
     rows: list
     summary: dict
     passed: bool
 
-    def to_jsonable(self) -> dict:  # one level deep: dataclasses.asdict copies every leaf
+    def to_jsonable(self) -> dict:  # one level deep
         copies = {"inputs": dict(self.inputs), "rows": [dict(row) for row in self.rows]}
-        return {**vars(self), **copies, "summary": dict(self.summary)}
+        return {**self._asdict(), **copies, "summary": dict(self.summary)}
 
     def to_text(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -101,8 +100,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SocleCensus:
+class SocleCensus(NamedTuple):
     n: int
     counts: dict
     partition_count: int
@@ -110,33 +108,32 @@ class SocleCensus:
     argmax: Partition  # the first partition in reverse-lex order with max_attained sizes
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    prime: int
-    degree: int
-    count: int
-    seed: int
+class SamplerConfig(
+    NamedTuple("SamplerConfig", [("prime", int), ("degree", int), ("count", int), ("seed", int)])
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, prime: int, degree: int, count: int, seed: int):
         # the bound first: trial division on a huge modulus does not finish
-        if self.prime >= MAX_PRIME:
-            raise ConfigError(f"sampler modulus {self.prime} is too large (must be below 2**31)")
-        if not is_prime(self.prime):
-            raise ConfigError(f"sampler modulus {self.prime} is not prime")
-        if self.degree < 1:
+        if prime >= MAX_PRIME:
+            raise ConfigError(f"sampler modulus {prime} is too large (must be below 2**31)")
+        if not is_prime(prime):
+            raise ConfigError(f"sampler modulus {prime} is not prime")
+        if degree < 1:
             raise ConfigError("sampler degree must be at least 1")
         # by Bezout two curves of degree <= d meet in colength <= d^2; refuse
         # before any draw, since Buchberger runs before the colength check
-        if self.degree * self.degree > MAX_COLENGTH:
+        if degree * degree > MAX_COLENGTH:
             raise ConfigError(
-                f"sampler degree {self.degree} exceeds the limit degree <= {isqrt(MAX_COLENGTH)}"
+                f"sampler degree {degree} exceeds the limit degree <= {isqrt(MAX_COLENGTH)}"
             )
-        if self.count < 0:
+        if count < 0:
             raise ConfigError("sampler count must be non-negative")
-        if self.count > MAX_SAMPLE_COUNT:
+        if count > MAX_SAMPLE_COUNT:
             raise ConfigError(
-                f"sampler count {self.count} exceeds the limit count <= {MAX_SAMPLE_COUNT}"
+                f"sampler count {count} exceeds the limit count <= {MAX_SAMPLE_COUNT}"
             )
+        return super().__new__(cls, prime, degree, count, seed)
 
 
 def format_table(rows: list[dict]) -> list[str]:

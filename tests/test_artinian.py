@@ -1,6 +1,6 @@
 """Quotient bases, local splitting, socle and generator counts, multiplicity."""
 
-from dataclasses import replace
+import copy
 from fractions import Fraction
 
 import pytest
@@ -745,7 +745,9 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
 def test_socle_route_never_reads_the_generator():
     for text in ("x^2, x*y, y^2", "x^2 - 1, y^2 - 1", "x^3 - 2*x, y"):
         for lq in local_components(gb_of(text)).components:
-            assert socle_dimension(replace(lq, generator=None)) == socle_dimension(lq), text
+            blind = copy.copy(lq)  # as built: no generator, nothing cached
+            blind.generator, blind.x_kernel = None, []
+            assert socle_dimension(blind) == socle_dimension(lq), text
 
 
 def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):

@@ -157,6 +157,32 @@ def test_integer_past_the_digit_limit_is_a_parse_error(capsys, tmp_path, source)
     assert err == "error: unreadable integer of 5000 digits at position 4\n"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x^2, y, z", "unexpected character 'z' at position 8"),
+        ("x^2, y + 3*w", "unexpected character 'w' at position 11"),
+        ("x^2, y^2 ^ 3", "unexpected '^' at position 9"),
+        ("y, 3^2", "exponent applies only to a variable (position 4)"),
+        ("x, y, * x", "'*' with no preceding factor (position 6)"),
+        ("x^3, y - " + "7" * 5000, "unreadable integer of 5000 digits at position 9"),
+    ],
+    ids=["character", "after-a-term", "caret", "integer-exponent", "star", "long-integer"],
+)
+@pytest.mark.parametrize("source", ["--ideal", "--file"])
+def test_parse_error_positions_are_offsets_into_the_ideal_text(
+    capsys, tmp_path, source, text, message
+):
+    # --file reads one generator per line and joins the lines with ", "
+    if source == "--file":
+        path = tmp_path / "ideal.txt"
+        path.write_text(text.replace(", ", "\n"), encoding="utf-8")
+        text = str(path)
+    code, out, err = run_cli(capsys, "analyze", source, text)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # each literal is readable, but the point (A, A*B) has a 6000-digit coordinate
 HUGE_POINT_IDEAL = f"x - {'3' * 3000}, y - {'5' * 3000}*x"
 

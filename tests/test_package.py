@@ -1,0 +1,188 @@
+"""The package surface: lazy exports, start-up imports, and record semantics."""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import punctual
+from punctual.artinian import (
+    analyze_quotient,
+    local_component_at,
+    local_components,
+    multiplication_matrices,
+    quotient_basis,
+    socle_dimension,
+)
+from punctual.errors import ConfigError
+from punctual.fields import QQ
+from punctual.groebner import buchberger
+from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, MonomialOrder, parse_generators
+from punctual.staircase import Partition, corners
+from punctual.verify import SamplerConfig, check_socle_identity, socle_census
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# every name the package exported when it imported its modules eagerly
+EXPORTS = """
+    ALL_ORDERS CURATED_CORPUS ConfigError Corners DEFAULT_ORDER Decomposition GroebnerBasis
+    LemmaViolation LocalInvariants LocalQuotient Monomial MonomialOrder MultiplicationPair
+    NotZeroDimensional ParseError Partition Polynomial PrimeField PunctualError QQ
+    QuotientBasis RationalField SamplerConfig SocleCensus SupportNotLocal VerificationReport
+    analyze_quotient attaining_partition buchberger check_degeneration
+    check_multiplicity_formula check_socle_identity check_staircase_bound corners
+    generator_count initial_ideal is_zero_dimensional local_component_at local_components
+    local_invariants monomial_ideal_of multiplication_matrices multiplicity_from_socle
+    nilpotency_index normal_form parse_field parse_generators parse_polynomial
+    partitions_of quotient_basis random_ideal_trials socle_bound socle_census
+    socle_dimension spolynomial spolynomial_certificate
+""".split()
+
+# run in a fresh interpreter: what importing the package, importing the
+# command line and one analyze add to sys.modules, then census and verify
+STARTUP_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import punctual
+package_only = sorted(set(sys.modules) - before)
+import punctual.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["analyze", "--ideal", "x^2, y"])]
+    added = sorted(set(sys.modules) - before)
+    codes += [cli.main(["census", "--n", "1..6"]), cli.main(["verify", "--ideal", "x^2, y"])]
+print(repr((package_only, added, codes)))
+"""
+
+
+def test_importing_the_package_or_analyzing_loads_no_dataclass_machinery():
+    result = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    package_only, added, codes = ast.literal_eval(result.stdout)
+    assert [name for name in package_only if name.startswith("punctual.")] == []
+    # the text output of analyze needs neither the csv nor the json writer
+    assert {"dataclasses", "inspect", "csv", "json"}.isdisjoint(added), added
+    assert codes == [0, 0, 0]
+
+
+def test_every_export_is_its_defining_modules_object():
+    assert sorted(punctual.__all__) == sorted(EXPORTS)
+    for name in punctual.__all__:
+        module = importlib.import_module(f"punctual.{punctual._MODULE_OF[name]}")
+        assert getattr(punctual, name) is getattr(module, name), name
+
+
+def test_star_import_and_dir_list_every_export():
+    namespace = {}
+    exec("from punctual import *", namespace)
+    assert all(namespace[name] is getattr(punctual, name) for name in EXPORTS)
+    assert set(EXPORTS) <= set(dir(punctual))
+    assert "__version__" in dir(punctual) and punctual.__version__ == "0.1.0"
+
+
+def test_an_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_export'"):
+        punctual.no_such_export
+    assert not hasattr(punctual, "dataclass")
+
+
+def frozen_records():
+    gb = buchberger(parse_generators("x^2 - x, y", QQ), DEFAULT_ORDER)
+    qb = quotient_basis(gb)
+    analysis = analyze_quotient(gb, qb)
+    partition = Partition((2, 1))
+    return [
+        gb,
+        DEFAULT_ORDER,
+        qb,
+        multiplication_matrices(qb, gb),
+        local_components(gb),
+        analysis,
+        analysis.components[0],
+        partition,
+        corners(partition),
+        socle_census(4),
+        SamplerConfig(prime=101, degree=3, count=1, seed=0),
+        check_socle_identity("x^2 - x, y", gb, analysis),
+    ]
+
+
+def test_frozen_records_refuse_attribute_assignment():
+    for record in frozen_records():
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.new_attribute = 1
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: MonomialOrder("bogus"), "unknown order tag 'bogus'"),
+        (lambda: MonomialOrder("lex", "zx"), "unknown precedence 'zx'"),
+        (lambda: Partition((1, 2)), "weakly decreasing"),
+        (lambda: Partition(()), "at least one part"),
+        (lambda: Partition((2, 0)), "positive"),
+    ],
+)
+def test_invalid_orders_and_partitions_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"prime": 2**31}, "too large"),
+        ({"prime": 6}, "not prime"),
+        ({"degree": 0}, "at least 1"),
+        ({"degree": 12}, "limit degree <= 11"),
+        ({"count": -1}, "non-negative"),
+        ({"count": 1001}, "limit count <= 1000"),
+    ],
+)
+def test_invalid_sampler_configs_are_refused(fields, message):
+    with pytest.raises(ConfigError, match=message):
+        SamplerConfig(**{"prime": 101, "degree": 3, "count": 1, "seed": 0, **fields})
+
+
+def test_order_and_basis_equality_and_hash():
+    assert MonomialOrder() == DEFAULT_ORDER == MonomialOrder("degrevlex", "xy")
+    assert MonomialOrder("lex") != MonomialOrder("lex", "yx")
+    assert len(set(ALL_ORDERS)) == len(ALL_ORDERS) == 6
+    # the hash of the field values, as a frozen dataclass computed it
+    assert hash(MonomialOrder("lex", "yx")) == hash(("lex", "yx"))
+    assert repr(MonomialOrder("lex")) == "MonomialOrder(tag='lex', precedence='xy')"
+    gens = parse_generators("y - x^2, x^3", QQ)
+    a, b = buchberger(gens, DEFAULT_ORDER), buchberger(gens, DEFAULT_ORDER)
+    assert a == b and hash(a) == hash(b) == hash((a.order, a.field, a.generators, a.lms))
+    assert a != buchberger(gens, MonomialOrder("lex", "yx"))
+
+
+def test_cached_records_compare_without_their_caches():
+    gb = buchberger(parse_generators("x^2, x*y, y^2", QQ), DEFAULT_ORDER)
+    qb = quotient_basis(gb)
+    pair, again = multiplication_matrices(qb, gb), multiplication_matrices(qb, gb)
+    pair.on_x.packed_columns(32003)
+    assert pair.on_x.columns and not again.on_x.columns and pair == again
+    (lq,) = local_components(gb).components
+    socle_dimension(lq)
+    other = local_component_at(gb, (QQ.zero(), QQ.zero()))
+    assert lq.x_kernel and not other.x_kernel and lq == other
+    other.generator = None
+    assert lq != other
+    for record in (lq, pair.on_x):
+        with pytest.raises(TypeError):
+            hash(record)
+        with pytest.raises(AttributeError):
+            record.new_attribute = 1
+    assert len(pair.on_x) == qb.dimension == 3

@@ -1,6 +1,5 @@
 """The verification harness: reports, determinism, pinned hand-checked values."""
 
-import dataclasses
 import json
 
 import pytest
@@ -212,7 +211,7 @@ def test_census_rejects_a_maximum_no_partition_reaches(monkeypatch):
 )
 def test_enumeration_catches_a_wrong_census(field, value):
     census = socle_census(4)
-    wrong = dataclasses.replace(census, **{field: value})
+    wrong = census._replace(**{field: value})
     assert check_staircase_bound(census, crosscheck_cutoff=4).passed
     assert not check_staircase_bound(wrong, crosscheck_cutoff=4).passed
 
