@@ -20,7 +20,8 @@ invariants come out of exact linear algebra on integers over both fields:
   commutes with Mx, the minimal polynomial of My on u is that of My on V:
   its roots py are exactly the points (px, py) of the support, and with
   (t - py)^s' * h its split, w = h(My)u generates the local factor
-  A_p = k[x,y] w.  w matters only up to a unit of A_p (``univariate.horner``);
+  A_p = k[x,y] w.  u and w, read off the Krylov spaces of [1] and of u by
+  ``univariate.krylov_image``, matter only up to a unit of A_p;
 * the words Nx^a Ny^b w in the translated operators N, the integer rows
   of b*D*(M - p*Id) for p = a/b, span A_p: the nilpotency index r is the
   first degree at which they all vanish, and the words are built once, in
@@ -56,7 +57,7 @@ from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
 from .linalg import kernel_basis, krylov_dependence, mat_vec, rank
 from .poly import Monomial, X, Y
-from .univariate import IntegerImage, _cofactor, _integral, horner, roots
+from .univariate import IntegerImage, _cofactor, _integral, krylov_image, roots
 from .univariate import rational_minimal_polynomial
 
 # quotients above this colength are refused before their basis is listed:
@@ -220,14 +221,13 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     return MultiplicationPair(image(X), image(Y))
 
 
-def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()) -> list:
+def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()) -> tuple:
     """The least monic f with f(M)v = 0, the minimal polynomial of M on the
-    cyclic space k[x,y] v (M commutes with both operators); on the class of
-    1 (basis vector 0) that of M itself.  Over Fp the first Krylov
-    dependence, over QQ its certified lift from the images mod p of M's
-    integer image, with the polynomials ``known`` tried first."""
-    if coeff_field.characteristic:
-        p = coeff_field.p
+    cyclic space k[x,y] v (M commutes with both operators), and its Krylov
+    space; on [1] (basis vector 0) that of M itself.  Over Fp the first
+    Krylov dependence, over QQ its certified lift from the images mod p of
+    M's integer image, with the polynomials ``known`` tried first."""
+    if p := coeff_field.characteristic:
         return krylov_dependence(image.entries, vector, p, image.packed_columns(p))
     return rational_minimal_polynomial(image, vector, known)
 
@@ -235,12 +235,13 @@ def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()
 def _eigenvalue_candidates(
     image: IntegerImage, vector: list, coeff_field, found: list, root=None
 ) -> list:
-    """(root p, cofactor, rows of M translated to p) for each root in the
-    field of the minimal polynomial of M on v, or for ``root`` alone when
-    given and a root, with no root search.  ``found`` pairs each polynomial
-    already searched with its candidates, matched by equality (a dict would
-    hash every ``Fraction``), and offers the polynomials to the lift."""
-    coeffs = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
+    """(root p, g(M)v for its cofactor g, read off v's Krylov space, rows
+    of M translated to p) for each root in the field of the minimal
+    polynomial of M on v, or for ``root`` alone when given and a root, with
+    no root search.  ``found`` pairs each polynomial already searched with
+    its roots, cofactors and rows, matched by equality (a dict would hash
+    every ``Fraction``), and offers the polynomials to the lift."""
+    coeffs, space = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
     if (known := next((c for f, c in found if f == coeffs), None)) is None:
         known = [
             (p, g, _translated(image, p, coeff_field))
@@ -248,7 +249,7 @@ def _eigenvalue_candidates(
             if (g := _cofactor(coeffs, p, coeff_field)) is not None
         ]
         found.append((coeffs, known))
-    return known
+    return [(p, krylov_image(g, image, vector, space, coeff_field), rows) for p, g, rows in known]
 
 
 def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> tuple[int, list]:
@@ -340,11 +341,10 @@ def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
     coeff_field = gb.field
     one = [1] + [0] * (n - 1)
     components, found_y = [], []
-    for px, g, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, [], point[0]):
-        u, x_kernel = horner(g, pair.on_x, one, coeff_field), []
-        for py, h, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y, point[1]):
-            generator = horner(h, pair.on_y, u, coeff_field)
-            lq = _component_at((px, py), nil_x, nil_y, generator, coeff_field)
+    for px, u, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, [], point[0]):
+        x_kernel = []
+        for py, w, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y, point[1]):
+            lq = _component_at((px, py), nil_x, nil_y, w, coeff_field)
             lq.x_kernel = x_kernel
             components.append(lq)
     return n, components

@@ -7,7 +7,8 @@ fraction-free with primitive rows over QQ and with normalised pivots mod
 p; ``mat_vec`` applies sparse integer rows.  Pivoting always takes the
 first nonzero entry, the only sound choice for exact arithmetic, so every
 rank or kernel decision is exact.  ``krylov_dependence``, a minimal
-polynomial mod p, packs each integer vector into one int.  ``mat_mul``,
+polynomial mod p, packs each integer vector into one int and keeps the
+space it found the polynomial on.  ``mat_mul``,
 ``mat_pow`` and ``minimal_polynomial`` act on dense matrices of field
 elements (``Fraction``, or int in [0, p)) through the field's ``reduce``
 and ``inv``.
@@ -171,12 +172,13 @@ def minimal_polynomial(matrix: list[list], field) -> list:
     return _first_dependence(([v for row in p for v in row] for p in powers), field)
 
 
-def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None) -> list[int]:
+def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None) -> tuple:
     """The least monic f mod p (constant first) with f(A)v = 0, for
     p < 2**64, an integer vector v of size n, and the integer n x n
-    matrix A by its entries, row after row.  ``packed``, if given, is a
-    list of n slots holding A's packed columns mod p, filled on first use
-    and shared by the calls on one A and p.
+    matrix A by its entries, row after row, and the space it was found
+    on: r_k = q_k(A)v then the monic q_k, k = 0..deg f, the last 0 and f.
+    ``packed``, if given, is a list of n slots holding A's packed columns
+    mod p, filled on first use and shared by the calls on one A and p.
 
     One int packs r_k in its low n slots and q_k above them, a slot being
     2*bitlen(p) + bitlen(2n + 2) + 1 bits in whole 64-bit words, so no sum
@@ -194,11 +196,12 @@ def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None
     packed = [None] * n if packed is None else packed
     # stored rows: (packed r_i and q_i, shift to the lead slot, inverse of the lead)
     echelon: list[tuple[int, int, int]] = []
-    slots = [x % p for x in vector] + [1]
+    slots, kept = [x % p for x in vector] + [1], []
     for _ in range(n + 1):
+        kept.append(slots)
         support = [(j, s) for j, s in enumerate(slots[:n]) if s]
         if not support:
-            return slots[n:]
+            return slots[n:], kept
         lead, value = support[0]
         row = int.from_bytes(struct.pack("<" + slot * len(slots), *slots), "little")
         echelon.append((row, lead * width, pow(value, -1, p)))

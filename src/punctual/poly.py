@@ -73,6 +73,7 @@ class MonomialOrder(NamedTuple("MonomialOrder", [("tag", str), ("precedence", st
     """A monomial order: tag in {lex, deglex, degrevlex}, precedence 'xy' (x > y) or 'yx'."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, tag: str = "degrevlex", precedence: str = "xy"):
         if tag not in ORDER_TAGS:

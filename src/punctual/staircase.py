@@ -20,6 +20,7 @@ class Partition(NamedTuple("Partition", [("parts", tuple)])):
     """A weakly decreasing tuple of positive parts."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, parts: tuple[int, ...]):
         if not parts:

@@ -7,11 +7,11 @@ trailing zeros; [] is zero), every entry stored through the field's
 the roots in the field, and ``_cofactor``, which splits one off with its
 multiplicity by synthetic division in integers.
 
-One ``horner`` on an operator's ``IntegerImage`` (the sparse rows of
-A = D*M, with D = 1 over Fp, built by ``artinian`` from the normal forms)
-gives f(M)v up to a positive scalar, in integers: it certifies the
-minimal polynomial and applies the cofactors from which ``artinian``
-builds each generator.
+The minimal polynomial on v of an operator's ``IntegerImage`` (the sparse
+rows of A = D*M, D = 1 over Fp, built by ``artinian`` from the normal
+forms) comes with the Krylov space of v it was found on; ``krylov_image``
+reads g(M)v off that space, up to a positive scalar, in integers: the
+certificate of the minimal polynomial and each cofactor's image.
 
 Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
 minimal polynomial of an operator (``rational_minimal_polynomial``) and
@@ -35,7 +35,7 @@ from itertools import count
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
-from .linalg import krylov_dependence
+from .linalg import _normalised, krylov_dependence, mat_vec
 
 
 def _trim(a: list) -> list:
@@ -253,9 +253,9 @@ class _Lift:
 
 class IntegerImage:
     """An operator M = A/D, D = 1 over Fp, by A's nonzero (column, entry)
-    pairs per row and its entries row after row; its length is M's size.
-    ``columns`` holds A's packed columns per prime for
-    ``linalg.krylov_dependence``, each column packed on first use; images
+    pairs per row (the QQ Krylov powers) and its entries row after row;
+    its length is M's size.  ``columns`` holds A's packed columns per prime
+    for ``linalg.krylov_dependence``, each packed on first use; images
     compare equal by D, rows and entries, whatever their caches hold."""
 
     __slots__ = ("denominator", "rows", "entries", "columns")
@@ -275,32 +275,38 @@ class IntegerImage:
         return self.columns.setdefault(p, [None] * len(self.rows))
 
 
-def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
-    """f(M)v up to a positive scalar, for a monic f, as integers.
+def krylov_image(coeffs: list, image: IntegerImage, vector: list, space: list, field) -> list:
+    """g(M)v up to a positive scalar, for a monic g of degree at most that
+    of the minimal polynomial of M on v, as integers, read off the
+    ``space`` that polynomial was found on; a degree-0 g returns v itself.
 
-    Horner's rule on sum_i F_i D^(d-i) A^i w with F = L*f and w = E*v
-    integral, which is L E D^d f(M)v: over QQ the primitive integer
-    vector, divided by its content; over Fp, where L = E = D = 1, f(M)v
-    itself, every entry reduced.  A degree-0 f returns v itself.
+    Over Fp the space holds r_k = q_k(M)v and the monic q_k: g = sum b_k q_k
+    by back-substitution mod p, and g(M)v = sum b_k r_k, reduced.  Over QQ
+    it holds P_k = A^k w, w = E*v integral, extended as deg g needs: with
+    F = L*g integral, sum F_i D^(d-i) P_i is L E D^d g(M)v, the primitive
+    integer vector, divided by its content.
     """
     if len(coeffs) == 1:
         return vector
-    p = field.characteristic
-    _, scaled = _integral(coeffs, field)
-    _, w = _integral(vector, field)
-    acc, power = [scaled[-1] * x for x in w], 1
-    for c in reversed(scaled[:-1]):
-        power *= image.denominator
-        shift = c * power
-        acc = [sum(a * acc[j] for j, a in row) + shift * x for row, x in zip(image.rows, w)]
-        if p:
-            acc = [a % p for a in acc]
-    content = 1 if p else math.gcd(*acc) or 1
-    return [a // content for a in acc] if content > 1 else acc
+    p, d = field.characteristic, len(coeffs) - 1
+    if p:  # each q_k is the last k + 1 entries of space[k]
+        weights, rest, scale = [0] * (d + 1), coeffs, 1
+        for k in range(d, -1, -1):
+            weights[k] = b = rest[k] % p
+            rest = [a - b * c for a, c in zip(rest, space[k][-k - 1 : -1])]
+    else:
+        while len(space) <= d:
+            space.append(mat_vec(image.rows, space[-1], field))
+        weights, scale = _integral(coeffs, field)[1], image.denominator
+    acc = [0] * len(vector)
+    for b, kept in zip(weights, space):  # Horner's rule in D: no D^(d-i) is formed
+        acc = [a * scale + b * x for a, x in zip(acc, kept)]
+    return _normalised(acc, p)
 
 
-def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> list[Fraction]:
-    """The least monic f over QQ with f(M)v = 0, from its images mod p.
+def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> tuple[list, list]:
+    """The least monic f over QQ with f(M)v = 0, from its images mod p,
+    and the powers A^k w, k = 0..deg f, that certified it.
 
     With M = A/D (an ``IntegerImage``) and w = E*v integral, each prime p
     not dividing D gives f_p, the first Krylov dependence of w mod p under
@@ -310,10 +316,11 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
     p-integral with image f_p; so ``_Lift`` keeps the largest degree.
     Each candidate, a reconstruction or a polynomial of ``known`` (the
     lift's hints) that the first image reproduces, is accepted only after
-    the exact check f(M)v = 0, made in integers by ``horner``: then f is a
-    multiple of the minimal polynomial of degree deg f_p, which is at most
-    its degree, so it is the minimal polynomial.  A candidate is refused
-    before the check unless each D^(d-i) f_i is an integer, as in g below.
+    the exact check f(M)v = 0, in integers by ``krylov_image`` on powers
+    A^k w built once for all: then f is a multiple of the minimal
+    polynomial of degree deg f_p, which is at most its degree, so it is
+    the minimal polynomial.  A candidate is refused before the check
+    unless each D^(d-i) f_i is an integer, as in g below.
 
     Bounds at degree k, with r - 1 the largest absolute row sum of A: g
     below is a monic factor of A's characteristic polynomial, in Z[t] with
@@ -321,7 +328,7 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
     would divide a nonzero minor of w, ..., A^k w, which Hadamard's bound
     puts below ((k + 1) (1 + |w|)^2)^((k+1)/2) r^(k(k+1)/2).
     """
-    _, w = _integral(vector, QQ)
+    powers = [w := _integral(vector, QQ)[1]]
     r = (1 + max((sum(abs(a) for _, a in row) for row in image.rows), default=0)).bit_length()
     height = (1 + max(map(abs, w), default=0)) ** 2
 
@@ -335,14 +342,14 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
         if not image.denominator % p:
             continue
         # the dependence g of A = D*M gives f(t) = g(D t) / D^deg(g) for M
-        g = krylov_dependence(image.entries, w, p, image.packed_columns(p))
+        g, _ = krylov_dependence(image.entries, w, p, image.packed_columns(p))
         scale = pow(image.denominator, -1, p)
         candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
         integral = candidate and not any(
             pow(image.denominator, e, c.denominator) for e, c in enumerate(reversed(candidate))
         )
-        if integral and not any(horner(candidate, image, vector, QQ)):
-            return candidate
+        if integral and not any(krylov_image(candidate, image, vector, powers, QQ)):
+            return candidate, powers
     raise ArithmeticError("the prime source is exhausted")
 
 

@@ -112,6 +112,7 @@ class SamplerConfig(
     NamedTuple("SamplerConfig", [("prime", int), ("degree", int), ("count", int), ("seed", int)])
 ):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
     def __new__(cls, prime: int, degree: int, count: int, seed: int):
         # the bound first: trial division on a huge modulus does not finish

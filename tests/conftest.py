@@ -1,6 +1,7 @@
 """Shared test oracles: direct, slower routes to values the package computes
 another way, kept out of the package because only the tests read them."""
 
+import math
 import sys
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -267,6 +268,30 @@ def fraction_horner(coeffs: list, matrix: list[list], vector: list, field) -> li
     return acc
 
 
+def horner(coeffs: list, image: IntegerImage, vector: list, field) -> list:
+    """f(M)v up to a positive scalar, for a monic f of any degree, as
+    integers: Horner's rule on sum_i F_i D^(d-i) A^i w with F = L*f and
+    w = E*v integral, which is L E D^d f(M)v, over all rows of A for each
+    coefficient.  Over QQ the primitive integer vector, divided by its
+    content; over Fp, where L = E = D = 1, f(M)v itself, every entry
+    reduced.  A degree-0 f returns v itself.  The cofactor route before
+    ``krylov_image`` read f(M)v off v's Krylov space."""
+    if len(coeffs) == 1:
+        return vector
+    p = field.characteristic
+    _, scaled = _integral(coeffs, field)
+    _, w = _integral(vector, field)
+    acc, power = [scaled[-1] * x for x in w], 1
+    for c in reversed(scaled[:-1]):
+        power *= image.denominator
+        shift = c * power
+        acc = [sum(a * acc[j] for j, a in row) + shift * x for row, x in zip(image.rows, w)]
+        if p:
+            acc = [a % p for a in acc]
+    content = 1 if p else math.gcd(*acc) or 1
+    return [a // content for a in acc] if content > 1 else acc
+
+
 def pairwise_components(gb) -> list:
     """The local factors, ordered by point, as the split before the
     restriction to each x-root found them: from the minimal polynomials of
@@ -279,7 +304,7 @@ def pairwise_components(gb) -> list:
     one = [1] + [0] * (len(pair.on_x) - 1)
 
     def candidates(image):
-        coeffs = artinian._minimal_polynomial(image, one, field)
+        coeffs, _ = artinian._minimal_polynomial(image, one, field)
         roots = univariate.roots(coeffs, field)
         return [(p, univariate._cofactor(coeffs, p, field)) for p in roots]
 
@@ -287,7 +312,7 @@ def pairwise_components(gb) -> list:
         (
             py,
             artinian._translated(pair.on_y, py, field),
-            univariate.horner(g, pair.on_y, one, field),
+            horner(g, pair.on_y, one, field),
         )
         for py, g in candidates(pair.on_y)
     ]
@@ -295,7 +320,7 @@ def pairwise_components(gb) -> list:
     for px, g in candidates(pair.on_x):
         nil_x = artinian._translated(pair.on_x, px, field)
         for py, nil_y, w_y in roots_y:
-            generator = univariate.horner(g, pair.on_x, w_y, field)
+            generator = horner(g, pair.on_x, w_y, field)
             if any(generator):
                 components.append(
                     artinian._component_at((px, py), nil_x, nil_y, generator, field)

@@ -12,6 +12,7 @@ from conftest import (
     densify,
     division_operators,
     evaluate,
+    horner,
     is_zero_matrix,
     local_ideal_truncation,
     mat_sub,
@@ -55,7 +56,7 @@ from punctual.poly import (
     Y,
     parse_generators,
 )
-from punctual.univariate import _cofactor, horner, roots
+from punctual.univariate import _cofactor, roots
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -583,18 +584,33 @@ def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
         one = [1] + [0] * (len(pair.on_x) - 1)
         for image in (pair.on_x, pair.on_y):
-            assert artinian._minimal_polynomial(image, one, field) == (
+            assert artinian._minimal_polynomial(image, one, field)[0] == (
                 minimal_polynomial(densify(image, field), field)
             ), text
         # on u = g_x(Mx)[1] of each x-root, the minimal polynomial of My
         # restricted to the cyclic space of u
         on_y = densify(pair.on_y, field)
-        f_x = artinian._minimal_polynomial(pair.on_x, one, field)
+        f_x, _ = artinian._minimal_polynomial(pair.on_x, one, field)
         for px in roots(f_x, field):
             u = horner(_cofactor(f_x, px, field), pair.on_x, one, field)
-            assert artinian._minimal_polynomial(pair.on_y, u, field) == (
+            assert artinian._minimal_polynomial(pair.on_y, u, field)[0] == (
                 vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field)
             ), (text, px)
+
+
+def test_each_generator_is_the_horner_image(oracle_cases):
+    # w = h(My) g_x(Mx)[1], the cofactors taken of the minimal polynomials
+    # of the dense matrices, applied by Horner's rule over all rows
+    for text, field, pair, components in oracle_cases:
+        one = [1] + [0] * (len(pair.on_x) - 1)
+        f_x = minimal_polynomial(densify(pair.on_x, field), field)
+        on_y = densify(pair.on_y, field)
+        for lq, _ in components:
+            px, py = lq.point
+            u = horner(_cofactor(f_x, px, field), pair.on_x, one, field)
+            f_y = vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field)
+            w = horner(_cofactor(f_y, py, field), pair.on_y, u, field)
+            assert lq.generator == w, (text, lq.point)
 
 
 def test_generator_words_span_the_generalized_eigenspace(oracle_cases):
@@ -684,7 +700,7 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     for module, name in (
         (linalg, "mat_pow"),
         (linalg, "mat_mul"),
-        (artinian, "horner"),
+        (artinian, "krylov_image"),
         (artinian, "nilpotency_index"),
     ):
         original = getattr(module, name)
@@ -695,7 +711,7 @@ def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
     assert local_component_at(gb, (QQ.from_int(2), QQ.zero())) is None
     assert calls == []
     assert local_component_at(gb, (QQ.one(), QQ.zero())).dimension == 1
-    assert sorted(calls) == ["horner", "horner", "nilpotency_index"]
+    assert sorted(calls) == ["krylov_image", "krylov_image", "nilpotency_index"]
 
 
 @pytest.mark.parametrize(

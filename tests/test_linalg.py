@@ -3,6 +3,7 @@ oracle ``dense_rref``, minimal polynomials, and the packed Krylov kernel
 mod p against the oracle ``vector_minimal_polynomial``."""
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 
 from conftest import (
@@ -209,7 +210,17 @@ def krylov_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_krylov_dependence_matches_the_oracle(case):
     p, matrix, vector = case
-    assert krylov_dependence(entries_of(matrix), vector, p) == krylov_oracle(matrix, vector, p)
+    coeffs, space = krylov_dependence(entries_of(matrix), vector, p)
+    assert coeffs == krylov_oracle(matrix, vector, p)
+    # the kept space: r_k = q_k(A)v mod p and the monic q_k of degree k, up to 0 and f
+    n, field = len(vector), PrimeField(p)
+    reduced = [[a % p for a in row] for row in matrix]
+    steps = repeat(reduced, len(space) - 1)
+    powers = list(accumulate(steps, lambda v, m: dense_mat_vec(m, v, field), initial=vector))
+    for k, kept in enumerate(space):
+        assert len(kept) == n + k + 1 and kept[-1] == 1
+        assert kept[:n] == [sum(c * v[i] for c, v in zip(kept[n:], powers)) % p for i in range(n)]
+    assert space[-1] == [0] * n + coeffs
 
 
 def test_krylov_dependence_on_dense_operators_at_the_widest_slots():
@@ -221,7 +232,7 @@ def test_krylov_dependence_on_dense_operators_at_the_widest_slots():
         matrix[0][0] = 1
         vector = [p - 1 - i for i in range(n)]
         expected = krylov_oracle(matrix, vector, p)
-        assert krylov_dependence(entries_of(matrix), vector, p) == expected
+        assert krylov_dependence(entries_of(matrix), vector, p)[0] == expected
 
 
 def companion(coeffs):
@@ -236,16 +247,16 @@ def test_krylov_dependence_edge_cases():
         for n in (1, 2, 7, 40):
             e0, shift = [1] + [0] * (n - 1), companion([0] * n + [1])
             # the zero vector: f = 1
-            assert krylov_dependence(entries_of(shift), [0] * n, p) == [1]
+            assert krylov_dependence(entries_of(shift), [0] * n, p)[0] == [1]
             # a nilpotent shift from its cyclic vector: t^n
-            assert krylov_dependence(entries_of(shift), e0, p) == [0] * n + [1]
+            assert krylov_dependence(entries_of(shift), e0, p)[0] == [0] * n + [1]
             # a dependence only at degree n, with every coefficient nonzero
             coeffs = [(3 * i + 1) % p or 1 for i in range(n)] + [1]
-            assert krylov_dependence(entries_of(companion(coeffs)), e0, p) == coeffs
+            assert krylov_dependence(entries_of(companion(coeffs)), e0, p)[0] == coeffs
             # the identity: t - 1 on any nonzero vector
             eye = [[int(i == j) for j in range(n)] for i in range(n)]
             for vector in (e0, [1] * n, [p - 1 - i for i in range(n)]):
-                assert krylov_dependence(entries_of(eye), vector, p) == [p - 1, 1]
+                assert krylov_dependence(entries_of(eye), vector, p)[0] == [p - 1, 1]
 
 
 def test_krylov_dependence_with_three_words_per_slot():
@@ -253,9 +264,9 @@ def test_krylov_dependence_with_three_words_per_slot():
     p, n = 2**61 - 1, 40
     coeffs = [p - 1 - 3 * i for i in range(n)] + [1]
     e0 = [1] + [0] * (n - 1)
-    assert krylov_dependence(entries_of(companion(coeffs)), e0, p) == coeffs
+    assert krylov_dependence(entries_of(companion(coeffs)), e0, p)[0] == coeffs
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert krylov_dependence(entries_of(eye), [p - 1 - i for i in range(n)], p) == [p - 1, 1]
+    assert krylov_dependence(entries_of(eye), [p - 1 - i for i in range(n)], p)[0] == [p - 1, 1]
 
 
 ELIMINATION_FIELDS = [QQ] + [PrimeField(p) for p in (2, 7, 32003, 2**31 - 1)]

@@ -1,6 +1,6 @@
 """The certified modular kernels over QQ: the minimal polynomial of an
-operator and the squarefree part, and the integer Horner on an operator's
-integer image, against the Fraction routes they replaced (kept in
+operator and the squarefree part, and the image g(M)v read off the Krylov
+space of v, against the Horner and Fraction routes they replaced (kept in
 ``conftest``), with unlucky primes forced through the prime source, lifts
 whose exact check never accepts, and the ladder x^k - 1, (y - x)^k - x,
 whose Fraction route ran for minutes at k = 11."""
@@ -18,11 +18,12 @@ from conftest import (
     euclid_squarefree_part,
     fraction_horner,
     fraction_minimal_polynomial,
+    horner,
     integer_image,
-    vector_minimal_polynomial,
 )
 from hypothesis import given, settings, strategies as st
 
+import punctual.artinian as artinian
 import punctual.univariate as univariate
 from punctual.artinian import LocalInvariants, analyze_quotient
 from punctual.cli import main
@@ -30,8 +31,9 @@ from punctual.fields import QQ, PrimeField
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, parse_generators
 from punctual.univariate import (
+    _cofactor,
     _squarefree_part,
-    horner,
+    krylov_image,
     rational_minimal_polynomial,
 )
 
@@ -77,7 +79,7 @@ def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
     matrix = qq([[Fraction(1, q), 1], [0, 2]])
     expected = fraction_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:6])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert q not in used and used
 
 
@@ -99,14 +101,14 @@ def record_checks(monkeypatch):
     """Record each candidate the exact check f(M)v = 0 sees, and whether it
     passed."""
     checks = []
-    exact = univariate.horner
+    exact = univariate.krylov_image
 
-    def recording(coeffs, image, vector, field):
-        value = exact(coeffs, image, vector, field)
+    def recording(coeffs, image, vector, space, field):
+        value = exact(coeffs, image, vector, space, field)
         checks.append((coeffs, not any(value)))
         return value
 
-    monkeypatch.setattr(univariate, "horner", recording)
+    monkeypatch.setattr(univariate, "krylov_image", recording)
     return checks
 
 
@@ -119,7 +121,7 @@ def test_a_prime_that_drops_the_degree_is_not_combined(monkeypatch):
     assert len(expected) == 3
     moduli = record_moduli(monkeypatch)
     used = force_source(monkeypatch, [SOURCE[0], q, SOURCE[1], SOURCE[3]])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert used == [SOURCE[0], q, SOURCE[1]]
     assert moduli == [SOURCE[0], SOURCE[0], SOURCE[0] * SOURCE[1]]
 
@@ -130,7 +132,7 @@ def test_a_small_minimal_polynomial_takes_one_prime(monkeypatch):
     matrix = diagonal(1, 2, 5)
     vector = [Fraction(1)] * 3
     used = force_source(monkeypatch, SOURCE[:4])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector) == [-10, 17, -8, 1]
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector)[0] == [-10, 17, -8, 1]
     assert used == [SOURCE[0]]
 
 
@@ -142,7 +144,7 @@ def test_the_exact_check_refuses_a_first_reconstruction_of_too_low_degree(monkey
     expected = fraction_minimal_polynomial(matrix, ONES)
     checks = record_checks(monkeypatch)
     used = force_source(monkeypatch, SOURCE[:6])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert checks[0] == ([-1, 1], False)
     assert checks[-1] == (expected, True) and len(expected) == 3
     assert used[0] == q and len(used) > 1
@@ -154,7 +156,7 @@ def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeyp
     matrix = diagonal(1, 1 + q1 * q2)
     expected = fraction_minimal_polynomial(matrix, ONES)
     force_source(monkeypatch, SOURCE[:10])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert len(expected) == 3
 
 
@@ -174,7 +176,7 @@ def test_a_candidate_with_a_denominator_off_the_operator_never_reaches_the_check
     checks = record_checks(monkeypatch)
     force_source(monkeypatch, SOURCE[:4])
     image = integer_image(diagonal(1, 2), QQ)
-    assert rational_minimal_polynomial(image, ONES) == [2, -3, 1]
+    assert rational_minimal_polynomial(image, ONES)[0] == [2, -3, 1]
     assert len(offered) == 2 and [coeffs for coeffs, _ in checks] == [[2, -3, 1]]
 
 
@@ -183,7 +185,7 @@ def test_coefficients_wider_than_one_prime_are_combined(monkeypatch):
     matrix = diagonal(Fraction(a, 7), b)
     expected = fraction_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:12])
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert len(used) > 4  # 80-bit coefficients need several 15-bit primes
 
 
@@ -262,11 +264,11 @@ def test_a_known_polynomial_is_checked_after_one_prime(monkeypatch):
     expected = fraction_minimal_polynomial(matrix, vector)
     image = integer_image(matrix, QQ)
     used = force_source(monkeypatch, SOURCE[:12])
-    assert rational_minimal_polynomial(image, vector, [expected[:-1], expected]) == expected
+    assert rational_minimal_polynomial(image, vector, [expected[:-1], expected])[0] == expected
     assert used == [q]
     used.clear()
     impostor = [expected[0] + q] + expected[1:]
-    assert rational_minimal_polynomial(image, vector, [impostor]) == expected
+    assert rational_minimal_polynomial(image, vector, [impostor])[0] == expected
     assert used[0] == q and len(used) > 1
 
 
@@ -274,7 +276,7 @@ def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_minimal_polynomial_lif
     # mod each prime of P the Krylov rank of diag(1, 1 + P) on (1, 1) drops to
     # 1, so the exact check refuses t - 1 at each reconstruction
     image = integer_image(diagonal(1, 1 + P), QQ)
-    assert rational_minimal_polynomial(image, ONES) == [1 + P, -2 - P, 1]
+    assert rational_minimal_polynomial(image, ONES)[0] == [1 + P, -2 - P, 1]
 
 
 def run_isolated(code):
@@ -294,7 +296,7 @@ def test_a_certificate_that_never_accepts_ends_the_minimal_polynomial_lift():
 import time
 from fractions import Fraction as F
 import punctual.univariate as u
-u.horner = lambda coeffs, image, vector, field: [F(1)]  # f(M)v is never zero
+u.krylov_image = lambda coeffs, image, vector, space, field: [F(1)]  # f(M)v is never zero
 image = u.IntegerImage(3, [[(0, 1), (1, 6)], [(1, 15)]], [1, 6, 0, 15])  # [[1/3, 2], [0, 5]]
 start = time.perf_counter()
 try:
@@ -369,52 +371,56 @@ def operators(draw):
 def test_minimal_polynomial_matches_the_fraction_krylov(case):
     matrix, vector = case
     expected = fraction_minimal_polynomial(matrix, vector)
-    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector) == expected
+    assert rational_minimal_polynomial(integer_image(matrix, QQ), vector)[0] == expected
 
 
 @st.composite
-def horner_cases(draw):
-    """(field, M, v, f): a random operator and vector with denominators
-    over QQ, and a monic f of degree <= 4, or the least f with f(M)v = 0
-    times such a one, so that both routes give zero."""
-    field = draw(st.sampled_from([QQ] + fields(2, 7, 32003)))
+def image_cases(draw):
+    """(field, M, v, g): a random operator of size <= 8 and a vector, with
+    denominators over QQ (D > 1), and a monic g of degree <= 8, cut down
+    to the degree of the least f with f(M)v = 0 where it is larger."""
+    field = draw(st.sampled_from([QQ] + fields(2, 7, 32003, 2**31 - 1)))
     element = entries if field == QQ else st.integers(0, field.p - 1)
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
     matrix = [[draw(element) for _ in range(n)] for _ in range(n)]
     vector = [draw(element) for _ in range(n)]
-    coeffs = [draw(element) for _ in range(draw(st.integers(0, 4)))] + [field.one()]
-    if draw(st.booleans()):
-        least = vector_minimal_polynomial(matrix, vector, field)
-        product = [field.zero()] * (len(least) + len(coeffs) - 1)
-        for i, a in enumerate(least):
-            for j, b in enumerate(coeffs):
-                product[i + j] = field.reduce(product[i + j] + a * b)
-        coeffs = product
+    coeffs = [draw(element) for _ in range(draw(st.integers(0, 8)))] + [field.one()]
     return field, matrix, vector, coeffs
 
 
-@given(horner_cases())
+@given(image_cases())
 @settings(max_examples=300, deadline=None)
-def test_integer_horner_matches_the_fraction_horner(case):
+def test_the_krylov_space_image_matches_both_horners(case):
+    # on the space the minimal polynomial f of M on v was found on: f itself
+    # (the certificate), every root's cofactor, a degree-0 g and a random g
     field, matrix, vector, coeffs = case
-    new = horner(coeffs, integer_image(matrix, field), vector, field)
-    old = fraction_horner(coeffs, matrix, vector, field)
-    if field.characteristic:
-        assert new == old
-        return
-    # a positive multiple, stored as a primitive integer vector unless f = 1
-    assert any(new) == any(old)
-    assert dense_rank([new, old], QQ) <= 1
-    assert all(a * b >= 0 for a, b in zip(new, old))
-    if len(coeffs) > 1:
-        assert all(c.denominator == 1 for c in new)
-        assert gcd(*(c.numerator for c in new)) == (1 if any(new) else 0)
+    image = integer_image(matrix, field)
+    f, space = artinian._minimal_polynomial(image, vector, field)
+    cofactors = [_cofactor(f, root, field) for root in univariate.roots(f, field)]
+    assert krylov_image([field.one()], image, vector, space, field) is vector
+    for g in [f, *cofactors, coeffs[: len(f) - 1] + [field.one()]]:
+        new = krylov_image(g, image, vector, space, field)
+        assert new == horner(g, image, vector, field)
+        old = fraction_horner(g, matrix, vector, field)
+        if field.characteristic:
+            assert new == old
+            continue
+        # a positive multiple, stored as a primitive integer vector unless g = 1
+        assert any(new) == any(old)
+        assert dense_rank([new, old], QQ) <= 1
+        assert all(a * b >= 0 for a, b in zip(new, old))
+        if len(g) > 1:
+            assert all(c.denominator == 1 for c in new)
+            assert gcd(*(c.numerator for c in new)) == (1 if any(new) else 0)
+    assert not any(krylov_image(f, image, vector, space, field))
 
 
 def test_a_degree_zero_cofactor_returns_the_vector_itself():
     for field, vector in ((QQ, [Fraction(1, 2), Fraction(3)]), (PrimeField(7), [3, 5])):
         matrix = [[field.one(), field.zero()], [field.one(), field.one()]]
-        assert horner([field.one()], integer_image(matrix, field), vector, field) is vector
+        image = integer_image(matrix, field)
+        _, space = artinian._minimal_polynomial(image, vector, field)
+        assert krylov_image([field.one()], image, vector, space, field) is vector
 
 
 fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))

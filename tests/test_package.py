@@ -155,6 +155,28 @@ def test_invalid_sampler_configs_are_refused(fields, message):
         SamplerConfig(**{"prime": 101, "degree": 3, "count": 1, "seed": 0, **fields})
 
 
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: SamplerConfig(101, 3, 1, 0)._replace(prime=6), ConfigError, "not prime"),
+        (lambda: SamplerConfig._make([6, 3, 1, 0]), ConfigError, "not prime"),
+        (lambda: MonomialOrder()._replace(tag="bogus"), ValueError, "unknown order tag"),
+        (lambda: MonomialOrder._make(["lex", "zx"]), ValueError, "unknown precedence"),
+        (lambda: Partition((3, 1))._replace(parts=(1, 3)), ValueError, "weakly decreasing"),
+    ],
+)
+def test_replace_and_make_validate_like_the_constructor(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_a_valid_replace_returns_an_equal_record():
+    assert SamplerConfig(101, 3, 1, 0)._replace(seed=5) == SamplerConfig(101, 3, 1, 5)
+    assert MonomialOrder()._replace(tag="lex") == MonomialOrder("lex", "xy")
+    assert Partition((3, 1))._replace(parts=(3, 3)) == Partition((3, 3))
+    assert type(Partition._make([(2, 1)])) is Partition
+
+
 def test_order_and_basis_equality_and_hash():
     assert MonomialOrder() == DEFAULT_ORDER == MonomialOrder("degrevlex", "xy")
     assert MonomialOrder("lex") != MonomialOrder("lex", "yx")
