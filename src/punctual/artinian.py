@@ -12,7 +12,9 @@ invariants come out of exact linear algebra on integers over both fields:
   that dependence mod many primes lifted by
   ``univariate.rational_minimal_polynomial``, which accepts the lift only
   after checking f(M)v = 0 exactly; its roots in the field come from
-  ``univariate.roots``, by modular algorithms, and are confirmed exactly;
+  ``univariate.roots``, by modular algorithms (over QQ after a sieve mod
+  small primes that only rules roots out, and directly where the
+  squarefree part is linear), and are confirmed exactly;
 * the quotient is cyclic on the class of 1, and a root px splits the
   minimal polynomial of Mx on [1] as (t - px)^s * g_x; g_x(Mx) is
   invertible on the factors with x = px and zero on all others, non-rational

@@ -22,7 +22,10 @@ combined by the Chinese remainder theorem and rational reconstruction
 only certificate: f(M)v = 0, in integers, for the minimal polynomial, and
 trial division of f and f' by their gcd for the squarefree part.  Where
 f mod p is already squarefree, that one gcd is the certificate, and the
-same prime starts the Hensel lifting of the roots.
+same prime starts the Hensel lifting of the roots.  Before any of that,
+``_rational_roots`` reads the root of a linear core directly, and a sieve
+mod the small primes of ``_SIEVE_PRIMES`` rules out every nonzero root of
+most cores that have none; it never reports a root.
 """
 
 from __future__ import annotations
@@ -420,22 +423,41 @@ def _eval_int(coeffs: list[int], value: int) -> int:
     return acc
 
 
+# the sieve's primes: a monic integer polynomial with an integer root has a
+# zero mod each of them
+_SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots, ascending, of a nonzero Fraction polynomial.
 
-    Zero is read off the low coefficients.  Every other root is a root of
-    the squarefree part g = sum g_i t^i with integer coefficients; with
-    d = deg g and c = g_d, the monic h(z) = c^(d-1) g(z/c) has integer
-    coefficients, and t = z/c runs over the rational roots of g as z runs
-    over the integer roots of h (``_integer_roots``, each one confirmed by
-    exact evaluation).
+    Zero is read off the low coefficients.  For a polynomial g with
+    integer coefficients, d = deg g and c = g_d, the monic
+    h(z) = c^(d-1) g(z/c) has integer coefficients, and t = z/c runs over
+    the rational roots of g as z runs over the integer roots of h.
+
+    With f the primitive integer core, an integer root of its h is a zero
+    of h mod every prime, so a prime of ``_SIEVE_PRIMES`` at which h mod p
+    (coefficients f_i c^(d-1-i) mod p) has none rules out every nonzero
+    root; the sieve never reports one.  The other roots are those of the
+    squarefree part g: -g_0/g_1 if g is linear, else the integer roots of
+    its h (``_integer_roots``, each one confirmed by exact evaluation).
     """
     v = next(i for i, c in enumerate(coeffs) if c)
     found = [Fraction(0)] if v else []
-    core = coeffs[v:]
-    if len(core) > 1:
-        g, field = _squarefree_part(core)
-        d, c = len(g) - 1, g[-1]
+    if v == len(coeffs) - 1:
+        return found
+    f = _primitive(coeffs[v:])
+    d, c = len(f) - 1, f[-1]
+    for p in _SIEVE_PRIMES if d > 1 else ():
+        h = [f_i * pow(c, d - 1 - i, p) % p for i, f_i in enumerate(f[:-1])] + [1]
+        if all(_eval_int(h, z) % p for z in range(p)):
+            return found
+    g, field = _squarefree_part(f) if d > 1 else (f, None)
+    d, c = len(g) - 1, g[-1]
+    if d == 1:
+        found.append(Fraction(-g[0], c))
+    else:
         h = [g_i * c ** (d - 1 - i) for i, g_i in enumerate(g[:-1])] + [1]
         found.extend(Fraction(z, c) for z in _integer_roots(h, field))
     return sorted(found)

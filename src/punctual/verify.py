@@ -293,7 +293,8 @@ def check_degeneration(
     Requires all support at the origin, because the comparison is between
     local invariants there.  Colength and b2 come from ``analysis``; each
     distinct key function gets one Groebner basis (``gb`` itself for its
-    own order), and orders sharing one share its row data.
+    own order), and each distinct initial ideal, keyed by its monomials,
+    one analysis, which every order with that initial ideal shares.
     """
     coeff_field = gb.field
     inputs = {"ideal": ideal_text, "field": coeff_field.label, "orders": len(ALL_ORDERS)}
@@ -302,16 +303,18 @@ def check_degeneration(
         raise SupportNotLocal(f"support of ({ideal_text}) is not concentrated at the origin")
     colength = analysis.colength
     base_b2 = analysis.components[0].socle
-    degenerations = {}  # key function -> (initial ideal, its analysis)
+    inits, analyses = {}, {}  # key function -> initial ideal -> its analysis
     rows = []
     for order in ALL_ORDERS:
         key = order.key_func()
-        if key not in degenerations:
+        if key not in inits:
             order_gb = gb if key is gb.order.key_func() else buchberger(gb.generators, order)
-            init = initial_ideal(order_gb)
+            inits[key] = initial_ideal(order_gb)
+        init = inits[key]
+        if (monomials := frozenset(init)) not in analyses:
             monomial_gb = buchberger([Polynomial.monomial(coeff_field, m) for m in init], order)
-            degenerations[key] = (init, analyze_quotient(monomial_gb))
-        init, init_analysis = degenerations[key]
+            analyses[monomials] = analyze_quotient(monomial_gb)
+        init_analysis = analyses[monomials]
         init_b2 = init_analysis.components[0].socle
         preserved = init_analysis.colength == colength
         semicontinuous = init_b2 >= base_b2

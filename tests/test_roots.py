@@ -12,6 +12,7 @@ import pytest
 from conftest import fraction_cofactor, schoolbook_powmod
 from hypothesis import given, settings, strategies as st
 
+import punctual.univariate as univariate
 from punctual.fields import QQ, PrimeField
 from punctual.univariate import (
     _cofactor,
@@ -234,6 +235,43 @@ def test_rational_roots_when_the_first_prime_merges_two_roots():
     assert _rational_roots(repeated) == [Fraction(1), Fraction(32004)]
     assert root_multiplicity(repeated, Fraction(1)) == 2
     assert root_multiplicity(repeated, Fraction(2)) == 0
+
+
+def expanded(*factors):
+    """The product of integer polynomials, constant first, as Fractions."""
+    coeffs = [Fraction(1)]
+    for factor in factors:
+        coeffs = multiply(coeffs, [Fraction(c) for c in factor], QQ)
+    return coeffs
+
+
+def test_the_sieve_runs_on_the_monic_transform():
+    # (2t - 1)(t^2 + t + 1) has no zero mod 2, though 1/2 is a root: h has one
+    assert _rational_roots(expanded([-1, 2], [1, 1, 1])) == [Fraction(1, 2)]
+
+
+def test_the_sieve_tries_the_zero_residue():
+    # the product of the sieve primes is 0 mod each of them
+    root = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
+    assert root == 200560490130
+    assert _rational_roots(expanded([-root, 1], [1, 0, 1])) == [Fraction(root)]
+
+
+def test_a_zero_mod_every_prime_goes_through_the_full_search():
+    # one of 2, 3 and 6 is a square mod every prime, and none in QQ
+    coeffs = expanded([-2, 0, 1], [-3, 0, 1], [-6, 0, 1])
+    assert all(scan_roots([int(c) for c in coeffs], p) for p in (2, 3, 5, 7, 11, 13, 31))
+    assert _rational_roots(coeffs) == []
+
+
+def test_early_exits_build_no_prime_field(monkeypatch):
+    def refuse():
+        raise AssertionError("a prime field was built")
+
+    monkeypatch.setattr(univariate, "_prime_fields", refuse)
+    assert _rational_roots([Fraction(-(10**40)), Fraction(7)]) == [Fraction(10**40, 7)]
+    # t * (t^2 + t + 1): the core has no zero mod 2
+    assert _rational_roots(expanded([0, 1], [1, 1, 1])) == [Fraction(0)]
 
 
 FIELDS = (QQ,) + tuple(PrimeField(p) for p in SMALL_PRIMES)

@@ -1,6 +1,7 @@
 """The verification harness: reports, determinism, pinned hand-checked values."""
 
 import json
+from pathlib import Path
 
 import pytest
 from conftest import ORIGIN_CORPUS
@@ -29,6 +30,8 @@ from punctual.verify import (
     random_ideal_trials,
     socle_census,
 )
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def census_by_enumeration(n):
@@ -129,6 +132,22 @@ def test_degeneration_known_cases():
     assert flat["initial_b2"] == 1 and not flat["strict"]
     assert set(flat["initial_ideal"].split("; ")) == {"y", "x^3"}
     assert all(row["length_preserved"] for row in report.rows)
+
+
+def test_degeneration_analyzes_each_initial_ideal_once(monkeypatch):
+    analyzed = []
+
+    def counted(gb):
+        analyzed.append(gb)
+        return analyze_quotient(gb)
+
+    text, gb, analysis = prepared("y - x^2, x^3")
+    monkeypatch.setattr(verify, "analyze_quotient", counted)
+    report = check_degeneration(text, gb, analysis)
+    assert len(analyzed) == 2  # (x^2, x*y, y^2) and (y, x^3) over six orders
+    golden = json.loads((GOLDEN_DIR / "verify_origin_only.json").read_text(encoding="utf-8"))
+    pinned = next(r for r in golden["reports"] if r["check"] == "initial_degeneration")
+    assert json.loads(json.dumps(report.to_jsonable())) == pinned
 
 
 def test_degeneration_fixed_point_for_monomial_ideals():
