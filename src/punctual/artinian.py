@@ -172,7 +172,7 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         raise NotZeroDimensional(
             "leading monomials contain no pure power of x or no pure power of y"
         )
-    steps = _staircase(gb.leading_monomials())
+    steps = _staircase(gb.lms)
     colength = sum((end - start) * height for start, end, height in steps)
     if colength > MAX_COLENGTH:
         raise ConfigError(f"colength {colength} exceeds the limit colength <= {MAX_COLENGTH}")
@@ -197,7 +197,7 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     n = qb.dimension
     index = {m: i for i, m in enumerate(qb.monomials)}
     forms = {m: [(i, 1)] for m, i in index.items()}  # monomial -> [(row, coefficient)]
-    generators = dict(zip(gb.leading_monomials(), gb.generators))
+    generators = dict(zip(gb.lms, gb.generators))
     shifted = {v: [m * v for m in qb.monomials] for v in (X, Y)}
     border = {t for column in shifted.values() for t in column} - forms.keys()
     for t in sorted(border, key=gb.order.key_func()):
@@ -228,7 +228,8 @@ def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()
     cyclic space k[x,y] v (M commutes with both operators), and its Krylov
     space; on [1] (basis vector 0) that of M itself.  Over Fp the first
     Krylov dependence, over QQ its certified lift from the images mod p of
-    M's integer image, with the polynomials ``known`` tried first."""
+    M's integer image, with the polynomials ``known`` tried first, as the
+    primitive integer multiple with a positive leading coefficient."""
     if p := coeff_field.characteristic:
         return krylov_dependence(image.entries, vector, p, image.packed_columns(p))
     return rational_minimal_polynomial(image, vector, known)
@@ -241,8 +242,8 @@ def _eigenvalue_candidates(
     of M translated to p) for each root in the field of the minimal
     polynomial of M on v, or for ``root`` alone when given and a root, with
     no root search.  ``found`` pairs each polynomial already searched with
-    its roots, cofactors and rows, matched by equality (a dict would hash
-    every ``Fraction``), and offers the polynomials to the lift."""
+    its roots, cofactors and rows, matched by equality, and offers the
+    polynomials to the lift."""
     coeffs, space = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
     if (known := next((c for f, c in found if f == coeffs), None)) is None:
         known = [
@@ -281,16 +282,6 @@ def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> 
         ]
 
 
-def _operators(gb: GroebnerBasis, qb: QuotientBasis | None = None):
-    """The multiplication pair of the quotient, or None for the unit ideal;
-    qb is gb's quotient basis where the caller has already listed it."""
-    qb = quotient_basis(gb) if qb is None else qb
-    if qb.dimension == 0:
-        return None
-    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
-    return multiplication_matrices(qb, gb)
-
-
 def _translated(image: IntegerImage, p, coeff_field) -> list:
     """The sparse rows of b*A - a*D*Id = b*D*(M - p*Id) for p = a/b,
     changed on the diagonal only; over Fp, where b = D = 1, M - p*Id mod
@@ -325,8 +316,8 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> L
 
 def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
     """The colength and the local factors at rational support points, or
-    only at ``point`` where its coordinates are given (qb as for
-    ``_operators``).
+    only at ``point`` where its coordinates are given; qb is gb's quotient
+    basis where the caller has already listed it.
 
     Points are located as joint eigenvalues of the commuting pair: each
     root px of Mx's minimal polynomial gives u = g_x(Mx)[1], and each root
@@ -336,10 +327,12 @@ def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
     cofactors and the translated My built once.  A given coordinate
     replaces its root search by one cofactor test.
     """
-    pair = _operators(gb, qb)
-    if pair is None:
+    qb = quotient_basis(gb) if qb is None else qb
+    if qb.dimension == 0:  # the unit ideal
         return 0, []
-    n = len(pair.on_x)
+    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
+    pair = multiplication_matrices(qb, gb)
+    n = qb.dimension
     coeff_field = gb.field
     one = [1] + [0] * (n - 1)
     components, found_y = [], []
@@ -445,7 +438,7 @@ def local_invariants(lq: LocalQuotient) -> LocalInvariants:
 
 
 def analyze_quotient(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
-    """Split locally, then every factor's invariants (qb as for ``_operators``)."""
+    """Split locally, then every factor's invariants (qb as for ``_split``)."""
     decomposition = local_components(gb, qb)
     return decomposition._replace(
         components=tuple(map(local_invariants, decomposition.components))

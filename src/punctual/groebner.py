@@ -30,11 +30,7 @@ class GroebnerBasis(NamedTuple):
     order: MonomialOrder
     field: object
     generators: tuple[Polynomial, ...]
-    lms: tuple[Monomial, ...]
-
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        """One per generator, as the run that built the basis found them."""
-        return self.lms
+    lms: tuple[Monomial, ...]  # one per generator, as the run that built the basis found them
 
 
 class _Overflow(Exception):
@@ -257,7 +253,7 @@ def _reduce_basis(reducers, coeff_field, packing: _Packing) -> GroebnerBasis:
 
 def initial_ideal(gb: GroebnerBasis) -> tuple[Monomial, ...]:
     """Minimal monomial generators of the ideal of leading terms."""
-    return gb.leading_monomials()
+    return gb.lms
 
 
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
@@ -266,7 +262,7 @@ def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     The basis of the unit ideal is {1}, a pure power of both variables,
     so the empty subscheme counts as zero-dimensional with colength 0.
     """
-    lms = gb.leading_monomials()
+    lms = gb.lms
     if not lms:
         return False
     return any(m.b == 0 for m in lms) and any(m.a == 0 for m in lms)

@@ -1,11 +1,12 @@
 """Polynomials in one variable over the coefficient fields, and their roots.
 
-A polynomial is a list of coefficients, constant first, trimmed (no
-trailing zeros; [] is zero), every entry stored through the field's
-``reduce``.  As in ``linalg``, every division goes through ``inv``, so one
-``divmod`` and one monic ``gcd`` serve both fields, and so do ``roots``,
-the roots in the field, and ``_cofactor``, which splits one off with its
-multiplicity by synthetic division in integers.
+A polynomial is a list of ints, constant first, trimmed (no trailing
+zeros; [] is zero): over Fp stored mod p, over QQ the primitive integer
+polynomial with a positive leading coefficient, which has the roots,
+cofactors and images of its rational multiples (Gauss's lemma).  As in
+``linalg`` the kernels take p, 0 over QQ: one ``divmod`` is Euclid's step
+mod p and exact division over Z, so ``_cofactor``, which splits a root a/b
+off with its multiplicity, divides by b*t - a over both fields.
 
 The minimal polynomial on v of an operator's ``IntegerImage`` (the sparse
 rows of A = D*M, D = 1 over Fp, built by ``artinian`` from the normal
@@ -13,16 +14,16 @@ forms) comes with the Krylov space of v it was found on; ``krylov_image``
 reads g(M)v off that space, up to a positive scalar, in integers: the
 certificate of the minimal polynomial and each cofactor's image.
 
-Over QQ no Krylov elimination or Euclid runs on ``Fraction``: the
-minimal polynomial of an operator (``rational_minimal_polynomial``) and
-the squarefree part (``_squarefree_part``) are computed mod the primes of
-one shared source (``_prime_fields``, from 32003 up) with the Fp kernels,
+Over QQ no Krylov elimination or Euclid runs on rationals: the minimal
+polynomial of an operator (``rational_minimal_polynomial``) and the
+squarefree part (``_squarefree_part``) are computed mod the primes of one
+shared source (``_prime_fields``, from 32003 up) with the Fp kernels,
 combined by the Chinese remainder theorem and rational reconstruction
 (``_Lift``), each reconstruction going straight to an exact check, the
 only certificate: f(M)v = 0, in integers, for the minimal polynomial, and
-trial division of f and f' by their gcd for the squarefree part.  Where
-f mod p is already squarefree, that one gcd is the certificate, and the
-same prime starts the Hensel lifting of the roots.  Before any of that,
+exact division of f and f' by their gcd over Z for the squarefree part.
+Where f mod p is already squarefree, that one gcd is the certificate, and
+the same prime starts the Hensel lifting of the roots.  Before any of that,
 ``_rational_roots`` reads the root of a linear core directly, and a sieve
 mod the small primes of ``_SIEVE_PRIMES`` rules out every nonzero root of
 most cores that have none; it never reports a root.
@@ -47,47 +48,48 @@ def _trim(a: list) -> list:
     return a
 
 
-def _image(coeffs: list, field) -> list:
-    """An integer or field polynomial stored in the field."""
-    return _trim([field.reduce(c) for c in coeffs])
+def _image(coeffs: list[int], p: int) -> list[int]:
+    """An integer polynomial mod p."""
+    return _trim([c % p for c in coeffs])
 
 
-def divmod(a: list, b: list, field) -> tuple[list, list]:
-    """Quotient and remainder of a by b (b nonzero)."""
-    reduce = field.reduce
-    rem = list(a)
-    db = len(b) - 1
-    inv = field.inv(b[-1])
-    quotient = [field.zero()] * max(len(a) - db, 0)
+def divmod(a: list[int], b: list[int], p: int) -> tuple[list, list] | None:
+    """Quotient and remainder of a by b (b nonzero) mod p, or over Z for
+    p = 0, where it is None unless every quotient coefficient is an
+    integer."""
+    rem, db = list(a), len(b) - 1
+    lead = pow(b[-1], -1, p) if p else b[-1]
+    quotient = [0] * max(len(a) - db, 0)
     for k in range(len(a) - 1 - db, -1, -1):
-        c = reduce(rem[k + db] * inv)
-        if c:
+        if not p and rem[k + db] % lead:
+            return None
+        if c := rem[k + db] * lead % p if p else rem[k + db] // lead:
             quotient[k] = c
             for i, bi in enumerate(b):
-                rem[k + i] = reduce(rem[k + i] - c * bi)
-    return quotient, _trim(rem[:db])
+                rem[k + i] -= c * bi
+    return quotient, _image(rem[:db], p) if p else _trim(rem[:db])
 
 
-def gcd(a: list, b: list, field) -> list:
-    """The monic gcd (a nonzero), by Euclid's algorithm."""
+def gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd mod p (a nonzero), by Euclid's algorithm."""
     while b:
-        a, b = b, divmod(a, b, field)[1]
-    inv = field.inv(a[-1])
-    return [field.reduce(c * inv) for c in a]
+        a, b = b, divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _minus(a: list, b: list, field) -> list:
-    a = a + [field.zero()] * (len(b) - len(a))
+def _minus(a: list[int], b: list[int], p: int) -> list[int]:
+    a = a + [0] * (len(b) - len(a))
     for i, c in enumerate(b):
-        a[i] = field.reduce(a[i] - c)
+        a[i] = (a[i] - c) % p
     return _trim(a)
 
 
-def _powmod(a: list, e: int, f: list, field: PrimeField) -> list:
-    """a^e mod f over Fp, by repeated squaring on plain ints.  With f made
+def _powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod f mod p, by repeated squaring on plain ints.  With f made
     monic of degree d, t^d = tail(t) mod f: a product is taken unreduced and
     folded from the top, each coefficient reduced once."""
-    p, d, inv = field.p, len(f) - 1, field.inv(f[-1])
+    d, inv = len(f) - 1, pow(f[-1], -1, p)
     tail = [-c * inv % p for c in f[:-1]]
 
     def fold(product: list) -> list:
@@ -115,9 +117,9 @@ def _powmod(a: list, e: int, f: list, field: PrimeField) -> list:
     return result
 
 
-def _fp_split(r: list, field: PrimeField) -> list:
-    """The roots of r, a monic product of distinct linear factors over Fp
-    with p odd, by equal-degree splitting (Cantor-Zassenhaus).
+def _fp_split(r: list[int], p: int) -> list[int]:
+    """The roots of r, a monic product of distinct linear factors mod an
+    odd prime p, by equal-degree splitting (Cantor-Zassenhaus).
 
     gcd(r, (t + a)^((p-1)/2) - 1) keeps the roots at which t + a is a
     nonzero square.  The shifts a = 0, 1, 2, ... are tried in turn, so the
@@ -125,12 +127,11 @@ def _fp_split(r: list, field: PrimeField) -> list:
     (p - 1)/2 of the p shifts.
     """
     if len(r) == 2:
-        return [field.reduce(-r[0])]
-    for a in range(field.p):
-        half = _minus(_powmod([a, 1], (field.p - 1) // 2, r, field), [1], field)
-        g = gcd(r, half, field)
+        return [-r[0] % p]
+    for a in range(p):
+        g = gcd(r, _minus(_powmod([a, 1], (p - 1) // 2, r, p), [1], p), p)
         if 1 < len(g) < len(r):
-            return _fp_split(g, field) + _fp_split(divmod(r, g, field)[0], field)
+            return _fp_split(g, p) + _fp_split(divmod(r, g, p)[0], p)
 
 
 def _integral(values: list, field) -> tuple[int, list]:
@@ -142,10 +143,10 @@ def _integral(values: list, field) -> tuple[int, list]:
 
 
 def _primitive(coeffs: list) -> list[int]:
-    """The integer polynomial with coprime coefficients proportional to a
-    Fraction polynomial."""
-    _, ints = _integral(coeffs, QQ)
-    content = math.gcd(*ints)
+    """The primitive integer polynomial with a positive leading coefficient
+    proportional to a nonzero list of rational coefficients, trimmed."""
+    ints = _trim(_integral(coeffs, QQ)[1])
+    content = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
     return [c // content for c in ints]
 
 
@@ -195,17 +196,19 @@ def _rational_reconstruction(u: int, m: int) -> Fraction | None:
     return best and Fraction(*best)
 
 
-def _reproduces(candidate, image: list[int], p: int) -> bool:
-    """Whether a Fraction polynomial is p-integral with the image mod p."""
-    return len(candidate) == len(image) and all(
-        c.denominator % p and (c.numerator - r * c.denominator) % p == 0
-        for c, r in zip(candidate, image)
+def _reproduces(candidate: list[int], image: list[int], p: int) -> bool:
+    """Whether F / F_d, F an integer polynomial, is p-integral with the
+    monic image mod p: p does not divide F_d, and F = F_d * image mod p."""
+    lc = candidate[-1] % p
+    return len(candidate) == len(image) and lc != 0 and all(
+        (c - lc * r) % p == 0 for c, r in zip(candidate, image)
     )
 
 
 class _Lift:
     """The polynomial over QQ with given monic images modulo many primes,
-    by the Chinese remainder theorem and rational reconstruction.
+    by the Chinese remainder theorem and rational reconstruction, made
+    primitive with a positive leading coefficient once reconstructed.
 
     Images of other degrees than the preferred one are unlucky: ``sign``
     +1 keeps the largest degree seen (a Krylov rank mod p is at most the
@@ -219,15 +222,16 @@ class _Lift:
     were it not, each prime of degree k divides one integer 0 < |N| < 2^u.
     Past 2^u and 2^(2s + 1), s >= 11, a/b has the maximal quotient, so a
     refused candidate means an engine bug: the lift raises ArithmeticError.
-    At each restart a polynomial of ``hints`` that the image reproduces is
-    offered first, and the reconstruction waits for the next prime.
+    At each restart an integer polynomial of ``hints`` that the image
+    reproduces is offered first, and the reconstruction waits for the next
+    prime.
     """
 
     def __init__(self, sign: int, bounds, hints=()):
         self.sign, self.bounds, self.hints = sign, bounds, hints
         self.residues, self.past = None, False
 
-    def add(self, image: list[int], p: int) -> list[Fraction] | None:
+    def add(self, image: list[int], p: int) -> list[int] | None:
         """Combine the image mod p; return a candidate for the caller's
         check, a hint or a reconstruction, else None."""
         if self.past:  # the caller refused a candidate past the bounds
@@ -251,7 +255,7 @@ class _Lift:
         if None in reconstructed:
             return None
         self.past = self.modulus.bit_length() > self.bound
-        return reconstructed
+        return _primitive(reconstructed)
 
 
 class IntegerImage:
@@ -279,15 +283,15 @@ class IntegerImage:
 
 
 def krylov_image(coeffs: list, image: IntegerImage, vector: list, space: list, field) -> list:
-    """g(M)v up to a positive scalar, for a monic g of degree at most that
-    of the minimal polynomial of M on v, as integers, read off the
-    ``space`` that polynomial was found on; a degree-0 g returns v itself.
+    """g(M)v up to a positive scalar, for an integer vector v and a g of
+    degree at most that of the minimal polynomial of M on v, with lc(g) > 0
+    over QQ, as integers, read off the ``space`` that polynomial was found
+    on; a degree-0 g returns v itself.
 
     Over Fp the space holds r_k = q_k(M)v and the monic q_k: g = sum b_k q_k
     by back-substitution mod p, and g(M)v = sum b_k r_k, reduced.  Over QQ
-    it holds P_k = A^k w, w = E*v integral, extended as deg g needs: with
-    F = L*g integral, sum F_i D^(d-i) P_i is L E D^d g(M)v, the primitive
-    integer vector, divided by its content.
+    it holds P_k = A^k v, extended as deg g needs, and sum g_i D^(d-i) P_i
+    is D^d g(M)v, the primitive integer vector, divided by its content.
     """
     if len(coeffs) == 1:
         return vector
@@ -300,7 +304,7 @@ def krylov_image(coeffs: list, image: IntegerImage, vector: list, space: list, f
     else:
         while len(space) <= d:
             space.append(mat_vec(image.rows, space[-1], field))
-        weights, scale = _integral(coeffs, field)[1], image.denominator
+        weights, scale = coeffs, image.denominator
     acc = [0] * len(vector)
     for b, kept in zip(weights, space):  # Horner's rule in D: no D^(d-i) is formed
         acc = [a * scale + b * x for a, x in zip(acc, kept)]
@@ -308,71 +312,72 @@ def krylov_image(coeffs: list, image: IntegerImage, vector: list, space: list, f
 
 
 def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> tuple[list, list]:
-    """The least monic f over QQ with f(M)v = 0, from its images mod p,
-    and the powers A^k w, k = 0..deg f, that certified it.
+    """The least f over QQ with f(M)v = 0, v an integer vector, from its
+    images mod p, primitive with F_d > 0 as all polynomials here, and the
+    powers A^k v, k = 0..deg f, that certified it.
 
-    With M = A/D (an ``IntegerImage``) and w = E*v integral, each prime p
-    not dividing D gives f_p, the first Krylov dependence of w mod p under
-    M mod p, read off that of A (``linalg.krylov_dependence`` on the
-    entries that the image lists once per operator).  Its degree,
-    the Krylov rank mod p, is at most deg f, and where they are equal f is
-    p-integral with image f_p; so ``_Lift`` keeps the largest degree.
-    Each candidate, a reconstruction or a polynomial of ``known`` (the
-    lift's hints) that the first image reproduces, is accepted only after
-    the exact check f(M)v = 0, in integers by ``krylov_image`` on powers
-    A^k w built once for all: then f is a multiple of the minimal
-    polynomial of degree deg f_p, which is at most its degree, so it is
-    the minimal polynomial.  A candidate is refused before the check
-    unless each D^(d-i) f_i is an integer, as in g below.
+    With M = A/D (an ``IntegerImage``), each prime p not dividing D gives
+    f_p, the first Krylov dependence of v mod p under M mod p, read off
+    that of A (``linalg.krylov_dependence`` on the entries that the image
+    lists once per operator).  Its degree, the Krylov rank mod p, is at
+    most deg f, and where they are equal f / f_d is p-integral with image
+    f_p; so ``_Lift`` keeps the largest degree.  Each candidate F, a
+    reconstruction or a polynomial of ``known`` (the lift's hints) that the
+    first image reproduces, is accepted only after the exact check
+    F(M)v = 0, in integers by ``krylov_image`` on powers A^k v built once
+    for all: then F is a multiple of the minimal polynomial of degree
+    deg f_p, which is at most its degree, so it is the minimal polynomial.
+    A candidate is refused before the check unless F_d divides each
+    D^(d-i) F_i, as for g below.
 
     Bounds at degree k, with r - 1 the largest absolute row sum of A: g
     below is a monic factor of A's characteristic polynomial, in Z[t] with
     roots within r.  Were the degree over QQ larger, a prime of degree k
-    would divide a nonzero minor of w, ..., A^k w, which Hadamard's bound
-    puts below ((k + 1) (1 + |w|)^2)^((k+1)/2) r^(k(k+1)/2).
+    would divide a nonzero minor of v, ..., A^k v, which Hadamard's bound
+    puts below ((k + 1) (1 + |v|)^2)^((k+1)/2) r^(k(k+1)/2).
     """
-    powers = [w := _integral(vector, QQ)[1]]
+    powers, denominator = [vector], image.denominator
     r = (1 + max((sum(abs(a) for _, a in row) for row in image.rows), default=0)).bit_length()
-    height = (1 + max(map(abs, w), default=0)) ** 2
+    height = (1 + max(map(abs, vector), default=0)) ** 2
 
     def bounds(k):  # in bits
         hadamard = (k + 1) * ((k + 1) * height).bit_length() + k * (k + 1) * r
-        return k * (r + image.denominator.bit_length()), (hadamard + 1) // 2 * (k < len(w))
+        return k * (r + denominator.bit_length()), (hadamard + 1) // 2 * (k < len(vector))
 
     lift = _Lift(+1, bounds, known)
     for field in _prime_fields():
         p = field.p
-        if not image.denominator % p:
+        if not denominator % p:
             continue
         # the dependence g of A = D*M gives f(t) = g(D t) / D^deg(g) for M
-        g, _ = krylov_dependence(image.entries, w, p, image.packed_columns(p))
-        scale = pow(image.denominator, -1, p)
+        g, _ = krylov_dependence(image.entries, vector, p, image.packed_columns(p))
+        scale = pow(denominator, -1, p)
         candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
         integral = candidate and not any(
-            pow(image.denominator, e, c.denominator) for e, c in enumerate(reversed(candidate))
+            c * pow(denominator, e, candidate[-1]) % candidate[-1]
+            for e, c in enumerate(reversed(candidate))
         )
         if integral and not any(krylov_image(candidate, image, vector, powers, QQ)):
             return candidate, powers
     raise ArithmeticError("the prime source is exhausted")
 
 
-def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:
-    """The squarefree part of a nonconstant polynomial over QQ, as a
-    primitive integer polynomial g, and the first field of the prime source
-    in which g keeps its degree and stays squarefree.
+def _squarefree_part(f: list[int]) -> tuple[list[int], PrimeField]:
+    """The squarefree part g of a nonconstant polynomial f over QQ, and the
+    first field of the prime source in which g keeps its degree and stays
+    squarefree.
 
-    For the primitive f, a prime p not dividing lc(f) with
-    gcd(f mod p, f' mod p) = 1 certifies that f is squarefree, since a
-    repeated factor would survive mod p; that is the usual case and costs
-    one gcd.  Otherwise G = gcd(f, f') comes from its images mod p (an
-    image of degree 0 again certifies f): each reconstruction is accepted
-    only if it divides f and f' exactly, and g is the squarefree f / G.
+    A prime p not dividing lc(f) with gcd(f mod p, f' mod p) = 1 certifies
+    that f is squarefree, since a repeated factor would survive mod p; that
+    is the usual case and costs one gcd.  Otherwise G = gcd(f, f') comes
+    from its images mod p (an image of degree 0 again certifies f): each
+    reconstruction is accepted only if it divides f and f' over Z, exactly
+    where it divides them over QQ (Gauss's lemma), and g is f / G.
 
-    Bounds at degree e: G times its leading coefficient, a divisor of
-    lc(f), is a factor of f over Z, within 2^e |f|_2 (Mignotte); an
-    unlucky prime divides a subresultant of f and f', below (d |f|^2)^d.
+    Bounds at degree e: G, whose leading coefficient divides lc(f), is a
+    factor of f over Z, within 2^e |f|_2 (Mignotte); an unlucky prime
+    divides a subresultant of f and f', below (d |f|^2)^d.
     """
-    f = _primitive(coeffs)
     derivative = [i * c for i, c in enumerate(f)][1:]
     d, bits = len(f) - 1, (len(f) * sum(c * c for c in f)).bit_length()
     lift = _Lift(-1, lambda e: (e + bits + f[-1].bit_length(), d * bits))
@@ -380,14 +385,13 @@ def _squarefree_part(coeffs: list) -> tuple[list[int], PrimeField]:
         p = field.p
         if not f[-1] % p:
             continue
-        image = gcd(_image(f, field), _image(derivative, field), field)
+        image = gcd(_image(f, p), _image(derivative, p), p)
         if len(image) == 1:
             return f, field
-        candidate = lift.add(image, p)
-        if candidate is not None:
-            quotient, remainder = divmod(f, candidate, QQ)
-            if not remainder and not divmod(derivative, candidate, QQ)[1]:
-                return _squarefree_part(quotient)
+        if candidate := lift.add(image, p):
+            division, derived = divmod(f, candidate, 0), divmod(derivative, candidate, 0)
+            if division and derived and not division[1] and not derived[1]:
+                return _squarefree_part(division[0])
     raise ArithmeticError("the prime source is exhausted")
 
 
@@ -428,16 +432,16 @@ def _eval_int(coeffs: list[int], value: int) -> int:
 _SIEVE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots, ascending, of a nonzero Fraction polynomial.
+def _rational_roots(coeffs: list[int]) -> list[Fraction]:
+    """All rational roots, ascending, of a nonzero polynomial over QQ.
 
-    Zero is read off the low coefficients.  For a polynomial g with
-    integer coefficients, d = deg g and c = g_d, the monic
-    h(z) = c^(d-1) g(z/c) has integer coefficients, and t = z/c runs over
-    the rational roots of g as z runs over the integer roots of h.
+    Zero is read off the low coefficients, which leaves the core f.  For a
+    polynomial g with integer coefficients, d = deg g and c = g_d, the
+    monic h(z) = c^(d-1) g(z/c) has integer coefficients, and t = z/c runs
+    over the rational roots of g as z runs over the integer roots of h.
 
-    With f the primitive integer core, an integer root of its h is a zero
-    of h mod every prime, so a prime of ``_SIEVE_PRIMES`` at which h mod p
+    An integer root of f's h is a zero of h mod every prime, so a prime of
+    ``_SIEVE_PRIMES`` at which h mod p
     (coefficients f_i c^(d-1-i) mod p) has none rules out every nonzero
     root; the sieve never reports one.  The other roots are those of the
     squarefree part g: -g_0/g_1 if g is linear, else the integer roots of
@@ -447,7 +451,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     found = [Fraction(0)] if v else []
     if v == len(coeffs) - 1:
         return found
-    f = _primitive(coeffs[v:])
+    f = coeffs[v:]
     d, c = len(f) - 1, f[-1]
     for p in _SIEVE_PRIMES if d > 1 else ():
         h = [f_i * pow(c, d - 1 - i, p) % p for i, f_i in enumerate(f[:-1])] + [1]
@@ -467,41 +471,32 @@ def roots(coeffs: list, field) -> list:
     """The roots in the field, ascending, of a nonzero polynomial whose
     coefficients are field elements, or integers read in the field.
 
-    Over QQ they are ``_rational_roots``.  Over Fp they are the roots of
-    r = gcd(f, t^p - t), with t^p mod f by repeated squaring, which
-    ``_fp_split`` splits into linear factors: the cost is polynomial in
-    the degree and in log p.  For p = 2 the polynomial is evaluated at 0
-    and 1.
+    Over QQ they are ``_rational_roots`` of the primitive integer multiple.
+    Over Fp they are the roots of r = gcd(f, t^p - t), with t^p mod f by
+    repeated squaring, which ``_fp_split`` splits into linear factors: the
+    cost is polynomial in the degree and in log p.  For p = 2 the
+    polynomial is evaluated at 0 and 1.
     """
-    if field.characteristic == 0:
-        return _rational_roots(coeffs)
-    f = _image(coeffs, field)
-    if field.p == 2:
+    p = field.characteristic
+    if not p:
+        return _rational_roots(_primitive(coeffs))
+    f = _image(coeffs, p)
+    if p == 2:
         return [t for t, value in ((0, f[0]), (1, sum(f) % 2)) if not value]
     if len(f) < 2:
         return []
-    r = gcd(f, _minus(_powmod([0, 1], field.p, f, field), [0, 1], field), field)
-    return sorted(_fp_split(r, field)) if len(r) > 1 else []
+    r = gcd(f, _minus(_powmod([0, 1], p, f, p), [0, 1], p), p)
+    return sorted(_fp_split(r, p)) if len(r) > 1 else []
 
 
-def _cofactor(coeffs, root, field):
-    """The g with coeffs = (t - root)^s * g, s >= 1, g(root) != 0 and
-    lc(g) = lc(coeffs), or None if root is not a root: synthetic division
-    by b*t - a, root = a/b, over QQ on the primitive integer polynomial,
-    whose quotients stay integral (Gauss's lemma), over Fp (b = 1) mod p."""
+def _cofactor(coeffs: list[int], root, field) -> list[int] | None:
+    """The g with coeffs = (b*t - a)^s * g, s >= 1 and g(root) != 0, for
+    root = a/b, or None if root is not a root: repeated division by
+    b*t - a, mod p over Fp (b = 1), and over Z, where the primitive b*t - a
+    divides exactly where root is a root, and g is primitive with lc > 0
+    (Gauss's lemma)."""
     p, a, b = field.characteristic, root.numerator, root.denominator
-    g, s = (coeffs if p else _primitive(coeffs)), 0
-    while True:
-        quotient, acc = [], 0  # q_(i-1) = (c_i + a*q_i) / b from the top, then c_0 + a*q_0
-        for c in reversed(g):
-            acc = c + a * acc
-            if acc % b:  # inexact, so root is not a root of g
-                break
-            quotient.append(acc := acc // b % p if p else acc // b)
-        if len(quotient) < len(g) or acc:
-            break
-        g, s = quotient[-2::-1], s + 1
-    if not s or p:
-        return g if s else None
-    scale = Fraction(coeffs[-1], g[-1])
-    return [c * scale for c in g]
+    g, s, divisor = coeffs, 0, [-a % p, 1] if p else [-a, b]
+    while (division := divmod(g, divisor, p)) and not division[1]:
+        g, s = division[0], s + 1
+    return g if s else None

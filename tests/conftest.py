@@ -13,7 +13,7 @@ from punctual import artinian  # noqa: E402
 from punctual.artinian import MultiplicationPair, truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
 from punctual.groebner import normal_form  # noqa: E402
-from punctual.linalg import _first_dependence  # noqa: E402
+from punctual.linalg import _first_dependence, _normalised  # noqa: E402
 from punctual.poly import UNIT, Monomial, Polynomial, X, Y  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
@@ -118,7 +118,7 @@ def primitive_basis(basis: list[list], field) -> list[list]:
     """Kernel vectors of ``dense_kernel_basis`` as the integer ``kernel_basis``
     returns them: over QQ each one's primitive integer multiple, positive
     at its free column; over Fp unchanged."""
-    return [univariate._primitive(v) for v in basis] if field == QQ else basis
+    return [_normalised(_integral(v, QQ)[1], 0) for v in basis] if field == QQ else basis
 
 
 def integer_image(matrix: list[list], field) -> IntegerImage:
@@ -160,13 +160,13 @@ def schoolbook_mulmod(a: list, b: list, f: list, field) -> list:
         if x:
             for j, y in enumerate(b):
                 product[i + j] += x * y
-    return univariate.divmod(_image(product, field), f, field)[1]
+    return univariate.divmod(_image(product, field.p), f, field.p)[1]
 
 
 def schoolbook_powmod(a: list, e: int, f: list, field) -> list:
     """a^e mod f by repeated squaring, each product reduced by ``divmod``:
     the route before the folded ``_powmod``."""
-    result, a = [field.one()], univariate.divmod(a, f, field)[1]
+    result, a = [field.one()], univariate.divmod(a, f, field.p)[1]
     while e:
         if e & 1:
             result = schoolbook_mulmod(result, a, f, field)
@@ -245,6 +245,21 @@ def fraction_minimal_polynomial(matrix: list[list], vector: list) -> list:
     return vector_minimal_polynomial(matrix, vector, QQ)
 
 
+def fraction_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by b (b nonzero) over QQ, on ``Fraction``
+    coefficients: the QQ division before exact division over Z."""
+    rem, db = [Fraction(c) for c in a], len(b) - 1
+    quotient = [Fraction(0)] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = quotient[k] = rem[k + db] / b[-1]
+        for i, bi in enumerate(b):
+            rem[k + i] -= c * bi
+    rem = rem[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quotient, rem
+
+
 def fraction_cofactor(coeffs: list, root, field):
     """The g with coeffs = (t - root)^s * g, s >= 1 and g(root) != 0, or
     None if root is not a root, by synthetic division by t - root on field
@@ -297,11 +312,12 @@ def pairwise_components(gb) -> list:
     restriction to each x-root found them: from the minimal polynomials of
     both operators on [1], w = g_x(Mx) g_y(My)[1] for every pair of roots,
     a factor wherever w != 0."""
-    pair = artinian._operators(gb)
-    if pair is None:
+    qb = artinian.quotient_basis(gb)
+    if qb.dimension == 0:
         return []
+    pair = artinian.multiplication_matrices(qb, gb)
     field = gb.field
-    one = [1] + [0] * (len(pair.on_x) - 1)
+    one = [1] + [0] * (qb.dimension - 1)
 
     def candidates(image):
         coeffs, _ = artinian._minimal_polynomial(image, one, field)
@@ -337,10 +353,12 @@ def stacked_socle_dimension(lq) -> int:
 
 def euclid_squarefree_part(coeffs: list) -> list[int]:
     """f / gcd(f, f') with the gcd by Euclid's algorithm over QQ, as a
-    primitive integer polynomial: the QQ route before the modular kernel."""
-    derivative = [i * c for i, c in enumerate(coeffs)][1:]
-    common = univariate.gcd(coeffs, derivative, QQ)
-    return univariate._primitive(univariate.divmod(coeffs, common, QQ)[0])
+    primitive integer polynomial with a positive leading coefficient: the
+    QQ route before the modular kernel."""
+    a, b = coeffs, [i * c for i, c in enumerate(coeffs)][1:]
+    while b:
+        a, b = b, fraction_divmod(a, b)[1]
+    return univariate._primitive(fraction_divmod(coeffs, a)[0])
 
 
 def is_zero_matrix(a: list[list]) -> bool:
@@ -350,7 +368,7 @@ def is_zero_matrix(a: list[list]) -> bool:
 def is_reduced(gb) -> bool:
     """Check the reducedness contract of a Groebner basis directly."""
     one = gb.field.one()
-    lms = gb.leading_monomials()
+    lms = gb.lms
     for g, lm in zip(gb.generators, lms):
         if g.leading_coefficient(gb.order) != one:
             return False

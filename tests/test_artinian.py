@@ -98,7 +98,7 @@ def test_staircase_area_is_the_colength():
     for text in cases:
         for order in ALL_ORDERS:
             gb = gb_of(text, order)
-            steps = artinian._staircase(gb.leading_monomials())
+            steps = artinian._staircase(gb.lms)
             area = sum((end - start) * height for start, end, height in steps)
             assert area == quotient_basis(gb).dimension, (text, order)
 

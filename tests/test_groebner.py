@@ -175,7 +175,7 @@ def test_division_correctness(gens, f):
         return
     r = normal_form(f, gb.generators, DEFAULT_ORDER)
     assert normal_form(f - r, gb.generators, gb.order).is_zero()
-    lms = gb.leading_monomials()
+    lms = gb.lms
     for m in r.terms:
         assert not any(lm.divides(m) for lm in lms)
 
@@ -361,7 +361,7 @@ def test_pair_criteria_match_criteria_free_loop(case):
     gens, order = case
     gb = buchberger(gens, order)
     assert gb.generators == criteria_free_buchberger(gens, order)
-    assert gb.leading_monomials() == tuple(g.leading_monomial(order) for g in gb.generators)
+    assert gb.lms == tuple(g.leading_monomial(order) for g in gb.generators)
 
 
 def smallest_width(polys):

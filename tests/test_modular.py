@@ -3,7 +3,10 @@ operator and the squarefree part, and the image g(M)v read off the Krylov
 space of v, against the Horner and Fraction routes they replaced (kept in
 ``conftest``), with unlucky primes forced through the prime source, lifts
 whose exact check never accepts, and the ladder x^k - 1, (y - x)^k - x,
-whose Fraction route ran for minutes at k = 11."""
+whose Fraction route ran for minutes at k = 11.  The kernels return
+primitive integer polynomials with a positive leading coefficient, which
+are compared exactly with the primitive multiples of the monic Fraction
+oracles; their vectors are integer vectors."""
 
 import subprocess
 import sys
@@ -32,6 +35,9 @@ from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, parse_generators
 from punctual.univariate import (
     _cofactor,
+    _integral,
+    _primitive,
+    _reproduces,
     _squarefree_part,
     krylov_image,
     rational_minimal_polynomial,
@@ -72,12 +78,23 @@ def diagonal(*entries):
     ]
 
 
-ONES = [Fraction(1), Fraction(1)]
+def primitive_minimal_polynomial(matrix, vector):
+    """The oracle's monic minimal polynomial as the kernel returns it: the
+    primitive integer multiple, positive at the top."""
+    return _primitive(fraction_minimal_polynomial(matrix, [Fraction(c) for c in vector]))
+
+
+def integral(vector):
+    """An integer vector with the minimal polynomials of a rational one."""
+    return _integral(vector, QQ)[1]
+
+
+ONES = [1, 1]
 
 def test_a_prime_dividing_a_denominator_is_skipped(monkeypatch):
     q = SOURCE[0]
     matrix = qq([[Fraction(1, q), 1], [0, 2]])
-    expected = fraction_minimal_polynomial(matrix, ONES)
+    expected = primitive_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:6])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert q not in used and used
@@ -117,7 +134,7 @@ def test_a_prime_that_drops_the_degree_is_not_combined(monkeypatch):
     # q comes second, before two primes of full degree can finish the lift
     q = SOURCE[2]
     matrix = diagonal(1, 1 + q)
-    expected = fraction_minimal_polynomial(matrix, ONES)
+    expected = primitive_minimal_polynomial(matrix, ONES)
     assert len(expected) == 3
     moduli = record_moduli(monkeypatch)
     used = force_source(monkeypatch, [SOURCE[0], q, SOURCE[1], SOURCE[3]])
@@ -130,7 +147,7 @@ def test_a_small_minimal_polynomial_takes_one_prime(monkeypatch):
     # (t - 1)(t - 2)(t - 5): each coefficient is reconstructed from one prime
     # and the exact check accepts it at once
     matrix = diagonal(1, 2, 5)
-    vector = [Fraction(1)] * 3
+    vector = [1] * 3
     used = force_source(monkeypatch, SOURCE[:4])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), vector)[0] == [-10, 17, -8, 1]
     assert used == [SOURCE[0]]
@@ -141,7 +158,7 @@ def test_the_exact_check_refuses_a_first_reconstruction_of_too_low_degree(monkey
     # first prime reconstructs t - 1 at once; only the exact check stops it
     q = SOURCE[0]
     matrix = diagonal(1, 1 + q)
-    expected = fraction_minimal_polynomial(matrix, ONES)
+    expected = primitive_minimal_polynomial(matrix, ONES)
     checks = record_checks(monkeypatch)
     used = force_source(monkeypatch, SOURCE[:6])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
@@ -154,16 +171,16 @@ def test_a_lift_that_only_unlucky_primes_reproduce_fails_the_certificate(monkeyp
     # both q1 and q2 see t - 1, which the exact check f(M)v = 0 refuses
     q1, q2 = SOURCE[0], SOURCE[1]
     matrix = diagonal(1, 1 + q1 * q2)
-    expected = fraction_minimal_polynomial(matrix, ONES)
+    expected = primitive_minimal_polynomial(matrix, ONES)
     force_source(monkeypatch, SOURCE[:10])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert len(expected) == 3
 
 
 def test_a_candidate_with_a_denominator_off_the_operator_never_reaches_the_check(monkeypatch):
-    # M = diag(1, 2) is integral (D = 1), so its minimal polynomial is in Z[t]:
-    # a candidate with a coefficient 1/3 is refused before the exact check
-    impostor = [Fraction(1, 3), Fraction(-3), Fraction(1)]
+    # M = diag(1, 2) is integral (D = 1), so its minimal polynomial is monic
+    # in Z[t]: t^2 - 3t + 1/3, as 3t^2 - 9t + 1, is refused before the check
+    impostor = [1, -9, 3]
     offered = []
 
     class Offering(univariate._Lift):
@@ -183,7 +200,7 @@ def test_a_candidate_with_a_denominator_off_the_operator_never_reaches_the_check
 def test_coefficients_wider_than_one_prime_are_combined(monkeypatch):
     a, b = 10**12 + 39, -(10**12) - 61
     matrix = diagonal(Fraction(a, 7), b)
-    expected = fraction_minimal_polynomial(matrix, ONES)
+    expected = primitive_minimal_polynomial(matrix, ONES)
     used = force_source(monkeypatch, SOURCE[:12])
     assert rational_minimal_polynomial(integer_image(matrix, QQ), ONES)[0] == expected
     assert len(used) > 4  # 80-bit coefficients need several 15-bit primes
@@ -206,14 +223,14 @@ def test_importing_the_engine_builds_no_prime_field():
 def test_a_prime_dividing_the_leading_coefficient_is_skipped(monkeypatch):
     q = SOURCE[0]
     force_source(monkeypatch, SOURCE[:2])
-    part, field = _squarefree_part([Fraction(-1), Fraction(0), Fraction(q)])
+    part, field = _squarefree_part([-1, 0, q])
     assert part == [-1, 0, q] and field.p == SOURCE[1]
 
 
 def test_a_prime_that_merges_two_roots_does_not_decide(monkeypatch):
     # (t - 1)(t - 1 - q) is squarefree, but not mod q
     q = SOURCE[0]
-    coeffs = [Fraction(c) for c in (1 + q, -2 - q, 1)]
+    coeffs = [1 + q, -2 - q, 1]
     force_source(monkeypatch, SOURCE[:2])
     assert _squarefree_part(coeffs) == ([1 + q, -2 - q, 1], PrimeField(SOURCE[1]))
 
@@ -221,7 +238,7 @@ def test_a_prime_that_merges_two_roots_does_not_decide(monkeypatch):
 def test_a_repeated_factor_is_removed_past_an_unlucky_prime(monkeypatch):
     # (t - 1)^2 (t - 1 - q): the gcd with f' is t - 1, but (t - 1)^2 mod q
     q = SOURCE[0]
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for root in (1, 1, 1 + q):
         coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
     force_source(monkeypatch, SOURCE[:8])
@@ -235,7 +252,7 @@ def test_a_gcd_that_only_unlucky_primes_reproduce_fails_the_trial_division(monke
     # which divides f but not f'
     q1, q2 = SOURCE[0], SOURCE[1]
     c = 1 + q1 * q2
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for root in (1, 1, c):
         coeffs = [b - root * a for a, b in zip(coeffs + [0], [0] + coeffs)]
     force_source(monkeypatch, SOURCE[:10])
@@ -260,8 +277,9 @@ def test_a_known_polynomial_is_checked_after_one_prime(monkeypatch):
     # prime reproduces, or of another degree, is refused by the exact check
     q = SOURCE[0]
     matrix = diagonal(Fraction(1, 3), 2, 5)
-    vector = [Fraction(1)] * 3
-    expected = fraction_minimal_polynomial(matrix, vector)
+    vector = [1] * 3
+    expected = primitive_minimal_polynomial(matrix, vector)
+    assert expected == [-10, 37, -22, 3]  # (3t - 1)(t - 2)(t - 5)
     image = integer_image(matrix, QQ)
     used = force_source(monkeypatch, SOURCE[:12])
     assert rational_minimal_polynomial(image, vector, [expected[:-1], expected])[0] == expected
@@ -270,6 +288,21 @@ def test_a_known_polynomial_is_checked_after_one_prime(monkeypatch):
     impostor = [expected[0] + q] + expected[1:]
     assert rational_minimal_polynomial(image, vector, [impostor])[0] == expected
     assert used[0] == q and len(used) > 1
+
+
+def test_a_hint_whose_leading_coefficient_the_prime_divides_is_not_offered(monkeypatch):
+    # q*F = q*F_d * image mod q for any image, but q*F / (q*F_d) is F / F_d,
+    # not p-integral with it: the hint is refused and F is lifted instead
+    q = SOURCE[0]
+    f = [2, -3, 1]
+    image = [c % q for c in f]
+    assert _reproduces(f, image, q) and _reproduces([3 * c for c in f], image, q)
+    assert not _reproduces([q * c for c in f], image, q)
+    assert not _reproduces([q * c for c in f], [1, 0, 1], q)
+    used = force_source(monkeypatch, SOURCE[:4])
+    hint = [q * c for c in f]
+    assert rational_minimal_polynomial(integer_image(diagonal(1, 2), QQ), ONES, [hint])[0] == f
+    assert used == [q]
 
 
 def test_two_dozen_unlucky_primes_in_a_row_do_not_end_the_minimal_polynomial_lift():
@@ -294,13 +327,12 @@ def run_isolated(code):
 def test_a_certificate_that_never_accepts_ends_the_minimal_polynomial_lift():
     word, seconds = run_isolated("""
 import time
-from fractions import Fraction as F
 import punctual.univariate as u
-u.krylov_image = lambda coeffs, image, vector, space, field: [F(1)]  # f(M)v is never zero
+u.krylov_image = lambda coeffs, image, vector, space, field: [1]  # f(M)v is never zero
 image = u.IntegerImage(3, [[(0, 1), (1, 6)], [(1, 15)]], [1, 6, 0, 15])  # [[1/3, 2], [0, 5]]
 start = time.perf_counter()
 try:
-    u.rational_minimal_polynomial(image, [F(1), F(1)])
+    u.rational_minimal_polynomial(image, [1, 1])
 except ArithmeticError:
     print("ArithmeticError", time.perf_counter() - start)
 """)
@@ -310,15 +342,14 @@ except ArithmeticError:
 def test_a_trial_division_that_never_accepts_ends_the_squarefree_lift():
     word, seconds = run_isolated("""
 import time
-from fractions import Fraction as F
 import punctual.univariate as u
 exact = u.divmod
-def inexact(a, b, field):  # every division over QQ leaves a remainder
-    return (exact(a, b, field)[0], [F(1)]) if field == u.QQ else exact(a, b, field)
+def inexact(a, b, p):  # every division over Z leaves a remainder
+    return (exact(a, b, p)[0], [1]) if not p else exact(a, b, p)
 u.divmod = inexact
 start = time.perf_counter()
 try:
-    u._squarefree_part([F(-2), F(5), F(-4), F(1)])  # (t - 1)^2 (t - 2)
+    u._squarefree_part([-2, 5, -4, 1])  # (t - 1)^2 (t - 2)
 except ArithmeticError:
     print("ArithmeticError", time.perf_counter() - start)
 """)
@@ -337,8 +368,8 @@ entries = st.one_of(
 def operators(draw):
     """(M, v) over QQ: a random matrix, or a diagonal one with repeated
     entries conjugated by a unitriangular integer matrix (repeated
-    eigenvalues, smaller minimal polynomials), and a random vector, the
-    class of 1 or zero."""
+    eigenvalues, smaller minimal polynomials), and a random vector made
+    integral, the class of 1 or zero."""
     n = draw(st.integers(1, 5))
     if draw(st.booleans()):
         matrix = [[draw(entries) for _ in range(n)] for _ in range(n)]
@@ -363,27 +394,28 @@ def operators(draw):
         vector = [draw(entries) for _ in range(n)]
     else:
         vector = [Fraction(int(kind == "one" and i == 0)) for i in range(n)]
-    return matrix, vector
+    return matrix, integral(vector)
 
 
 @given(operators())
 @settings(max_examples=300, deadline=None)
 def test_minimal_polynomial_matches_the_fraction_krylov(case):
     matrix, vector = case
-    expected = fraction_minimal_polynomial(matrix, vector)
+    expected = primitive_minimal_polynomial(matrix, vector)
     assert rational_minimal_polynomial(integer_image(matrix, QQ), vector)[0] == expected
 
 
 @st.composite
 def image_cases(draw):
-    """(field, M, v, g): a random operator of size <= 8 and a vector, with
-    denominators over QQ (D > 1), and a monic g of degree <= 8, cut down
-    to the degree of the least f with f(M)v = 0 where it is larger."""
+    """(field, M, v, g): a random operator of size <= 8 and an integer
+    vector, with denominators over QQ (D > 1) made integral, and a monic g
+    of degree <= 8, cut down to the degree of the least f with f(M)v = 0
+    where it is larger."""
     field = draw(st.sampled_from([QQ] + fields(2, 7, 32003, 2**31 - 1)))
     element = entries if field == QQ else st.integers(0, field.p - 1)
     n = draw(st.integers(1, 8))
     matrix = [[draw(element) for _ in range(n)] for _ in range(n)]
-    vector = [draw(element) for _ in range(n)]
+    vector = integral([draw(element) for _ in range(n)])
     coeffs = [draw(element) for _ in range(draw(st.integers(0, 8)))] + [field.one()]
     return field, matrix, vector, coeffs
 
@@ -392,17 +424,22 @@ def image_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_the_krylov_space_image_matches_both_horners(case):
     # on the space the minimal polynomial f of M on v was found on: f itself
-    # (the certificate), every root's cofactor, a degree-0 g and a random g
+    # (the certificate), every root's cofactor, a degree-0 g and a random g;
+    # over QQ each g is the primitive multiple, positive at the top, of the
+    # monic polynomial the Fraction oracle applies
     field, matrix, vector, coeffs = case
+    p = field.characteristic
     image = integer_image(matrix, field)
     f, space = artinian._minimal_polynomial(image, vector, field)
     cofactors = [_cofactor(f, root, field) for root in univariate.roots(f, field)]
-    assert krylov_image([field.one()], image, vector, space, field) is vector
-    for g in [f, *cofactors, coeffs[: len(f) - 1] + [field.one()]]:
+    assert krylov_image([1], image, vector, space, field) is vector
+    random = coeffs[: len(f) - 1] + [field.one()]
+    for g in [f, *cofactors, random if p else _primitive(random)]:
+        assert p or (gcd(*g) == 1 and g[-1] > 0)
         new = krylov_image(g, image, vector, space, field)
         assert new == horner(g, image, vector, field)
-        old = fraction_horner(g, matrix, vector, field)
-        if field.characteristic:
+        old = fraction_horner(g if p else [Fraction(c, g[-1]) for c in g], matrix, vector, field)
+        if p:
             assert new == old
             continue
         # a positive multiple, stored as a primitive integer vector unless g = 1
@@ -416,11 +453,11 @@ def test_the_krylov_space_image_matches_both_horners(case):
 
 
 def test_a_degree_zero_cofactor_returns_the_vector_itself():
-    for field, vector in ((QQ, [Fraction(1, 2), Fraction(3)]), (PrimeField(7), [3, 5])):
+    for field, vector in ((QQ, [1, 6]), (PrimeField(7), [3, 5])):
         matrix = [[field.one(), field.zero()], [field.one(), field.one()]]
         image = integer_image(matrix, field)
         _, space = artinian._minimal_polynomial(image, vector, field)
-        assert krylov_image([field.one()], image, vector, space, field) is vector
+        assert krylov_image([1], image, vector, space, field) is vector
 
 
 fractions = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**4))
@@ -444,7 +481,7 @@ def repeated_factor_polys(draw):
 @given(repeated_factor_polys())
 @settings(max_examples=200, deadline=None)
 def test_squarefree_part_matches_euclid_over_qq(coeffs):
-    part, field = _squarefree_part(coeffs)
+    part, field = _squarefree_part(_primitive(coeffs))
     assert part == euclid_squarefree_part(coeffs)
     assert part[-1] % field.p
 

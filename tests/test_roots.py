@@ -1,12 +1,14 @@
-"""The one-variable kernel of ``punctual.univariate``: the division, the
-monic gcd and the squarefree part shared by both fields against sympy, and
-the root finders of the local split (Fp by a gcd with t^p - t and
-equal-degree splitting, QQ by Hensel lifting) against independent
-oracles."""
+"""The one-variable kernel of ``punctual.univariate``: the division mod p
+and exact over Z, the monic gcd mod p and the squarefree part over QQ
+against sympy, and the root finders of the local split (Fp by a gcd with
+t^p - t and equal-degree splitting, QQ by Hensel lifting) against
+independent oracles.  Over QQ the kernel's polynomials are primitive
+integer polynomials with a positive leading coefficient, compared
+exactly with the primitive multiples of the ``Fraction`` oracles."""
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import islice, zip_longest
 
 import pytest
 from conftest import fraction_cofactor, schoolbook_powmod
@@ -17,6 +19,7 @@ from punctual.fields import QQ, PrimeField
 from punctual.univariate import (
     _cofactor,
     _powmod,
+    _primitive,
     _rational_roots,
     _squarefree_part,
     divmod,
@@ -53,7 +56,7 @@ def stored(coeffs, field):
 
 
 def multiply(a, b, field):
-    product = [field.zero()] * (len(a) + len(b) - 1) if a and b else []
+    product = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             product[i + j] += x * y
@@ -83,19 +86,27 @@ def evaluate(coeffs, value):
     return acc
 
 
+def times_primitive_linear(coeffs, root):
+    """coeffs * (b*t - a) for root = a/b."""
+    a, b = root.numerator, root.denominator
+    return [b * y - a * x for x, y in zip(coeffs + [0], [0] + coeffs)]
+
+
 def root_multiplicity(coeffs, root):
-    """The s with coeffs = (t - root)^s * g and g(root) != 0, where g is
-    the cofactor the local split uses (None when root is not a root)."""
-    g = _cofactor(coeffs, root, QQ)
+    """The s with f = (b*t - a)^s * g and g(root) != 0 for the primitive f
+    of coeffs and root = a/b, where g is the cofactor the local split uses
+    (None when root is not a root)."""
+    f = _primitive(coeffs)
+    g = _cofactor(f, root, QQ)
     if g is None:
         assert evaluate(coeffs, root) != 0
         return 0
     assert evaluate(g, root) != 0
-    s = len(coeffs) - len(g)
+    s = len(f) - len(g)
     product = g
     for _ in range(s):
-        product = times_linear(product, root)
-    assert product == coeffs
+        product = times_primitive_linear(product, root)
+    assert product == f
     return s
 
 
@@ -121,15 +132,25 @@ def cofactor_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_cofactor_matches_the_fraction_synthetic_division(case):
     field, coeffs, root = case
-    g = _cofactor(coeffs, root, field)
-    assert g == fraction_cofactor(coeffs, root, field)
+    if field.characteristic:
+        g = _cofactor(coeffs, root, field)
+        assert g == fraction_cofactor(coeffs, root, field)
+        linear, f = times_linear, coeffs
+    else:
+        # the primitive cofactor of the primitive polynomial, positive at the top
+        f = _primitive(coeffs)
+        g = _cofactor(f, root, field)
+        expected = fraction_cofactor(coeffs, root, field)
+        assert g == (None if expected is None else _primitive(expected))
+        linear = times_primitive_linear
     if g is not None:
-        # exact: coeffs = (t - root)^s g, with coeffs' leading coefficient
-        assert g[-1] == coeffs[-1]
+        # exact: f = (t - root)^s g over Fp and (b*t - a)^s g over Z, with
+        # f's leading coefficient over Fp
+        assert g[-1] == f[-1] if field.characteristic else g[-1] > 0
         product = g
-        for _ in range(len(coeffs) - len(g)):
-            product = stored(times_linear(product, root), field)
-        assert product == coeffs
+        for _ in range(len(f) - len(g)):
+            product = stored(linear(product, root), field)
+        assert product == f
 
 
 @st.composite
@@ -167,7 +188,7 @@ def powmod_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_powmod_matches_the_schoolbook_ladder(case):
     field, a, e, f = case
-    assert _powmod(a, e, f, field) == schoolbook_powmod(a, e, f, field)
+    assert _powmod(a, e, f, field.p) == schoolbook_powmod(a, e, f, field)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 32003])
@@ -215,34 +236,45 @@ def test_rational_roots_match_sympy(coeffs):
         assert root_multiplicity(coeffs, root) == expected[root]
 
 
+def expanded(*factors):
+    """The product of integer polynomials, constant first: primitive with a
+    positive leading coefficient where each factor is (Gauss's lemma)."""
+    coeffs = [1]
+    for factor in factors:
+        coeffs = multiply(coeffs, factor, QQ)
+    return coeffs
+
+
 def test_rational_roots_of_large_and_non_monic_polynomials():
     big = 10**30 + 57
-    assert _rational_roots([Fraction(-big), Fraction(1)]) == [Fraction(big)]
+    assert _rational_roots([-big, 1]) == [Fraction(big)]
+    # 6 (t + big/7)(t - 5/3), whose primitive core is (7t + big)(3t - 5)
     coeffs = times_linear(times_linear([Fraction(6)], Fraction(-big, 7)), Fraction(5, 3))
-    assert _rational_roots(coeffs) == [Fraction(-big, 7), Fraction(5, 3)]
-    assert _rational_roots([Fraction(2), Fraction(0), Fraction(1)]) == []  # t^2 + 2
-    assert _rational_roots(times_linear([Fraction(0), Fraction(1)], Fraction(3))) == [
-        Fraction(0),
-        Fraction(3),
-    ]
+    assert _primitive(coeffs) == expanded([big, 7], [-5, 3])
+    assert _rational_roots(expanded([big, 7], [-5, 3])) == [Fraction(-big, 7), Fraction(5, 3)]
+    assert roots(coeffs, QQ) == [Fraction(-big, 7), Fraction(5, 3)]
+    assert _rational_roots([2, 0, 1]) == []  # t^2 + 2
+    assert _rational_roots([0, -3, 1]) == [Fraction(0), Fraction(3)]
+
+
+def test_rational_roots_of_a_list_with_trailing_zeros(monkeypatch):
+    # roots normalises its input as the Fp path does; a zero leading
+    # coefficient would make every prime of the source divide it
+    source = univariate._prime_fields
+    monkeypatch.setattr(univariate, "_prime_fields", lambda: islice(source(), 4))
+    assert roots([Fraction(-1), Fraction(1), Fraction(0)], QQ) == [Fraction(1)]
+    assert roots([Fraction(6), Fraction(-5), Fraction(1), Fraction(0)], QQ) == [2, 3]
+    assert _primitive([Fraction(-3, 2), Fraction(3), 0]) == [-1, 2]
 
 
 def test_rational_roots_when_the_first_prime_merges_two_roots():
     # 1 and 32004 are distinct but agree mod 32003, so the search moves on
-    coeffs = times_linear(times_linear([Fraction(1)], Fraction(1)), Fraction(32004))
+    coeffs = expanded([-1, 1], [-32004, 1])
     assert _rational_roots(coeffs) == [Fraction(1), Fraction(32004)]
-    repeated = times_linear(coeffs, Fraction(1))
+    repeated = expanded(coeffs, [-1, 1])
     assert _rational_roots(repeated) == [Fraction(1), Fraction(32004)]
     assert root_multiplicity(repeated, Fraction(1)) == 2
     assert root_multiplicity(repeated, Fraction(2)) == 0
-
-
-def expanded(*factors):
-    """The product of integer polynomials, constant first, as Fractions."""
-    coeffs = [Fraction(1)]
-    for factor in factors:
-        coeffs = multiply(coeffs, [Fraction(c) for c in factor], QQ)
-    return coeffs
 
 
 def test_the_sieve_runs_on_the_monic_transform():
@@ -260,7 +292,7 @@ def test_the_sieve_tries_the_zero_residue():
 def test_a_zero_mod_every_prime_goes_through_the_full_search():
     # one of 2, 3 and 6 is a square mod every prime, and none in QQ
     coeffs = expanded([-2, 0, 1], [-3, 0, 1], [-6, 0, 1])
-    assert all(scan_roots([int(c) for c in coeffs], p) for p in (2, 3, 5, 7, 11, 13, 31))
+    assert all(scan_roots(coeffs, p) for p in (2, 3, 5, 7, 11, 13, 31))
     assert _rational_roots(coeffs) == []
 
 
@@ -269,12 +301,9 @@ def test_early_exits_build_no_prime_field(monkeypatch):
         raise AssertionError("a prime field was built")
 
     monkeypatch.setattr(univariate, "_prime_fields", refuse)
-    assert _rational_roots([Fraction(-(10**40)), Fraction(7)]) == [Fraction(10**40, 7)]
+    assert _rational_roots([-(10**40), 7]) == [Fraction(10**40, 7)]
     # t * (t^2 + t + 1): the core has no zero mod 2
     assert _rational_roots(expanded([0, 1], [1, 1, 1])) == [Fraction(0)]
-
-
-FIELDS = (QQ,) + tuple(PrimeField(p) for p in SMALL_PRIMES)
 
 
 @st.composite
@@ -286,41 +315,64 @@ def field_polys(draw, field, max_size=5):
     return stored(coeffs, field)
 
 
+def ring(p):
+    """The field a modulus p names, QQ for p = 0, where the kernel divides
+    over Z."""
+    return PrimeField(p) if p else QQ
+
+
 @st.composite
-def polynomial_pairs(draw):
-    """(field, a, b) with b nonzero; a and b often share a factor."""
-    field = draw(st.sampled_from(FIELDS))
-    common = draw(field_polys(field, 3).filter(bool))
-    a = multiply(common, draw(field_polys(field)), field)
-    b = multiply(common, draw(field_polys(field).filter(bool)), field)
-    return field, a, b
+def polynomial_pairs(draw, moduli=(0,) + SMALL_PRIMES):
+    """(p, a, b) with b nonzero, integer polynomials mod p or over Z for
+    p = 0; a and b often share a factor."""
+    p = draw(st.sampled_from(moduli))
+    coefficient = st.integers(0, p - 1) if p else st.integers(-40, 40)
+
+    def poly(max_size=5):
+        return st.lists(coefficient, max_size=max_size).map(lambda c: stored(c, ring(p)))
+
+    common = draw(poly(3).filter(bool))
+    a = multiply(common, draw(poly()), ring(p))
+    b = multiply(common, draw(poly().filter(bool)), ring(p))
+    return p, a, b
 
 
 @given(polynomial_pairs())
 @settings(max_examples=300, deadline=None)
 def test_divmod_matches_sympy(case):
+    # mod p the division in Fp; over Z the division in QQ where its
+    # quotient is integral, and None where it is not
     sympy = pytest.importorskip("sympy")
-    field, a, b = case
+    p, a, b = case
+    field = ring(p)
     for x, y in ((a, b), (b, a)) if a else ((a, b),):
-        quotient, remainder = divmod(x, y, field)
+        expected = sympy.div(to_sympy(x, field), to_sympy(y, field))
+        expected = tuple(from_sympy(e, field) for e in expected)
+        division = divmod(x, y, p)
+        if any(c.denominator != 1 for c in expected[0]):
+            assert division is None
+            continue
+        quotient, remainder = division
+        assert all(isinstance(c, int) for c in quotient + remainder)
         assert quotient == stored(quotient, field) and remainder == stored(remainder, field)
         assert len(remainder) < len(y)
         product = multiply(quotient, y, field)
         assert stored([c + r for c, r in zip_longest(product, remainder, fillvalue=0)], field) == x
-        expected = sympy.div(to_sympy(x, field), to_sympy(y, field))
-        assert (quotient, remainder) == tuple(from_sympy(e, field) for e in expected)
+        assert (quotient, remainder) == expected
 
 
-@given(polynomial_pairs())
+@given(polynomial_pairs(SMALL_PRIMES))
 @settings(max_examples=300, deadline=None)
 def test_gcd_matches_sympy(case):
+    # the monic gcd mod p; over QQ the gcd is only lifted (``_squarefree_part``)
     sympy = pytest.importorskip("sympy")
-    field, a, b = case
+    p, a, b = case
+    field = PrimeField(p)
     # sympy leaves gcd(0, c) = c for a constant c; the kernel's gcd is monic
     expected = from_sympy(sympy.gcd(to_sympy(a, field), to_sympy(b, field)).monic(), field)
-    assert gcd(b, a, field) == expected
+    assert gcd(b, a, p) == expected
     if a:
-        assert gcd(a, b, field) == expected
+        assert gcd(a, b, p) == expected
 
 
 @st.composite
@@ -338,12 +390,12 @@ def rational_polys_with_repeated_factors(draw):
 def test_squarefree_part_matches_sympy(coeffs):
     # over QQ only: in characteristic p, f / gcd(f, f') keeps p-th powers
     sympy = pytest.importorskip("sympy")
-    part, field = _squarefree_part(coeffs)
+    part, field = _squarefree_part(_primitive(coeffs))
     assert all(isinstance(c, int) for c in part)
-    assert math.gcd(*part) == 1
+    assert math.gcd(*part) == 1 and part[-1] > 0
     expected = sympy.sqf_part(to_sympy(coeffs, QQ))
     assert to_sympy([Fraction(c) for c in part], QQ).monic() == expected.monic()
     # the part stays squarefree of the same degree mod the prime it names
     derivative = [i * c for i, c in enumerate(part)][1:]
     assert part[-1] % field.p
-    assert gcd(stored(part, field), stored(derivative, field), field) == [1]
+    assert gcd(stored(part, field), stored(derivative, field), field.p) == [1]

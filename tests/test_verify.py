@@ -134,17 +134,25 @@ def test_degeneration_known_cases():
     assert all(row["length_preserved"] for row in report.rows)
 
 
-def test_degeneration_analyzes_each_initial_ideal_once(monkeypatch):
-    analyzed = []
+def test_degeneration_reads_initial_ideals_without_the_engine(monkeypatch):
+    # (x^2, x*y, y^2) and (y, x^3) over six orders, read as staircases: the
+    # only bases built are the ideal's own under the other orders
+    analyzed, built = [], []
 
     def counted(gb):
         analyzed.append(gb)
         return analyze_quotient(gb)
 
+    def recorded(generators, order):
+        built.append(generators)
+        return buchberger(generators, order)
+
     text, gb, analysis = prepared("y - x^2, x^3")
     monkeypatch.setattr(verify, "analyze_quotient", counted)
+    monkeypatch.setattr(verify, "buchberger", recorded)
     report = check_degeneration(text, gb, analysis)
-    assert len(analyzed) == 2  # (x^2, x*y, y^2) and (y, x^3) over six orders
+    assert analyzed == []
+    assert built and all(generators == gb.generators for generators in built)
     golden = json.loads((GOLDEN_DIR / "verify_origin_only.json").read_text(encoding="utf-8"))
     pinned = next(r for r in golden["reports"] if r["check"] == "initial_degeneration")
     assert json.loads(json.dumps(report.to_jsonable())) == pinned
