@@ -51,6 +51,7 @@ coordinate's root search is replaced by one cofactor test.
 
 from __future__ import annotations
 
+import math
 from itertools import count, repeat
 from typing import NamedTuple
 
@@ -192,32 +193,47 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     visited ascending in gb's order.  A leading monomial is minus its
     generator's tail.  Any other t has s = t/v on the border, and
     NF(t) = sum c_b*NF(v*b) over the terms c_b*b of NF(s): each b < s, so
-    v*b < t is a basis monomial or a border monomial already visited."""
-    coeff_field, reduce = gb.field, gb.field.reduce
-    n = qb.dimension
+    v*b < t is a basis monomial or a border monomial already visited.
+    A normal form is held as (d, [(row, integer)]), d its least denominator."""
+    p, n = gb.field.characteristic, qb.dimension
     index = {m: i for i, m in enumerate(qb.monomials)}
-    forms = {m: [(i, 1)] for m, i in index.items()}  # monomial -> [(row, coefficient)]
+    forms = {m: (1, [(i, 1)]) for m, i in index.items()}  # monomial -> (d, [(row, integer)])
     generators = dict(zip(gb.lms, gb.generators))
     shifted = {v: [m * v for m in qb.monomials] for v in (X, Y)}
     border = {t for column in shifted.values() for t in column} - forms.keys()
     for t in sorted(border, key=gb.order.key_func()):
         if g := generators.get(t):
-            forms[t] = [(index[m], reduce(-c)) for m, c in g.terms.items() if m != t]
+            tail = [(index[m], c) for m, c in g.terms.items() if m != t]
+            d, ints = _integral([c for _, c in tail], gb.field)
+            forms[t] = d, [(i, -a % p if p else -a) for (i, _), a in zip(tail, ints)]
             continue
         v = X if t.a and Monomial(t.a - 1, t.b) not in index else Y
-        expanded = {}
-        for i, c in forms[t.divided_by(v)]:
-            for k, d in forms[shifted[v][i]]:
-                expanded[k] = expanded.get(k, 0) + c * d
-        forms[t] = [(k, a) for k, c in expanded.items() if (a := reduce(c))]
+        d, terms = forms[t.divided_by(v)]
+        if not terms:  # NF(s) = 0
+            forms[t] = d, terms
+            continue
+        column, expanded = shifted[v], {}
+        common = 1 if p else math.lcm(*[forms[column[i]][0] for i, _ in terms])
+        for i, c in terms:
+            e, form = forms[column[i]]
+            if e != common:
+                c *= common // e
+            for k, a in form:
+                expanded[k] = expanded.get(k, 0) + c * a
+        content = 1 if p else math.gcd(d * common, *expanded.values())
+        values = [(k, a) for k, c in expanded.items() if (a := c % p if p else c // content)]
+        forms[t] = d * common // content, values
 
     def image(shift: Monomial) -> IntegerImage:
-        cells = [(i, j, c) for j, t in enumerate(shifted[shift]) for i, c in forms[t]]
-        denominator, values = _integral([c for _, _, c in cells], coeff_field)
+        columns = [forms[t] for t in shifted[shift]]
+        denominator = math.lcm(*[d for d, _ in columns])
         rows, entries = [[] for _ in range(n)], [0] * (n * n)
-        for (i, j, _), a in zip(cells, values):
-            rows[i].append((j, a))
-            entries[i * n + j] = a
+        for j, (d, form) in enumerate(columns):
+            if d != denominator:
+                form = [(i, a * (denominator // d)) for i, a in form]
+            for i, a in form:
+                rows[i].append((j, a))
+                entries[i * n + j] = a
         return IntegerImage(denominator, rows, entries)
 
     return MultiplicationPair(image(X), image(Y))

@@ -4,9 +4,9 @@ Elements are plain values supporting ``+ - *``, ``==``, ordering and
 truthiness: the rationals use ``fractions.Fraction`` (always normalized,
 positive denominator), a prime field uses ints in ``[0, p)``.  Field objects
 mint constants, convert integers, and supply the two operations where the
-fields differ: every kernel stores a value through ``reduce`` (the identity
-over QQ, ``% p`` over Fp) and divides only through ``inv``.  No float is
-ever created anywhere downstream.
+fields differ: ``reduce`` (the identity over QQ, ``% p`` over Fp) and ``inv``
+(exact on an int too), though the engine's kernels run on integers over
+both fields.  No float is ever created anywhere downstream.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class RationalField:
     def reduce(self, x: Fraction) -> Fraction:
         return x
 
-    def inv(self, x: Fraction) -> Fraction:
-        return 1 / x
+    def inv(self, x: Fraction | int) -> Fraction:
+        return Fraction(1, x)  # exact for an int x too, where 1 / x is a float
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RationalField)

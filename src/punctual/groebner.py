@@ -13,17 +13,22 @@ fields k1 | k2 | a | b, where (k1, k2) is the order's key, linear in
 product is an int addition, the order is int comparison, and lm divides
 m iff m - lm sets no guard bit.  A product that sets one raises
 ``_Overflow``, and the run restarts at twice the width.  Each element is
-kept once, monic, as (packed leading monomial, tail): division subtracts
-shifted tails, and an S-pair is two tails shifted to the lcm, so no
-leading term is ever formed.
+kept once as (packed leading monomial, leading coefficient a, integer
+tail), monic over Fp and primitive with a > 0 over QQ, and reduced
+fraction-free (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+ch. 6): division subtracts shifted tails, and an S-pair is two tails
+shifted to the lcm, so no leading term is ever formed.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import NamedTuple
 
 from .poly import Monomial, MonomialOrder, Polynomial
+from .univariate import _integral
 
 
 class GroebnerBasis(NamedTuple):
@@ -66,11 +71,29 @@ class _Packing:
             raise _Overflow
         return l
 
-    def monic(self, g: Polynomial) -> tuple:
-        lm = g.leading_monomial(self.order)
-        inv, reduce = g.field.inv(g.terms[lm]), g.field.reduce
-        tail = [(self.pack(m), reduce(c * inv)) for m, c in g.terms.items() if m != lm]
-        return self.pack(lm), tail
+    def element(self, g: Polynomial) -> tuple:
+        """The packed element (lm, a, tail) of a nonzero g, tail descending."""
+        if len(g.terms) == 1:  # a term's primitive form is its monomial
+            return self.pack(next(iter(g.terms))), 1, []
+        _, ints = _integral(list(g.terms.values()), g.field)
+        items = sorted(zip(map(self.pack, g.terms), ints), reverse=True)  # lm first
+        return _primitive(*items[0], items[1:], g.field.characteristic)
+
+
+def _primitive(lm: int, a: int, tail: list, p: int) -> tuple:
+    """The element of a*lm + tail in integers: monic over Fp, primitive over QQ."""
+    if p:
+        inv = pow(a, -1, p)
+        return lm, 1, tail if a == 1 else [(m, c * inv % p) for m, c in tail]
+    content = gcd(a, *(c for _, c in tail)) * (1 if a > 0 else -1)
+    return lm, a // content, tail if content == 1 else [(m, c // content) for m, c in tail]
+
+
+def _terms(items: list, denominator: int, p: int, unpack) -> list:
+    """The terms of the packed integer items over the denominator (1 over Fp)."""
+    if p:
+        return [(unpack(m), c) for m, c in items]
+    return [(unpack(m), Fraction(c, denominator)) for m, c in items]
 
 
 def _width(polys) -> int:
@@ -87,24 +110,30 @@ def _packed(polys, order: MonomialOrder, run):
             width *= 2
 
 
-def _divide(work: dict, reducers, reduce, guard: int) -> list:
-    """Remainder items, largest first, of the packed work (consumed) on
-    division by the monic packed reducers, in one descending pass over a
-    heap of negated monomials; see ``normal_form``."""
+def _divide(work: dict, reducers, p: int, guard: int) -> tuple[list, int]:
+    """Remainder items, largest first, of the packed integer work (consumed)
+    on division by the packed reducers mod p (over Z for p = 0), in one
+    descending pass over a heap of negated monomials, and the product of
+    the scales a/gcd(a, c) that reducing c*m by (lm, a, tail) applied."""
     pending = [-m for m in work]
     heapify(pending)
-    remainder = []
+    remainder, scale = [], 1
     while pending:
         m = -heappop(pending)
         c = work.pop(m, None)
         if c is None:  # cancelled since it was pushed
             continue
-        for lm, tail in reducers:
+        for lm, a, tail in reducers:
             if m >= lm and not (m - lm) & guard:
                 break
         else:
             remainder.append((m, c))
             continue
+        if a != 1:
+            c //= (g := gcd(a, c))
+            if (s := a // g) != 1:
+                scale, work = scale * s, {k: v * s for k, v in work.items()}
+                remainder = [(k, v * s) for k, v in remainder]
         shift = m - lm
         for t, ct in tail:
             mm = t + shift
@@ -112,13 +141,13 @@ def _divide(work: dict, reducers, reduce, guard: int) -> list:
             if prev is None:
                 if mm & guard:
                     raise _Overflow
-                work[mm] = reduce(-c * ct)
+                work[mm] = -c * ct % p if p else -c * ct
                 heappush(pending, -mm)
-            elif value := reduce(prev - c * ct):
+            elif value := (prev - c * ct) % p if p else prev - c * ct:
                 work[mm] = value
             else:
                 del work[mm]
-    return remainder
+    return remainder, scale
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -134,12 +163,13 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
     """
     for g in basis:
         f._check_field(g)
-    divisors = [g for g in basis if g]
+    divisors, p = [g for g in basis if g], f.field.characteristic
 
     def run(packing: _Packing) -> Polynomial:
-        work = {packing.pack(m): c for m, c in f.terms.items()}
-        items = _divide(work, [packing.monic(g) for g in divisors], f.field.reduce, packing.guard)
-        return Polynomial(f.field, [(packing.unpack(m), c) for m, c in items])
+        common, ints = _integral(list(f.terms.values()), f.field)
+        work = dict(zip(map(packing.pack, f.terms), ints))
+        remainder, scale = _divide(work, [packing.element(g) for g in divisors], p, packing.guard)
+        return Polynomial(f.field, _terms(remainder, common * scale, p, packing.unpack))
 
     return _packed([f, *divisors], order, run)
 
@@ -154,12 +184,14 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomia
     return left - right
 
 
-def _spair(f: tuple, g: tuple, l: int, reduce, guard: int) -> dict:
-    """S-polynomial of the monic packed elements f and g with lcm l."""
-    work = {t + l - f[0]: c for t, c in f[1]}
-    for t, c in g[1]:
-        m = t + l - g[0]
-        work[m] = reduce(work.get(m, 0) - c)
+def _spair(f: tuple, g: tuple, l: int, p: int, guard: int) -> dict:
+    """(a_g/h)*f - (a_f/h)*g, h = gcd(a_f, a_g), for packed elements with lcm l."""
+    bf, bg = g[1] // (h := gcd(f[1], g[1])), f[1] // h
+    sf, sg = l - f[0], l - g[0]
+    work = {t + sf: bf * c for t, c in f[2]}
+    for t, c in g[2]:
+        value = work.get(m := t + sg, 0) - bg * c
+        work[m] = value % p if p else value
     if any(m & guard for m in work):
         raise _Overflow
     return {m: c for m, c in work.items() if c}
@@ -193,15 +225,15 @@ def buchberger(generators, order: MonomialOrder) -> GroebnerBasis:
 
 
 def _buchberger(generators, coeff_field, packing: _Packing) -> GroebnerBasis:
-    reduce, guard, lcm, divides = coeff_field.reduce, packing.guard, packing.lcm, packing.divides
-    elements: list[tuple] = []  # (lm, tail) of every element added; pairs index it
+    p, guard, lcm, divides = coeff_field.characteristic, packing.guard, packing.lcm, packing.divides
+    elements: list[tuple] = []  # (lm, a, tail) of every element added; pairs index it
     active: list[int] = []  # the elements still needed, in insertion order
     reducers: list[tuple] = []  # elements[i] for i in active
     pairs: list[tuple] = []  # heap of (lcm, i, j)
 
-    def add(lm_h: int, tail: list) -> None:
+    def add(h: tuple) -> None:
         nonlocal pairs, active, reducers
-        j = len(elements)
+        lm_h, j = h[0], len(elements)
         candidates = [(lcm(elements[i][0], lm_h), i) for i in active]
         new = []  # survivors of the chain criterion, coprime pairs included
         for idx, (l, i) in enumerate(candidates):
@@ -219,36 +251,37 @@ def _buchberger(generators, coeff_field, packing: _Packing) -> GroebnerBasis:
         for l, i in new:
             if l != elements[i][0] + lm_h:  # not coprime
                 heappush(pairs, (l, i, j))
-        elements.append((lm_h, tail))
+        elements.append(h)
         active = [i for i in active if not divides(lm_h, elements[i][0])] + [j]
         reducers = [elements[i] for i in active]
 
     for g in generators:
-        add(*packing.monic(g))
+        add(packing.element(g))
     while pairs:
         l, i, j = heappop(pairs)
-        spair = _spair(elements[i], elements[j], l, reduce, guard)
-        if remainder := _divide(spair, reducers, reduce, guard):
-            lc_inv = coeff_field.inv(remainder[0][1])
-            add(remainder[0][0], [(m, reduce(c * lc_inv)) for m, c in remainder[1:]])
+        spair = _spair(elements[i], elements[j], l, p, guard)
+        if remainder := _divide(spair, reducers, p, guard)[0]:
+            add(_primitive(*remainder[0], remainder[1:], p))
     return _reduce_basis(reducers, coeff_field, packing)
 
 
 def _reduce_basis(reducers, coeff_field, packing: _Packing) -> GroebnerBasis:
     # minimalize, then reduce each tail by the others: leading monomials are
     # pairwise non-divisible, so one pass leaves every tail irreducible
+    p, one, unpack = coeff_field.characteristic, coeff_field.one(), packing.unpack
     kept: list[tuple] = []
-    for lm, tail in sorted(reducers, key=lambda r: r[0]):
-        if not any(packing.divides(other, lm) for other, _ in kept):
-            kept.append((lm, tail))
-    for idx, (lm, tail) in enumerate(kept):
+    for element in sorted(reducers):  # by leading monomial: no two are equal
+        if not any(packing.divides(other[0], element[0]) for other in kept):
+            kept.append(element)
+    for idx, (lm, a, tail) in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        kept[idx] = lm, _divide(dict(tail), others, coeff_field.reduce, packing.guard)
-    one, unpack = coeff_field.one(), packing.unpack
+        remainder, scale = _divide(dict(tail), others, p, packing.guard)
+        kept[idx] = _primitive(lm, a * scale, remainder, p)
     gens = tuple(
-        Polynomial(coeff_field, [(unpack(m), c) for m, c in [(lm, one), *t]]) for lm, t in kept
+        Polynomial(coeff_field, [(unpack(lm), one), *_terms(tail, a, p, unpack)])
+        for lm, a, tail in kept
     )
-    return GroebnerBasis(packing.order, coeff_field, gens, tuple(unpack(lm) for lm, _ in kept))
+    return GroebnerBasis(packing.order, coeff_field, gens, tuple(unpack(lm) for lm, _, _ in kept))
 
 
 def initial_ideal(gb: GroebnerBasis) -> tuple[Monomial, ...]:

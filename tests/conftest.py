@@ -12,7 +12,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from punctual import artinian  # noqa: E402
 from punctual.artinian import MultiplicationPair, truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
-from punctual.groebner import normal_form  # noqa: E402
 from punctual.linalg import _first_dependence, _normalised  # noqa: E402
 from punctual.poly import UNIT, Monomial, Polynomial, X, Y  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
@@ -129,9 +128,46 @@ def integer_image(matrix: list[list], field) -> IntegerImage:
     return IntegerImage(denominator, rows, entries)
 
 
+def sorted_every_step_normal_form(f, basis, order):
+    """Reference division on field elements, keyed by ``Monomial``: re-sort
+    the running remainder at every step and reduce its order-largest
+    reducible monomial by the first basis element (in sequence order) whose
+    leading monomial divides it.  The division before the packed integer
+    kernel of ``normal_form``."""
+    inv, reduce = f.field.inv, f.field.reduce
+    reducers = [
+        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
+    ]
+    key = order.key_func()
+    work = dict(f.terms)
+    while True:
+        target = None
+        for m in sorted(work, key=key, reverse=True):
+            for lm, lc_inv, g in reducers:
+                if lm.divides(m):
+                    target = (m, lm, lc_inv, g)
+                    break
+            if target:
+                break
+        if target is None:
+            return Polynomial(f.field, work)
+        m, lm, lc_inv, g = target
+        factor = reduce(work[m] * lc_inv)
+        shift = m.divided_by(lm)
+        for mg, cg in g.terms.items():
+            mm = mg * shift
+            prev = work.get(mm)
+            value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
+            if value:
+                work[mm] = value
+            else:
+                work.pop(mm, None)
+
+
 def division_operators(qb, gb) -> MultiplicationPair:
     """The multiplication pair with column j of M_v the normal form of
-    v*m_j by multivariate division: the build before recombination."""
+    v*m_j by multivariate division on field elements: the build before
+    recombination, and before the integer normal forms."""
     n = qb.dimension
     index = {m: i for i, m in enumerate(qb.monomials)}
 
@@ -142,7 +178,8 @@ def division_operators(qb, gb) -> MultiplicationPair:
             if t in index:
                 nf = {t: 1}
             else:
-                nf = normal_form(Polynomial.monomial(gb.field, t), gb.generators, gb.order).terms
+                t_poly = Polynomial.monomial(gb.field, t)
+                nf = sorted_every_step_normal_form(t_poly, gb.generators, gb.order).terms
             cells.extend((index[mm], j, c) for mm, c in nf.items())
         denominator, values = _integral([c for _, _, c in cells], gb.field)
         rows, entries = [[] for _ in range(n)], [0] * (n * n)

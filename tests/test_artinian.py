@@ -56,7 +56,7 @@ from punctual.poly import (
     Y,
     parse_generators,
 )
-from punctual.univariate import _cofactor, roots
+from punctual.univariate import _cofactor, _primitive, roots
 from punctual.verify import CURATED_CORPUS
 
 F7 = PrimeField(7)
@@ -203,6 +203,18 @@ def test_recombined_operators_match_division(gens, order):
     qb = quotient_basis(gb)
     if qb.dimension:
         assert multiplication_matrices(qb, gb) == division_operators(qb, gb)
+
+
+def test_operators_with_denominators_match_the_fraction_built_reference():
+    # the recombined normal forms are held as (least denominator, integers);
+    # the reference divides every border monomial in Fractions
+    for text in ("2*x^2 - x, 3*y^2 - y", "3*x^2 - y + 1, 5*y^2 - 2*x*y + 7*x", LEX_WITNESS):
+        for order in ALL_ORDERS:
+            gb = gb_of(text, order)
+            qb = quotient_basis(gb)
+            pair = multiplication_matrices(qb, gb)
+            assert pair.on_x.denominator > 1 and pair.on_y.denominator > 1, (text, order)
+            assert pair == division_operators(qb, gb), (text, order)
 
 
 def test_local_components_pinned_cases():
@@ -551,9 +563,11 @@ def cyclic_span(lq):
         basis = grown
 
 
+# the last case has operators with D = 2 and D = 3 over QQ: minimal
+# polynomials that are not monic over the integers
 ORACLE_CASES = [(text, field) for field in (QQ, F32003) for text in CURATED_CORPUS] + [
     (f"x^{k}, y^{k}", field) for field in (QQ, F32003) for k in range(1, 6)
-]
+] + [("2*x^2 - x, 3*y^2 - y", QQ)]
 
 
 @pytest.fixture(scope="module")
@@ -580,12 +594,18 @@ def test_word_nilpotency_matches_word_table(oracle_cases):
             assert r == expected, text
 
 
+def kernel_form(coeffs, field):
+    """A monic polynomial of the dense oracles as the kernel holds it: over
+    QQ its primitive integer multiple with a positive leading coefficient."""
+    return _primitive(coeffs) if field == QQ else coeffs
+
+
 def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
     for text, field, pair, _ in oracle_cases:
         one = [1] + [0] * (len(pair.on_x) - 1)
         for image in (pair.on_x, pair.on_y):
-            assert artinian._minimal_polynomial(image, one, field)[0] == (
-                minimal_polynomial(densify(image, field), field)
+            assert artinian._minimal_polynomial(image, one, field)[0] == kernel_form(
+                minimal_polynomial(densify(image, field), field), field
             ), text
         # on u = g_x(Mx)[1] of each x-root, the minimal polynomial of My
         # restricted to the cyclic space of u
@@ -593,8 +613,8 @@ def test_class_of_one_minimal_polynomial_matches_matrix_powers(oracle_cases):
         f_x, _ = artinian._minimal_polynomial(pair.on_x, one, field)
         for px in roots(f_x, field):
             u = horner(_cofactor(f_x, px, field), pair.on_x, one, field)
-            assert artinian._minimal_polynomial(pair.on_y, u, field)[0] == (
-                vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field)
+            assert artinian._minimal_polynomial(pair.on_y, u, field)[0] == kernel_form(
+                vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field), field
             ), (text, px)
 
 
@@ -603,13 +623,13 @@ def test_each_generator_is_the_horner_image(oracle_cases):
     # of the dense matrices, applied by Horner's rule over all rows
     for text, field, pair, components in oracle_cases:
         one = [1] + [0] * (len(pair.on_x) - 1)
-        f_x = minimal_polynomial(densify(pair.on_x, field), field)
+        f_x = kernel_form(minimal_polynomial(densify(pair.on_x, field), field), field)
         on_y = densify(pair.on_y, field)
         for lq, _ in components:
             px, py = lq.point
             u = horner(_cofactor(f_x, px, field), pair.on_x, one, field)
             f_y = vector_minimal_polynomial(on_y, list(map(field.from_int, u)), field)
-            w = horner(_cofactor(f_y, py, field), pair.on_y, u, field)
+            w = horner(_cofactor(kernel_form(f_y, field), py, field), pair.on_y, u, field)
             assert lq.generator == w, (text, lq.point)
 
 

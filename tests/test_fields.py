@@ -54,6 +54,10 @@ def test_gf_arithmetic():
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero())
     assert QQ.inv(QQ.from_int(-4)) == Fraction(-1, 4)
+    # an int over QQ inverts exactly, never to a float
+    assert type(QQ.inv(3)) is Fraction and QQ.inv(3) == Fraction(1, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
     assert QQ.reduce(Fraction(3, 4)) == Fraction(3, 4)
 
 

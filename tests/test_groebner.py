@@ -1,11 +1,12 @@
 """Division and Buchberger: hand oracles, certificates, canonicality."""
 
+import math
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
 
 import pytest
-from conftest import coprime, is_reduced, monic
+from conftest import coprime, is_reduced, monic, sorted_every_step_normal_form
 from hypothesis import given, settings, strategies as st
 
 import punctual.groebner as groebner
@@ -15,6 +16,7 @@ from punctual.groebner import (
     initial_ideal,
     is_zero_dimensional,
     normal_form,
+    spolynomial,
     spolynomial_certificate,
 )
 from punctual.poly import (
@@ -178,40 +180,6 @@ def test_division_correctness(gens, f):
     lms = gb.lms
     for m in r.terms:
         assert not any(lm.divides(m) for lm in lms)
-
-
-def sorted_every_step_normal_form(f, basis, order):
-    """Reference division: re-sort the running remainder at every step and
-    reduce its order-largest reducible monomial by the first basis element
-    (in sequence order) whose leading monomial divides it."""
-    inv, reduce = f.field.inv, f.field.reduce
-    reducers = [
-        (g.leading_monomial(order), inv(g.leading_coefficient(order)), g) for g in basis if g
-    ]
-    key = order.key_func()
-    work = dict(f.terms)
-    while True:
-        target = None
-        for m in sorted(work, key=key, reverse=True):
-            for lm, lc_inv, g in reducers:
-                if lm.divides(m):
-                    target = (m, lm, lc_inv, g)
-                    break
-            if target:
-                break
-        if target is None:
-            return Polynomial(f.field, work)
-        m, lm, lc_inv, g = target
-        factor = reduce(work[m] * lc_inv)
-        shift = m.divided_by(lm)
-        for mg, cg in g.terms.items():
-            mm = mg * shift
-            prev = work.get(mm)
-            value = reduce(prev - factor * cg if prev is not None else -(factor * cg))
-            if value:
-                work[mm] = value
-            else:
-                work.pop(mm, None)
 
 
 @st.composite
@@ -474,3 +442,80 @@ def test_buchberger_matches_sympy(case):
         assert buchberger(gens, order).generators == ()
         return
     assert buchberger(gens, order).generators == _sympy_reduced_basis(gens, order, sympy)
+
+
+def test_int_coefficients_over_qq_give_exact_fractions():
+    # a Polynomial over QQ keeps int coefficients as given; Buchberger,
+    # normal_form and spolynomial answer in Fractions all the same, equal to
+    # their answers on the same polynomials with Fraction coefficients
+    texts = ({(2, 0): 3, (0, 0): 1}, {(0, 2): 2, (0, 1): 1}, {(3, 1): 5, (1, 2): -7, (0, 0): 2})
+
+    def polys(cast):
+        return [Polynomial(QQ, {Monomial(*m): cast(c) for m, c in t.items()}) for t in texts]
+
+    for order in ALL_ORDERS:
+        results = []
+        for f, g, h in (polys(int), polys(Fraction)):
+            basis = buchberger([f, g], order).generators
+            results.append([*basis, normal_form(h, [f, g], order), spolynomial(f, g, order)])
+        assert results[0] == results[1], order
+        for poly in results[0]:
+            assert all(type(c) is Fraction for c in poly.terms.values()), (order, poly)
+    lex = buchberger(polys(int)[:2], LEX_XY).generators
+    assert [str(g) for g in lex] == ["y^2 + 1/2*y", "x^2 + 1/3"]
+
+
+def _big_coefficient(rng):
+    # past 2^200 in numerator and denominator, of either sign
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(2**200, 2**210), rng.randrange(2**200, 2**205))
+
+
+def test_integer_kernel_matches_fraction_references_past_two_to_the_200():
+    # Buchberger and normal_form over QQ run on primitive integer polynomials;
+    # the Monomial-keyed references divide in Fractions, and the normal form
+    # must match exactly, not up to a scalar, for non-monic and zero divisors
+    rng = random.Random(200)
+
+    def poly(terms, degree):
+        monomials = {Monomial(rng.randint(0, degree), rng.randint(0, degree)) for _ in range(terms)}
+        return Polynomial(QQ, {m: _big_coefficient(rng) for m in monomials})
+
+    for order in ALL_ORDERS:
+        gens = [poly(4, 2), poly(4, 2)]
+        basis = buchberger(gens, order).generators
+        assert basis == criteria_free_buchberger(gens, order), order
+        assert len(basis) > 1 and max(
+            max(c.numerator.bit_length(), c.denominator.bit_length())
+            for g in basis
+            for c in g.terms.values()
+        ) > 200
+        # a second divisor with the first one's leading monomial, another
+        # leading coefficient and tail, and a zero divisor between them
+        lead = gens[0].leading_monomial(order)
+        twin = Polynomial(QQ, {lead: _big_coefficient(rng), **poly(3, 1).terms})
+        if twin.leading_monomial(order) == lead:
+            divisors = [gens[1], Polynomial.zero(QQ), twin, gens[0]]
+        else:
+            divisors = [gens[1], Polynomial.zero(QQ), gens[0]]
+        f = poly(10, 5)
+        remainder = normal_form(f, divisors, order)
+        assert remainder == sorted_every_step_normal_form(f, divisors, order), order
+        assert remainder and all(type(c) is Fraction for c in remainder.terms.values())
+
+
+def test_each_element_is_divided_by_its_content(monkeypatch):
+    # Over QQ Buchberger divides every new element by its content once its
+    # reduction is finished.  On the lex witness the elements of its S-pairs
+    # then stay within 375 bits; without that division they reach about
+    # 10,000 bits.
+    elements = []
+    spair = groebner._spair
+    monkeypatch.setattr(
+        groebner, "_spair", lambda f, g, *rest: elements.extend((f, g)) or spair(f, g, *rest)
+    )
+    gb = gb_of("x^8 + y^7 + x*y + 1, y^8 + x^7 + 3*x", LEX_XY)
+    assert len(gb.generators) == 2 and len(elements) > 40
+    for lm, a, tail in elements:
+        assert a > 0 and math.gcd(a, *(c for _, c in tail)) == 1
+    bits = max(abs(c).bit_length() for _, a, tail in elements for c in [a, *(c for _, c in tail)])
+    assert bits <= 400
