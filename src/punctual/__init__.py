@@ -25,15 +25,14 @@ line imports.
 from importlib import import_module
 
 _EXPORTS = {
-    "artinian": """Decomposition LocalInvariants LocalQuotient MultiplicationPair QuotientBasis
+    "artinian": """Decomposition LocalInvariants LocalQuotient MultiplicationPair
         analyze_quotient generator_count local_component_at local_components local_invariants
         multiplication_matrices multiplicity_from_socle nilpotency_index quotient_basis
         socle_dimension""",
-    "errors": """ConfigError LemmaViolation NotZeroDimensional ParseError PunctualError
-        SupportNotLocal""",
+    "errors": "ConfigError LemmaViolation NotZeroDimensional ParseError PunctualError",
     "fields": "PrimeField QQ RationalField parse_field",
-    "groebner": """GroebnerBasis buchberger initial_ideal is_zero_dimensional normal_form
-        spolynomial spolynomial_certificate""",
+    "groebner": """GroebnerBasis buchberger is_zero_dimensional normal_form spolynomial
+        spolynomial_certificate""",
     "poly": """ALL_ORDERS DEFAULT_ORDER Monomial MonomialOrder Polynomial parse_generators
         parse_polynomial""",
     "staircase": """Corners Partition attaining_partition corners monomial_ideal_of

@@ -71,16 +71,6 @@ from .univariate import rational_minimal_polynomial
 MAX_COLENGTH = 121
 
 
-class QuotientBasis(NamedTuple):
-    """Standard monomials (those outside the initial ideal), order ascending."""
-
-    monomials: tuple[Monomial, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.monomials)
-
-
 class MultiplicationPair(NamedTuple):
     """Multiplication by x and by y on the standard basis, as integer images."""
 
@@ -163,8 +153,8 @@ def _staircase(lms) -> list[tuple[int, int, int]]:
     return steps
 
 
-def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
-    """Monomials outside the initial ideal, sorted ascending by gb's order.
+def quotient_basis(gb: GroebnerBasis) -> tuple[Monomial, ...]:
+    """Standard monomials (outside the initial ideal), ascending in gb's order.
 
     The colength, the area under the staircase, is checked against
     ``MAX_COLENGTH`` before any monomial is listed.
@@ -184,10 +174,10 @@ def quotient_basis(gb: GroebnerBasis) -> QuotientBasis:
         for b in range(height)
     ]
     standard.sort(key=gb.order.key_func())
-    return QuotientBasis(tuple(standard))
+    return tuple(standard)
 
 
-def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> MultiplicationPair:
+def multiplication_matrices(qb: tuple[Monomial, ...], gb: GroebnerBasis) -> MultiplicationPair:
     """Column j of M_v = A/D is the normal form of v*m_j (v = x, y), read
     without division: the border monomials v*m_j outside the basis are
     visited ascending in gb's order.  A leading monomial is minus its
@@ -195,11 +185,11 @@ def multiplication_matrices(qb: QuotientBasis, gb: GroebnerBasis) -> Multiplicat
     NF(t) = sum c_b*NF(v*b) over the terms c_b*b of NF(s): each b < s, so
     v*b < t is a basis monomial or a border monomial already visited.
     A normal form is held as (d, [(row, integer)]), d its least denominator."""
-    p, n = gb.field.characteristic, qb.dimension
-    index = {m: i for i, m in enumerate(qb.monomials)}
+    p, n = gb.field.characteristic, len(qb)
+    index = {m: i for i, m in enumerate(qb)}
     forms = {m: (1, [(i, 1)]) for m, i in index.items()}  # monomial -> (d, [(row, integer)])
     generators = dict(zip(gb.lms, gb.generators))
-    shifted = {v: [m * v for m in qb.monomials] for v in (X, Y)}
+    shifted = {v: [m * v for m in qb] for v in (X, Y)}
     border = {t for column in shifted.values() for t in column} - forms.keys()
     for t in sorted(border, key=gb.order.key_func()):
         if g := generators.get(t):
@@ -330,7 +320,7 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> L
     )
 
 
-def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
+def _split(gb: GroebnerBasis, qb: tuple | None, point=(None, None)):
     """The colength and the local factors at rational support points, or
     only at ``point`` where its coordinates are given; qb is gb's quotient
     basis where the caller has already listed it.
@@ -344,11 +334,11 @@ def _split(gb: GroebnerBasis, qb: QuotientBasis | None, point=(None, None)):
     replaces its root search by one cofactor test.
     """
     qb = quotient_basis(gb) if qb is None else qb
-    if qb.dimension == 0:  # the unit ideal
+    if not qb:  # the unit ideal
         return 0, []
-    assert qb.monomials[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
+    assert qb[0] == Monomial(0, 0)  # the class of 1 is basis vector 0
     pair = multiplication_matrices(qb, gb)
-    n = qb.dimension
+    n = len(qb)
     coeff_field = gb.field
     one = [1] + [0] * (n - 1)
     components, found_y = [], []
@@ -368,7 +358,7 @@ def local_component_at(gb: GroebnerBasis, point: tuple):
     return components[0] if components else None
 
 
-def local_components(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
+def local_components(gb: GroebnerBasis, qb: tuple | None = None) -> Decomposition:
     """Split the quotient into local factors at rational support points
     (``_split``), sorted by point.  Any dimension carried by non-rational
     points is reported as the residual and gets no local invariants.
@@ -453,7 +443,7 @@ def local_invariants(lq: LocalQuotient) -> LocalInvariants:
     raise LemmaViolation(f"{problem} at point {point_text(lq.point)}")
 
 
-def analyze_quotient(gb: GroebnerBasis, qb: QuotientBasis | None = None) -> Decomposition:
+def analyze_quotient(gb: GroebnerBasis, qb: tuple | None = None) -> Decomposition:
     """Split locally, then every factor's invariants (qb as for ``_split``)."""
     decomposition = local_components(gb, qb)
     return decomposition._replace(

@@ -13,10 +13,6 @@ class NotZeroDimensional(PunctualError):
     """The ideal does not cut out finitely many points."""
 
 
-class SupportNotLocal(PunctualError):
-    """An operation that needs all support at the origin saw other points."""
-
-
 class LemmaViolation(PunctualError):
     """Two independent routes to the same invariant disagreed.
 

@@ -284,11 +284,6 @@ def _reduce_basis(reducers, coeff_field, packing: _Packing) -> GroebnerBasis:
     return GroebnerBasis(packing.order, coeff_field, gens, tuple(unpack(lm) for lm, _, _ in kept))
 
 
-def initial_ideal(gb: GroebnerBasis) -> tuple[Monomial, ...]:
-    """Minimal monomial generators of the ideal of leading terms."""
-    return gb.lms
-
-
 def is_zero_dimensional(gb: GroebnerBasis) -> bool:
     """True iff the leading monomials contain a pure power of x and of y.
 

@@ -37,9 +37,9 @@ from .artinian import (
     quotient_basis,
     truncation_monomials,
 )
-from .errors import ConfigError, LemmaViolation, NotZeroDimensional, SupportNotLocal
+from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import MAX_PRIME, PrimeField, QQ, is_prime
-from .groebner import GroebnerBasis, buchberger, initial_ideal
+from .groebner import GroebnerBasis, buchberger
 from .poly import ALL_ORDERS, DEFAULT_ORDER, Polynomial
 from .staircase import (
     Partition,
@@ -292,19 +292,21 @@ def check_degeneration(
     """Degeneration to the initial ideal preserves colength and cannot
     decrease the socle dimension, for every monomial order.
 
-    Requires all support at the origin, because the comparison is between
-    local invariants there.  Colength and b2 come from ``analysis``; each
+    The comparison is between local invariants at the origin, so a support
+    with any other point gets a passing report whose summary says it was
+    skipped, with no rows.  Colength and b2 come from ``analysis``; each
     distinct key function gets one Groebner basis (``gb`` itself for its
     own order), and its initial ideal is read as a staircase, with no
     engine run: its colength is the area under the leading monomials, and
     its b2, the inner-corner count of a monomial ideal in two variables, is
     the number of minimal generators minus 1.
     """
-    coeff_field = gb.field
-    inputs = {"ideal": ideal_text, "field": coeff_field.label, "orders": len(ALL_ORDERS)}
-    zero = coeff_field.zero()
+    inputs = {"ideal": ideal_text, "field": gb.field.label}
+    zero = gb.field.zero()
     if analysis.residual_dimension or [c.point for c in analysis.components] != [(zero, zero)]:
-        raise SupportNotLocal(f"support of ({ideal_text}) is not concentrated at the origin")
+        skipped = f"support of ({ideal_text}) is not concentrated at the origin"
+        return VerificationReport("initial_degeneration", inputs, [], {"skipped": skipped}, True)
+    inputs["orders"] = len(ALL_ORDERS)
     colength = analysis.colength
     base_b2 = analysis.components[0].socle
     inits = {}  # key function -> (initial ideal, its colength)
@@ -313,7 +315,7 @@ def check_degeneration(
         key = order.key_func()
         if key not in inits:
             order_gb = gb if key is gb.order.key_func() else buchberger(gb.generators, order)
-            inits[key] = initial_ideal(order_gb), quotient_basis(order_gb).dimension
+            inits[key] = order_gb.lms, len(quotient_basis(order_gb))
         init, init_colength = inits[key]
         init_b2 = len(init) - 1
         preserved = init_colength == colength

@@ -168,12 +168,12 @@ def division_operators(qb, gb) -> MultiplicationPair:
     """The multiplication pair with column j of M_v the normal form of
     v*m_j by multivariate division on field elements: the build before
     recombination, and before the integer normal forms."""
-    n = qb.dimension
-    index = {m: i for i, m in enumerate(qb.monomials)}
+    n = len(qb)
+    index = {m: i for i, m in enumerate(qb)}
 
     def image(shift: Monomial) -> IntegerImage:
         cells = []  # (row, column, coefficient)
-        for j, m in enumerate(qb.monomials):
+        for j, m in enumerate(qb):
             t = m * shift
             if t in index:
                 nf = {t: 1}
@@ -350,11 +350,11 @@ def pairwise_components(gb) -> list:
     both operators on [1], w = g_x(Mx) g_y(My)[1] for every pair of roots,
     a factor wherever w != 0."""
     qb = artinian.quotient_basis(gb)
-    if qb.dimension == 0:
+    if not qb:
         return []
     pair = artinian.multiplication_matrices(qb, gb)
     field = gb.field
-    one = [1] + [0] * (qb.dimension - 1)
+    one = [1] + [0] * (len(qb) - 1)
 
     def candidates(image):
         coeffs, _ = artinian._minimal_polynomial(image, one, field)

@@ -206,7 +206,7 @@ def test_criterion_5_engine_self_consistency(monomial_sweep):
         ]
         for order in ALL_ORDERS:
             gb = buchberger(gens, order)
-            assert quotient_basis(gb).dimension == record.n
+            assert len(quotient_basis(gb)) == record.n
             assert spolynomial_certificate(gb)
     elapsed = time.perf_counter() - start
     _announce(5, "staircase corners = engine Betti data, all orders certified", elapsed)

@@ -490,6 +490,9 @@ COMMAND_GOLDEN_CASES = {
         "--format", "json",
     ],
     "verify_socle_two.txt": ["verify", "--ideal", "x^2 + y^3, x*y^3, y^5", "--format", "text"],
+    # support off the origin: the degeneration check reports itself skipped
+    "verify_skipped_degeneration.txt": ["verify", "--ideal", "x^2 - x, y", "--format", "text"],
+    "verify_skipped_degeneration.csv": ["verify", "--ideal", "x^2 - x, y", "--format", "csv"],
     "sweep_1_8_crosscheck.json": [
         "sweep", "--n", "1..8", "--crosscheck-cutoff", "8", "--format", "json",
     ],

@@ -13,7 +13,6 @@ import punctual.groebner as groebner
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import (
     buchberger,
-    initial_ideal,
     is_zero_dimensional,
     normal_form,
     spolynomial,
@@ -60,7 +59,7 @@ def test_buchberger_pinned_cases():
     assert {str(g) for g in gb.generators} == {"x", "y"}
     gb = gb_of("y - x^2, x^3")
     assert {str(g) for g in gb.generators} == {"x^2 - y", "x*y", "y^2"}
-    assert set(initial_ideal(gb)) == {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
+    assert set(gb.lms) == {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
     # a monomial ideal is its own reduced basis, under any order
     for order in (DEFAULT_ORDER, LEX_XY, LEX_YX):
         gb = gb_of("x^2, x*y, y^2", order)
@@ -69,7 +68,7 @@ def test_buchberger_pinned_cases():
 
 def test_initial_ideal_lex_yx():
     gb = gb_of("y - x^2, x^3", LEX_YX)
-    assert set(initial_ideal(gb)) == {Monomial(0, 1), Monomial(3, 0)}
+    assert set(gb.lms) == {Monomial(0, 1), Monomial(3, 0)}
 
 
 def test_textbook_two_generator_example():
@@ -118,7 +117,7 @@ def test_certificate_on_curated_bases():
 def test_buchberger_minimalizes_monomials():
     monomials = [Monomial(2, 0), Monomial(2, 1), Monomial(0, 2), Monomial(1, 1)]
     gb = buchberger([Polynomial.monomial(QQ, m) for m in monomials], DEFAULT_ORDER)
-    assert set(initial_ideal(gb)) == {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
+    assert set(gb.lms) == {Monomial(2, 0), Monomial(1, 1), Monomial(0, 2)}
     assert is_reduced(gb)
 
 

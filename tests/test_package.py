@@ -27,15 +27,15 @@ from punctual.verify import SamplerConfig, check_socle_identity, socle_census
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# every name the package exported when it imported its modules eagerly
+# every name the package exports
 EXPORTS = """
     ALL_ORDERS CURATED_CORPUS ConfigError Corners DEFAULT_ORDER Decomposition GroebnerBasis
     LemmaViolation LocalInvariants LocalQuotient Monomial MonomialOrder MultiplicationPair
     NotZeroDimensional ParseError Partition Polynomial PrimeField PunctualError QQ
-    QuotientBasis RationalField SamplerConfig SocleCensus SupportNotLocal VerificationReport
+    RationalField SamplerConfig SocleCensus VerificationReport
     analyze_quotient attaining_partition buchberger check_degeneration
     check_multiplicity_formula check_socle_identity check_staircase_bound corners
-    generator_count initial_ideal is_zero_dimensional local_component_at local_components
+    generator_count is_zero_dimensional local_component_at local_components
     local_invariants monomial_ideal_of multiplication_matrices multiplicity_from_socle
     nilpotency_index normal_form parse_field parse_generators parse_polynomial
     partitions_of quotient_basis random_ideal_trials socle_bound socle_census
@@ -89,6 +89,43 @@ def test_star_import_and_dir_list_every_export():
     assert "__version__" in dir(punctual) and punctual.__version__ == "0.1.0"
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; a name in an annotation,
+    quoted or not, counts as read, and ``from __future__`` is exempt."""
+    tree = ast.parse(source)
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    read |= {n.id for n in ast.walk(ast.parse(part.value)) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_are_found():
+    source = """
+from __future__ import annotations
+import os.path
+from .errors import ConfigError, SupportNotLocal
+from .verify import VerificationReport as Report
+def f(x: "Monomial") -> Report:
+    raise ConfigError(os.sep)
+"""
+    assert unused_imports(source) == ["SupportNotLocal"]
+    assert unused_imports("from .poly import Monomial\ndef g(m: 'Monomial'): pass") == []
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "punctual").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
 def test_an_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_export'"):
         punctual.no_such_export
@@ -103,7 +140,6 @@ def frozen_records():
     return [
         gb,
         DEFAULT_ORDER,
-        qb,
         multiplication_matrices(qb, gb),
         local_components(gb),
         analysis,
@@ -207,4 +243,4 @@ def test_cached_records_compare_without_their_caches():
             hash(record)
         with pytest.raises(AttributeError):
             record.new_attribute = 1
-    assert len(pair.on_x) == qb.dimension == 3
+    assert len(pair.on_x) == len(qb) == 3

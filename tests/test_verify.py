@@ -9,7 +9,7 @@ from conftest import ORIGIN_CORPUS
 import punctual.staircase as staircase
 import punctual.verify as verify
 from punctual.artinian import analyze_quotient
-from punctual.errors import ConfigError, LemmaViolation, SupportNotLocal
+from punctual.errors import ConfigError, LemmaViolation
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger
 from punctual.poly import DEFAULT_ORDER, MonomialOrder, parse_generators
@@ -23,6 +23,7 @@ from punctual.staircase import (
 from punctual.verify import (
     CURATED_CORPUS,
     SamplerConfig,
+    VerificationReport,
     check_degeneration,
     check_multiplicity_formula,
     check_socle_identity,
@@ -165,10 +166,12 @@ def test_degeneration_fixed_point_for_monomial_ideals():
 
 
 def test_degeneration_requires_local_support():
-    with pytest.raises(SupportNotLocal):
-        check_degeneration(*prepared("x^2 - x, y"))
-    with pytest.raises(SupportNotLocal):
-        check_degeneration(*prepared("x^3 - 2*x, y"))
+    # a second rational point, then a non-rational residual beside the origin
+    for text in ("x^2 - x, y", "x^3 - 2*x, y"):
+        skipped = f"support of ({text}) is not concentrated at the origin"
+        assert check_degeneration(*prepared(text)) == VerificationReport(
+            "initial_degeneration", {"ideal": text, "field": "QQ"}, [], {"skipped": skipped}, True
+        )
 
 
 def test_degeneration_across_origin_corpus():
