@@ -6,6 +6,11 @@ colengths), sample (randomized trials over a prime field).  Output is
 byte-identical for identical invocations; exit codes are 0 success,
 2 parse or configuration error, 3 not zero-dimensional, 4 check failure.
 
+Every output decision is made here.  Each command builds one payload of
+plain values, and text, json and csv are three views of it; the exit code
+follows its ``passed``.  A verification report is a plain record and
+enters the payload as ``report._asdict()``.
+
 Importing this module loads the engine that analyze runs, and verify and
 staircase too, since perfbench/tracer.py wraps only the functions of
 modules loaded by then.  The json and csv writers are imported by the
@@ -32,7 +37,6 @@ from .verify import (
     check_multiplicity_formula,
     check_socle_identity,
     check_staircase_bound,
-    format_table,
     random_ideal_trials,
     socle_census,
 )
@@ -143,7 +147,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _emit(payload: dict, fmt: str, text_renderer, csv_renderer) -> None:
+def _emit(payload: dict, fmt: str, text_renderer, csv_renderer) -> int:
+    """Print one view of ``payload``; the exit code follows its ``passed``,
+    and a payload without one (analyze) exits 0."""
     if fmt == "json":
         import json
 
@@ -152,27 +158,37 @@ def _emit(payload: dict, fmt: str, text_renderer, csv_renderer) -> None:
         print(csv_renderer(payload), end="")
     else:
         print(text_renderer(payload))
+    return EXIT_OK if payload.get("passed", True) else EXIT_CHECK_FAILED
 
 
 def _csv_string(header: list[str], rows: list[list]) -> str:
+    """CSV with a header; a True or False cell is written true or false."""
     import csv
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        writer.writerow(["true" if c is True else "false" if c is False else c for c in row])
     return buffer.getvalue()
 
 
-def _bool_csv(value: bool) -> str:
-    return "true" if value else "false"
+def format_table(rows: list[dict]) -> list[str]:
+    """Aligned column rendering; column order follows the first row."""
+    columns = list(rows[0].keys())
+    widths = {
+        c: max(len(str(c)), max(len(str(row.get(c, ""))) for row in rows)) for c in columns
+    }
+    lines = ["  ".join(str(c).ljust(widths[c]) for c in columns)]
+    for row in rows:
+        lines.append("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
+    return lines
 
 
 # ---------------------------------------------------------------- analyze
 
-ANALYZE_CSV_COLUMNS = [
-    "point_x",
-    "point_y",
+# an analyze component's keys after its point, in CSV column order
+_COMPONENT_KEYS = (
     "length",
     "nilpotency",
     "generators",
@@ -182,7 +198,7 @@ ANALYZE_CSV_COLUMNS = [
     "multiplicity",
     "multiplicity_le_length",
     "multiplicity_eq_length",
-]
+)
 
 
 def _analyzed_ideal(args):
@@ -196,34 +212,6 @@ def _analyzed_ideal(args):
     qb = quotient_basis(gb)
     basis = [str(g) for g in gb.generators]
     return text, gb, basis, analyze_quotient(gb, qb)
-
-
-def _analyze_payload(args) -> dict:
-    text, gb, basis, analysis = _analyzed_ideal(args)
-    return {
-        "command": "analyze",
-        "ideal": text,
-        "field": gb.field.label,
-        "order": gb.order.label,
-        "groebner_basis": basis,
-        "colength": analysis.colength,
-        "residual_dimension": analysis.residual_dimension,
-        "components": [
-            {
-                "point": list(map(element_text, c.point)),
-                "length": c.local_length,
-                "nilpotency": c.nilpotency_index,
-                "generators": c.generators,
-                "b1": c.generators,
-                "b2": c.socle,
-                "socle": c.socle,
-                "multiplicity": c.multiplicity,
-                "multiplicity_le_length": c.multiplicity <= c.local_length,
-                "multiplicity_eq_length": c.multiplicity == c.local_length,
-            }
-            for c in analysis.components
-        ],
-    }
 
 
 def _analyze_text(payload: dict) -> str:
@@ -261,53 +249,75 @@ def _analyze_text(payload: dict) -> str:
 
 
 def _analyze_csv(payload: dict) -> str:
-    rows = [
-        [
-            c["point"][0],
-            c["point"][1],
-            c["length"],
-            c["nilpotency"],
-            c["generators"],
-            c["b1"],
-            c["b2"],
-            c["socle"],
-            c["multiplicity"],
-            _bool_csv(c["multiplicity_le_length"]),
-            _bool_csv(c["multiplicity_eq_length"]),
-        ]
-        for c in payload["components"]
-    ]
-    return _csv_string(ANALYZE_CSV_COLUMNS, rows)
+    rows = [[*c["point"], *(c[k] for k in _COMPONENT_KEYS)] for c in payload["components"]]
+    return _csv_string(["point_x", "point_y", *_COMPONENT_KEYS], rows)
 
 
 def _cmd_analyze(args) -> int:
-    payload = _analyze_payload(args)
-    _emit(payload, args.format, _analyze_text, _analyze_csv)
-    return EXIT_OK
+    text, gb, basis, analysis = _analyzed_ideal(args)
+    payload = {
+        "command": "analyze",
+        "ideal": text,
+        "field": gb.field.label,
+        "order": gb.order.label,
+        "groebner_basis": basis,
+        "colength": analysis.colength,
+        "residual_dimension": analysis.residual_dimension,
+        "components": [
+            {
+                "point": list(map(element_text, c.point)),
+                **dict(zip(_COMPONENT_KEYS, (
+                    c.local_length,
+                    c.nilpotency_index,
+                    c.generators,
+                    c.generators,
+                    c.socle,
+                    c.socle,
+                    c.multiplicity,
+                    c.multiplicity <= c.local_length,
+                    c.multiplicity == c.local_length,
+                ))),
+            }
+            for c in analysis.components
+        ],
+    }
+    return _emit(payload, args.format, _analyze_text, _analyze_csv)
 
 
 # ----------------------------------------------------------------- verify
 
 
+def _report_text(report: dict) -> str:
+    """A verification report (as ``_asdict()``) as an aligned text block."""
+    verdict = "PASS" if report["passed"] else "FAIL"
+    lines = [f"check: {report['check']}   {verdict}"]
+    if report["inputs"]:
+        lines.append("  " + "   ".join(f"{k}={v}" for k, v in report["inputs"].items()))
+    if report["rows"]:
+        lines.extend("  " + line for line in format_table(report["rows"]))
+    if report["summary"]:
+        lines.append("  " + "   ".join(f"{k}={v}" for k, v in report["summary"].items()))
+    return "\n".join(lines)
+
+
 def _cmd_verify(args) -> int:
     text, gb, _, analysis = _analyzed_ideal(args)
     reports = [
-        check(text, gb, analysis)
+        check(text, gb, analysis)._asdict()
         for check in (check_socle_identity, check_multiplicity_formula, check_degeneration)
     ]
-    passed = all(r.passed for r in reports)
     payload = {
         "command": "verify",
         "ideal": text,
         "field": gb.field.label,
         "order": gb.order.label,
-        "reports": [r.to_jsonable() for r in reports],
-        "passed": passed,
+        "reports": reports,
+        "passed": all(r["passed"] for r in reports),
     }
 
     def as_text(p: dict) -> str:
         verdict = "\nverdict: PASS" if p["passed"] else "\nverdict: FAIL"
-        return "\n".join(r.to_text() for r in reports) + verdict
+        return "\n".join(map(_report_text, p["reports"])) + verdict
 
     def as_csv(p: dict) -> str:
         rows = []
@@ -315,58 +325,58 @@ def _cmd_verify(args) -> int:
             if report["rows"]:
                 for row in report["rows"]:
                     detail = "; ".join(f"{k}={v}" for k, v in row.items() if k != "ok")
-                    rows.append([report["check"], detail, _bool_csv(row.get("ok", True))])
+                    rows.append([report["check"], detail, row.get("ok", True)])
             else:
                 note = "; ".join(f"{k}={v}" for k, v in report["summary"].items())
-                rows.append([report["check"], note, _bool_csv(report["passed"])])
+                rows.append([report["check"], note, report["passed"]])
         return _csv_string(["check", "case", "ok"], rows)
 
-    _emit(payload, args.format, as_text, as_csv)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _emit(payload, args.format, as_text, as_csv)
 
 
 # ----------------------------------------------------------- census/sweep
 
 
+def _range_payload(command: str, lo: int, hi: int, result_of) -> dict:
+    """One ``result_of(census of n)`` per n in lo..hi, from one shared table."""
+    table = distinct_part_table(hi)
+    results = [result_of(socle_census(n, table)) for n in range(lo, hi + 1)]
+    passed = all(r["passed"] for r in results)
+    return {"command": command, "lo": lo, "hi": hi, "results": results, "passed": passed}
+
+
+def _range_text(payload: dict, middle) -> str:
+    """One line per n: its census figures, ``middle(result)`` and the verdict."""
+    return "\n".join(
+        f"n={r['n']} partitions={r['partition_count']} max_b2={r['max_b2']} "
+        f"bound={r['bound']} {middle(r)} verdict={'pass' if r['passed'] else 'FAIL'}"
+        for r in payload["results"]
+    )
+
+
 def _cmd_census(args) -> int:
     lo, hi = _parse_range(args.n)
-    table = distinct_part_table(hi)
-    results = []
-    for n in range(lo, hi + 1):
-        census = socle_census(n, table)
-        results.append(
-            {
-                "n": n,
-                "partition_count": census.partition_count,
-                "counts": {str(k): v for k, v in census.counts.items()},
-                "max_b2": census.max_attained,
-                "bound": socle_bound(n),
-                "passed": census.max_attained == socle_bound(n),
-            }
-        )
-    passed = all(r["passed"] for r in results)
-    payload = {"command": "census", "lo": lo, "hi": hi, "results": results, "passed": passed}
 
-    def as_text(p: dict) -> str:
-        lines = []
-        for r in p["results"]:
-            counts = " ".join(f"{k}:{v}" for k, v in r["counts"].items())
-            verdict = "pass" if r["passed"] else "FAIL"
-            lines.append(
-                f"n={r['n']} partitions={r['partition_count']} max_b2={r['max_b2']} "
-                f"bound={r['bound']} counts[{counts}] verdict={verdict}"
-            )
-        return "\n".join(lines)
+    def result_of(census) -> dict:
+        bound = socle_bound(census.n)
+        return {
+            "n": census.n,
+            "partition_count": census.partition_count,
+            "counts": {str(k): v for k, v in census.counts.items()},
+            "max_b2": census.max_attained,
+            "bound": bound,
+            "passed": census.max_attained == bound,
+        }
+
+    def counts(r: dict) -> str:
+        return "counts[" + " ".join(f"{k}:{v}" for k, v in r["counts"].items()) + "]"
 
     def as_csv(p: dict) -> str:
-        rows = []
-        for r in p["results"]:
-            for b2, count in r["counts"].items():
-                rows.append([r["n"], b2, count])
+        rows = [[r["n"], b2, count] for r in p["results"] for b2, count in r["counts"].items()]
         return _csv_string(["n", "b2", "count"], rows)
 
-    _emit(payload, args.format, as_text, as_csv)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    payload = _range_payload("census", lo, hi, result_of)
+    return _emit(payload, args.format, lambda p: _range_text(p, counts), as_csv)
 
 
 def _cmd_sweep(args) -> int:
@@ -377,54 +387,32 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(
             f"--crosscheck-cutoff {args.crosscheck_cutoff} exceeds the limit {MAX_CROSSCHECK_CUTOFF}"
         )
-    table = distinct_part_table(hi)
-    results = []
-    for n in range(lo, hi + 1):
-        census = socle_census(n, table)
+
+    def result_of(census) -> dict:
         report = check_staircase_bound(census, args.crosscheck_cutoff)
         summary = report.summary
-        results.append(
-            {
-                "n": n,
-                "partition_count": summary["partition_count"],
-                "max_b2": summary["max_b2"],
-                "bound": summary["bound"],
-                "argmax": summary["argmax"],
-                "attaining": summary["attaining"],
-                "crosschecked": summary["crosschecked"],
-                "census": {str(k): v for k, v in census.counts.items()},
-                "passed": report.passed,
-            }
-        )
-    passed = all(r["passed"] for r in results)
-    payload = {"command": "sweep", "lo": lo, "hi": hi, "results": results, "passed": passed}
+        return {
+            "n": census.n,
+            "partition_count": summary["partition_count"],
+            "max_b2": summary["max_b2"],
+            "bound": summary["bound"],
+            "argmax": summary["argmax"],
+            "attaining": summary["attaining"],
+            "crosschecked": summary["crosschecked"],
+            "census": {str(k): v for k, v in census.counts.items()},
+            "passed": report.passed,
+        }
 
-    def as_text(p: dict) -> str:
-        lines = []
-        for r in p["results"]:
-            verdict = "pass" if r["passed"] else "FAIL"
-            lines.append(
-                f"n={r['n']} partitions={r['partition_count']} max_b2={r['max_b2']} "
-                f"bound={r['bound']} argmax={r['argmax']} verdict={verdict}"
-            )
-        return "\n".join(lines)
+    def argmax(r: dict) -> str:
+        return f"argmax={r['argmax']}"
 
     def as_csv(p: dict) -> str:
-        rows = [
-            [
-                r["n"],
-                r["partition_count"],
-                r["max_b2"],
-                r["bound"],
-                r["argmax"],
-                _bool_csv(r["passed"]),
-            ]
-            for r in p["results"]
-        ]
+        keys = ("n", "partition_count", "max_b2", "bound", "argmax", "passed")
+        rows = [[r[k] for k in keys] for r in p["results"]]
         return _csv_string(["n", "partitions", "max_b2", "bound", "argmax", "passed"], rows)
 
-    _emit(payload, args.format, as_text, as_csv)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    payload = _range_payload("sweep", lo, hi, result_of)
+    return _emit(payload, args.format, lambda p: _range_text(p, argmax), as_csv)
 
 
 # ----------------------------------------------------------------- sample
@@ -443,7 +431,7 @@ def _cmd_sample(args) -> int:
     report = random_ideal_trials(cfg)
     payload = {
         "command": "sample",
-        "report": report.to_jsonable(),
+        "report": report._asdict(),
         "passed": report.passed,
     }
 
@@ -465,20 +453,11 @@ def _cmd_sample(args) -> int:
 
     def as_csv(p: dict) -> str:
         summary = p["report"]["summary"]
-        rows = [
-            ["requested", summary["requested"]],
-            ["accepted", summary["accepted"]],
-            ["draws", summary["draws"]],
-            ["socle_identity_passes", summary["socle_identity_passes"]],
-            ["multiplicity_bound_passes", summary["multiplicity_bound_passes"]],
-        ]
-        for k, v in summary["histogram"].items():
-            rows.append([f"histogram_b2_{k}", v])
-        rows.append(["passed", _bool_csv(p["passed"])])
-        return _csv_string(["metric", "value"], rows)
+        rows = [[k, v] for k, v in summary.items() if k != "histogram"]
+        rows += [[f"histogram_b2_{k}", v] for k, v in summary["histogram"].items()]
+        return _csv_string(["metric", "value"], rows + [["passed", p["passed"]]])
 
-    _emit(payload, args.format, as_text, as_csv)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _emit(payload, args.format, as_text, as_csv)
 
 
 _HANDLERS = {

@@ -1,9 +1,8 @@
 """Verification harness for the identities tying the invariants together.
 
-Each check returns a :class:`VerificationReport` with per-case evidence
-rows and an aggregate verdict.  Reports are deterministic functions of
-their inputs (and seed, for the sampler), so serialized output is
-byte-identical across runs.
+Each check returns a :class:`VerificationReport`, a plain record of its
+inputs, per-case evidence rows, a summary and an aggregate verdict, as a
+deterministic function of its inputs (and seed, for the sampler).
 
 The per-ideal checks read one Groebner basis and its ``analyze_quotient``,
 whose ``LocalInvariants`` already passed the socle and multiplicity guards
@@ -80,26 +79,13 @@ CURATED_CORPUS: tuple[str, ...] = (
 )
 
 class VerificationReport(NamedTuple):
+    """One check's result as plain data; ``_asdict()`` serializes it."""
+
     check: str
     inputs: dict
     rows: list
     summary: dict
     passed: bool
-
-    def to_jsonable(self) -> dict:  # one level deep
-        copies = {"inputs": dict(self.inputs), "rows": [dict(row) for row in self.rows]}
-        return {**self._asdict(), **copies, "summary": dict(self.summary)}
-
-    def to_text(self) -> str:
-        verdict = "PASS" if self.passed else "FAIL"
-        lines = [f"check: {self.check}   {verdict}"]
-        if self.inputs:
-            lines.append("  " + "   ".join(f"{k}={v}" for k, v in self.inputs.items()))
-        if self.rows:
-            lines.extend("  " + line for line in format_table(self.rows))
-        if self.summary:
-            lines.append("  " + "   ".join(f"{k}={v}" for k, v in self.summary.items()))
-        return "\n".join(lines)
 
 
 class SocleCensus(NamedTuple):
@@ -137,18 +123,6 @@ class SamplerConfig(
                 f"sampler count {count} exceeds the limit count <= {MAX_SAMPLE_COUNT}"
             )
         return super().__new__(cls, prime, degree, count, seed)
-
-
-def format_table(rows: list[dict]) -> list[str]:
-    """Aligned column rendering; column order follows the first row."""
-    columns = list(rows[0].keys())
-    widths = {
-        c: max(len(str(c)), max(len(str(row.get(c, ""))) for row in rows)) for c in columns
-    }
-    lines = ["  ".join(str(c).ljust(widths[c]) for c in columns)]
-    for row in rows:
-        lines.append("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
-    return lines
 
 
 def check_socle_identity(

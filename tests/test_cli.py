@@ -514,6 +514,20 @@ COMMAND_GOLDEN_CASES = {
         "sample", "--field", "Fp:101", "--degree", "3", "--count", "20", "--seed", "7",
         "--format", "json",
     ],
+    # QQ analyze as csv, and a support with no rational point at all
+    "analyze_four_points.csv": ["analyze", "--ideal", "x^2 - 1, y^2 - 1", "--format", "csv"],
+    "analyze_no_rational_points.txt": ["analyze", "--ideal", "x^2 + 1, y"],
+    "census_1_12.txt": ["census", "--n", "1..12"],
+    "sweep_1_9_crosscheck7.csv": [
+        "sweep", "--n", "1..9", "--crosscheck-cutoff", "7", "--format", "csv",
+    ],
+    "sample_fp101_deg3_seed4.txt": [
+        "sample", "--field", "Fp:101", "--degree", "3", "--count", "15", "--seed", "4",
+    ],
+    "sample_fp101_deg3_seed4.csv": [
+        "sample", "--field", "Fp:101", "--degree", "3", "--count", "15", "--seed", "4",
+        "--format", "csv",
+    ],
 }
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -124,6 +125,55 @@ def f(x: "Monomial") -> Report:
 @pytest.mark.parametrize("path", sorted((SRC / "punctual").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """``module.name`` of each module-level function, class and constant in
+    ``sources`` (module name -> source) that its own module never reads and
+    no other module imports by name; dunder names and ``exempt`` are kept."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(f"{module}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {
+                    f"{module}.{n.id}" for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(f"{module}.{node.id}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read |= {f"{node.module}.{a.name}" for a in node.names}
+    dunder = lambda qualified: qualified.partition(".")[2].startswith("__")  # noqa: E731
+    return sorted(qualified for qualified in defined - read - exempt if not dunder(qualified))
+
+
+def test_dead_definitions_are_found():
+    sources = {
+        "a": "from .b import used\nLIMIT = 3\ndef helper(): return used(LIMIT)\n__all__ = []",
+        "b": "def used(n): return n\ndef _leftover(): pass\nclass Kept: pass\nCOLS, ROWS = [], []",
+        # a copy of a.helper that only the other module reads
+        "c": "def helper(): pass\ndef table(): return helper()",
+    }
+    dead = ["a.helper", "b.COLS", "b.ROWS", "b._leftover", "c.table"]
+    assert dead_definitions(sources, {"b.Kept"}) == dead
+    assert dead_definitions(sources, {"b.Kept", *dead}) == []
+
+
+def test_every_module_level_definition_is_read():
+    # the package exports and the functions perfbench/tracer.py wraps are
+    # read from outside src/; everything else must be read inside it
+    path = SRC.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    exempt = {f"{punctual._MODULE_OF[name]}.{name}" for name in punctual.__all__}
+    exempt |= {f"{module}.{name}" for module, name, _ in tracer.TARGETS}
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in (SRC / "punctual").glob("*.py")}
+    assert dead_definitions(sources, exempt) == []
 
 
 def test_an_unknown_attribute_is_an_attribute_error():
