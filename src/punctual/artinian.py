@@ -52,7 +52,7 @@ coordinate's root search is replaced by one cofactor test.
 from __future__ import annotations
 
 import math
-from itertools import count, repeat
+from itertools import compress, count
 from typing import NamedTuple
 
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
@@ -64,10 +64,10 @@ from .univariate import IntegerImage, _cofactor, _integral, krylov_image, roots
 from .univariate import rational_minimal_polynomial
 
 # quotients above this colength are refused before their basis is listed:
-# in-process on a 2-core VM analyze takes 0.03-0.045 s on x^11, y^11
-# (colength 121) and 0.02-0.03 s on x^10, y^10; dense operators cost more,
-# 0.12-0.15 s for (x - 1)^11, (y - 2)^11 and 0.2-0.3 s for the 121 points of
-# an 11 x 11 grid, over QQ or Fp:32003, or of prod (3x - i), prod (5y - j)
+# in-process on a 2-core VM analyze takes 0.004-0.006 s on x^11, y^11
+# (colength 121) and 0.003-0.004 s on x^10, y^10; dense operators cost more,
+# 0.01-0.013 s for (x - 1)^11, (y - 2)^11 and 0.09-0.12 s for the 121 points
+# of an 11 x 11 grid, over QQ or Fp:32003, or of prod (3x - i), prod (5y - j)
 MAX_COLENGTH = 121
 
 
@@ -87,7 +87,7 @@ class LocalQuotient:
     w, a multiple of h(My) g_x(Mx)[1], with A_p = k[x,y] w.
     The words Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r
     at which all words of degree r vanish; the function of that name
-    returns r together with the words of degree <= r, built in one pass.
+    returns r and the sparse words of degree <= r, built in one pass.
     ``local_ideal`` is the echelon kernel of f -> f(Nx, Ny)w on the
     monomials of degree <= r, read off those same words (primitive integer
     vectors over QQ, ordered like ``truncation_monomials(r)``): the f with
@@ -270,22 +270,36 @@ def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> 
     for a = 0..k.  Mixed products matter: for the pair coming from
     (x^2, y^2) both pure squares vanish while Nx*Ny does not, so the index
     is 3 there.  The index of a factor is at most its length, so the words
-    must all vanish by degree n.  They are integer vectors, reduced mod p
-    over Fp; over QQ Nx = c_x*(Mx - px), Ny = c_y*(My - py) (``_translated``)
-    and no word loses its content: x -> c_x*x, y -> c_y*y is an automorphism
-    of k[x,y] fixing m, so the index, length, socle and generator count do
-    not change.
+    must all vanish by degree n.  They are sparse integer vectors, (row,
+    entry) pairs, each applied by scattering its entries over the columns
+    of Nx or Ny, built once here; reduced mod p over Fp.  Over QQ
+    Nx = c_x*(Mx - px), Ny = c_y*(My - py) (``_translated``) and no word
+    loses its content: x -> c_x*x, y -> c_y*y is an automorphism of k[x,y]
+    fixing m, so the index, length, socle and generator count do not change.
     """
-    words, layer = [], [generator]
+    p, by_x, by_y = coeff_field.characteristic, [[] for _ in generator], [[] for _ in generator]
+    for nil, columns in ((nil_x, by_x), (nil_y, by_y)):
+        for i, row in enumerate(nil):
+            for j, a in row:
+                columns[j].append((i, a))
+    words, layer = [], [[(i, a) for i, a in enumerate(generator) if a]]
     for r in count():
         words += layer
-        if not any(map(any, layer)):
+        if not any(layer):
             return r, words
         if r == len(generator):
             raise ValueError("multiplication operators are not jointly nilpotent")
-        layer = [mat_vec(nil_y, v, coeff_field) for v in layer] + [
-            mat_vec(nil_x, layer[-1], coeff_field)
-        ]
+        layer = [_scattered(by_y, v, p) for v in layer] + [_scattered(by_x, layer[-1], p)]
+
+
+def _scattered(columns: list, word: list, p: int) -> list:
+    """An operator, by its sparse columns, applied to a sparse word: each
+    entry v in column j adds v times column j; mod p over Fp, no zeros."""
+    acc = {}
+    for j, v in word:
+        for i, a in columns[j]:
+            acc[i] = acc.get(i, 0) + a * v
+    return [(i, a) for i, c in acc.items() if (a := c % p if p else c)]
 
 
 def _translated(image: IntegerImage, p, coeff_field) -> list:
@@ -307,7 +321,11 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> L
     of the factor), nonzero since h is a proper factor of the minimal
     polynomial of My on u = g_x(Mx)[1]."""
     r, words = nilpotency_index(nil_x, nil_y, generator, coeff_field)
-    local_ideal = kernel_basis([list(row) for row in zip(*words)], coeff_field)
+    table = [[] for _ in generator]  # row i: (word, entry) of the words with an entry at i
+    for j, word in enumerate(words):
+        for i, a in word:
+            table[i].append((j, a))
+    local_ideal = kernel_basis(table, len(words), coeff_field)
     return LocalQuotient(
         point=point,
         dimension=len(words) - len(local_ideal),
@@ -371,7 +389,8 @@ def local_components(gb: GroebnerBasis, qb: tuple | None = None) -> Decompositio
 
 def socle_dimension(lq: LocalQuotient) -> int:
     """Dimension of the joint kernel of the translated pair: dim K minus
-    the rank of Ny on K = ker(Nx), with K eliminated once per x-root.
+    the rank of Ny on K = ker(Nx), with K eliminated once per x-root from
+    Nx's own sparse rows and the images of K handed to ``rank`` as pairs.
 
     A vector killed by both Nx and Ny lies in the factor, so the kernel on
     the whole quotient is the socle of the factor.  Ny maps K into K, and
@@ -380,10 +399,9 @@ def socle_dimension(lq: LocalQuotient) -> int:
     of Ny are applied.
     """
     if not lq.x_kernel:
-        dense = [list(map(dict(row).get, range(len(lq.mult_x)), repeat(0))) for row in lq.mult_x]
-        lq.x_kernel.extend(kernel_basis(dense, lq.field))
+        lq.x_kernel.extend(kernel_basis(lq.mult_x, len(lq.mult_x), lq.field))
     rows = [lq.mult_y[max(i for i, c in enumerate(k) if c)] for k in lq.x_kernel]
-    images = [mat_vec(rows, k, lq.field) for k in lq.x_kernel]
+    images = [[(j, a) for j, a in enumerate(mat_vec(rows, k, lq.field)) if a] for k in lq.x_kernel]
     return len(lq.x_kernel) - rank(images, lq.field)
 
 
@@ -405,15 +423,11 @@ def generator_count(lq: LocalQuotient) -> int:
     kernel, r = lq.local_ideal, lq.nilpotency_index
     if not kernel:
         raise ValueError("local ideal image is empty; quotient is not Artinian local")
-    degrees = [mono.degree for mono in truncation_monomials(r)]
+    degrees = [mono.degree for mono in truncation_monomials(r - 1)]  # those below r lead
     shifted_rows = []
     for vec in kernel:
-        support = [(i + degrees[i], c) for i, c in enumerate(vec) if c and degrees[i] < r]
-        for step in (2, 1) if support else ():
-            row = [0] * len(degrees)
-            for i, c in support:
-                row[i + step] = c
-            shifted_rows.append(row)
+        support = [(i + degrees[i], vec[i]) for i in compress(range(len(degrees)), vec)]
+        shifted_rows += [[(i + step, c) for i, c in support] for step in (2, 1) if support]
     return len(kernel) - rank(shifted_rows, lq.field)
 
 

@@ -49,8 +49,8 @@ EXIT_CHECK_FAILED = 4
 FIELD_ENV_VAR = "PUNCTUAL_FIELD"
 
 # census and sweep refuse larger n up front: one table to n = 1000 takes
-# about 0.5 s on a 2-core VM, and the cross-check runs the engine on every
-# partition of n (``sweep --n 1..1000 --crosscheck-cutoff 12`` about 4 s)
+# about 0.4 s on a 2-core VM, and the cross-check runs the engine on every
+# partition of n (``sweep --n 1..1000 --crosscheck-cutoff 12`` about 0.6 s)
 MAX_RANGE_HI = 1000
 MAX_CROSSCHECK_CUTOFF = 12
 

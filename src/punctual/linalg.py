@@ -2,11 +2,12 @@
 
 The local layer works on integers over both fields: ints in [0, p) over
 Fp, integer matrices with cleared denominators over QQ.  ``rref``, and
-with it ``rank`` and ``kernel_basis``, eliminates a dense integer matrix,
-fraction-free with primitive rows over QQ and with normalised pivots mod
-p; ``mat_vec`` applies sparse integer rows.  Pivoting always takes the
-first nonzero entry, the only sound choice for exact arithmetic, so every
-rank or kernel decision is exact.  ``krylov_dependence``, a minimal
+with it ``rank`` and ``kernel_basis``, eliminates sparse integer rows of
+(column, entry) pairs on their nonzero entries, fraction-free with
+primitive rows over QQ and with normalised pivots mod p; ``mat_vec``
+applies them.  Pivoting always takes a row's first nonzero entry, the
+only sound choice for exact arithmetic, so every rank or kernel decision
+is exact.  ``krylov_dependence``, a minimal
 polynomial mod p, packs each integer vector into one int and keeps the
 space it found the polynomial on.  ``mat_mul``,
 ``mat_pow`` and ``minimal_polynomial`` act on dense matrices of field
@@ -75,64 +76,73 @@ def mat_vec(rows: list[list], v: list, field) -> list:
     return [x % p for x in out] if p else out
 
 
-def rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form (a fresh matrix) and its pivot columns.
-
-    Over Fp each pivot is normalised to 1 and every entry reduced mod p.
-    Over QQ the elimination is fraction-free Gauss-Jordan on integers
-    (Bareiss, Math. Comp. 22, 1968): a row with f in the column of a
-    pivot d becomes d*row - f*lead, divided by its content, so every row
-    stays primitive and no pivot is normalised.
-    """
-    rows = [row[:] for row in matrix]
-    p = field.characteristic
-    pivots: list[int] = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        lead = rows[pivot_row]
-        if p and lead[c] != 1:
-            scale = pow(lead[c], -1, p)
-            lead = [v * scale % p for v in lead]
-        elif not p:
-            lead = _normalised(lead, p)
-        rows[pivot_row], rows[r], d = rows[r], lead, lead[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if f and i != r:
-                if p:
-                    rows[i] = [(v - f * w) % p if w else v for v, w in zip(row, lead)]
-                else:
-                    rows[i] = _normalised([d * v - f * w for v, w in zip(row, lead)], p)
-        pivots.append(c)
-        if r + 1 == len(rows):
-            break
-    return rows, pivots
+def _cleared(row: list, hits: list, p: int) -> list:
+    """A sorted sparse row minus the multiples of the stored rows in
+    ``hits``, pairs (f, lead) with f the entry of row in lead's leading
+    column d, that clear those columns, without zeros: monic mod p, where
+    every d is 1; over QQ first scaled by the lcm of the d/gcd(d, f), the
+    fraction-free update, and primitive.  No hits: row itself, scaled."""
+    if hits:
+        scale = 1 if p else math.lcm(*[lead[0][1] // math.gcd(lead[0][1], f) for f, lead in hits])
+        acc = dict(row) if scale == 1 else {j: scale * a for j, a in row}
+        for f, lead in hits:
+            m = f * scale // lead[0][1]
+            for j, a in lead:
+                acc[j] = acc.get(j, 0) - m * a
+        row = [(j, a) for j, c in sorted(acc.items()) if (a := c % p if p else c)]
+    if not row:
+        return row
+    scale = pow(row[0][1], -1, p) if p else math.gcd(*[a for _, a in row])
+    return row if scale == 1 else [(j, a * scale % p if p else a // scale) for j, a in row]
 
 
-def rank(matrix: list[list], field) -> int:
-    return len(rref(matrix, field)[1]) if matrix else 0
+def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
+    """Echelon form of sparse rows, (column, entry) pairs with nonzero
+    entries (reduced mod p over Fp), and its pivot columns, both by pivot.
+    Each row is reduced on its leading column against the stored row that
+    leads there until it leads in a new column or vanishes: mod p with
+    leading 1s; over QQ fraction-free (Bareiss, Math. Comp. 22, 1968), a
+    primitive multiple of d*row - f*lead for f over a pivot d.  Only
+    ``kernel_basis`` clears the entries above the pivots."""
+    p, echelon = field.characteristic, {}  # leading column -> stored row
+    for row in filter(None, rows):
+        row = sorted(row)
+        while row and (lead := echelon.get(row[0][0])):
+            row = _cleared(row, [(row[0][1], lead)], p)
+        if row:
+            echelon[row[0][0]] = _cleared(row, [], p)
+    pivots = sorted(echelon)
+    return [echelon[c] for c in pivots], pivots
 
 
-def kernel_basis(matrix: list[list], field) -> list[list]:
-    """Echelon basis of the right kernel, one vector per free column, the
-    last nonzero entry of its vector: 1 over Fp, and over QQ a primitive
-    integer vector, positive there."""
-    if not matrix:
+def rank(rows: list[list], field) -> int:
+    return len(rref(rows, field)[1]) if rows else 0
+
+
+def kernel_basis(rows: list[list], width: int, field) -> list[list]:
+    """Echelon basis of the right kernel of sparse rows (as for ``rref``)
+    of ``width`` columns, one dense vector per free column, the last
+    nonzero entry of its vector: 1 over Fp, and over QQ a primitive
+    integer vector, positive there.  The echelon rows are reduced first,
+    the last pivot first, in the pivot columns after their own."""
+    if not rows:
         raise ValueError("kernel of a matrix with no rows is ambiguous")
-    reduced, pivots = rref(matrix, field)
+    p, (echelon, pivots) = field.characteristic, rref(rows, field)
+    reduced, columns = {}, {}  # free column -> (pivot column, pivot d, entry); lcm(d) = 1 mod p
+    for row in reversed(echelon):
+        hits = [(f, reduced[j]) for j, f in row[1:] if j in reduced]
+        row = reduced[row[0][0]] = _cleared(row, hits, p) if hits else row
+        for j, f in row[1:]:
+            columns.setdefault(j, []).append((*row[0], f))
     basis = []
-    for free in sorted(set(range(len(matrix[0]))) - set(pivots)):
-        # (column, pivot d, entry) of the rows with an entry here; lcm(d) = 1 over Fp
-        column = [(c, row[c], row[free]) for row, c in zip(reduced, pivots) if row[free]]
+    for free in sorted(set(range(width)) - set(pivots)):
+        column = columns.get(free, [])
         common = math.lcm(*[d for _, d, _ in column])
-        v = [0] * len(matrix[0])
+        v = [0] * width
         v[free] = common
         for c, d, f in column:
             v[c] = -f * (common // d)
-        basis.append(_normalised(v, field.characteristic))
+        basis.append(_normalised(v, p))
     return basis
 
 

@@ -60,8 +60,8 @@ def dense_mat_vec(a: list[list], v: list, field) -> list:
 
 def dense_rref(matrix: list[list], field) -> tuple[list[list], list[int]]:
     """Reduced row echelon form on field elements (ints are read in the
-    field), pivots normalised to 1: the elimination before the integer
-    ``rref``."""
+    field), pivots normalised to 1: the dense oracle of the sparse integer
+    ``rref`` and ``kernel_basis``."""
     rows = [[field.from_int(v) for v in row] for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -111,6 +111,12 @@ def dense_kernel_basis(matrix: list[list], field) -> list[list]:
                 v[p] = field.reduce(-reduced[i][free])
         basis.append(v)
     return basis
+
+
+def sparse(matrix: list[list]) -> list[list]:
+    """The rows of a dense integer matrix as (column, entry) pairs, the
+    form ``rref``, ``rank`` and ``kernel_basis`` read."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
 
 
 def primitive_basis(basis: list[list], field) -> list[list]:

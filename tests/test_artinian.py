@@ -350,8 +350,8 @@ def test_nilpotency_index_rejects_non_nilpotent(monkeypatch):
         nilpotency_index([[(0, 1)]], [[]], [1], QQ)
     # the word loop gives up by degree n + 1: layers 1..3 of a 2 x 2 pair
     # take 2 + 3 + 4 products
-    calls = []
-    monkeypatch.setattr(artinian, "mat_vec", lambda *args: calls.append(1) or mat_vec(*args))
+    calls, scattered = [], artinian._scattered
+    monkeypatch.setattr(artinian, "_scattered", lambda *args: calls.append(1) or scattered(*args))
     shift_plus_one = [[(0, 1)], [(0, 1), (1, 1)]]
     with pytest.raises(ValueError):
         nilpotency_index(shift_plus_one, shift_plus_one, [1, 0], QQ)
@@ -738,20 +738,52 @@ def test_factor_builds_each_word_once(monkeypatch, text, point):
     # r = 3 here, so the words of degree <= 3 number 10; every word but w
     # itself costs one operator application, and the kernel reuses them
     lq = local_component_at(gb_of(text), tuple(map(QQ.from_int, point)))
-    calls = []
-    monkeypatch.setattr(artinian, "mat_vec", lambda *args: calls.append(1) or mat_vec(*args))
+    calls, scattered = [], artinian._scattered
+    monkeypatch.setattr(artinian, "_scattered", lambda *args: calls.append(1) or scattered(*args))
     rebuilt = artinian._component_at(lq.point, lq.mult_x, lq.mult_y, lq.generator, QQ)
     assert rebuilt == lq
     assert lq.nilpotency_index == 3
     assert len(calls) == len(truncation_monomials(3)) - 1 == 9
 
 
+def mat_vec_words(nil_x, nil_y, generator, field, r):
+    """The words Nx^a Ny^b w of degree <= r, layer by layer, each applied
+    as ``mat_vec`` applies the operators' rows to a dense vector."""
+    words, layer = [], [generator]
+    for _ in range(r + 1):
+        words += layer
+        layer = [mat_vec(nil_y, v, field) for v in layer] + [mat_vec(nil_x, layer[-1], field)]
+    return words
+
+
+# the expanded (x - 1)^3, (y - 2)^3, whose translated operators have dense columns
+CUBES_AT_ONE_TWO = "x^3 - 3*x^2 + 3*x - 1, y^3 - 6*y^2 + 12*y - 8"
+
+
+@pytest.mark.parametrize("field", [QQ, F7, F32003])
+def test_scattered_words_equal_the_mat_vec_words(field):
+    # the words scattered over the operators' columns are the sparse forms
+    # of the words that mat_vec builds from the rows, in the same order
+    for text in (*CURATED_CORPUS, CUBES_AT_ONE_TWO):
+        for lq in local_components(gb_of(text, field=field)).components:
+            r, words = nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field)
+            expected = mat_vec_words(lq.mult_x, lq.mult_y, lq.generator, field, r)
+            dense = [[dict(word).get(i, 0) for i in range(len(lq.generator))] for word in words]
+            assert dense == expected, (text, field)
+            assert all(a for word in words for _, a in word), (text, field)
+            assert r == lq.nilpotency_index and not any(map(any, expected[-r - 1 :]))
+
+
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
     # every elimination of the generator route, in the split (the local
     # ideal's kernel) and in generator_count, is recorded; none may be the
-    # stacked translated pair or Nx alone, which the socle route eliminates
+    # stacked translated pair or Nx alone, which the socle route eliminates,
+    # whatever the order of the (column, entry) pairs in a row
     def forbidden(lq):
         raise AssertionError("generator route called socle_dimension")
+
+    def rows(matrix):
+        return [sorted(row) for row in matrix]
 
     for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4", "x^2 - 1, y^2 - 1"):
         gb = gb_of(text)
@@ -761,7 +793,7 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
             monkeypatch.setattr(
                 artinian,
                 name,
-                lambda matrix, field, _f=original: eliminated.append(matrix) or _f(matrix, field),
+                lambda matrix, *rest, _f=original: eliminated.append(matrix) or _f(matrix, *rest),
             )
         monkeypatch.setattr(artinian, "socle_dimension", forbidden)
         components = local_components(gb).components
@@ -770,9 +802,9 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
         monkeypatch.undo()
         assert components and eliminated, text
         for lq in components:
-            nil_x, nil_y = densify(lq.mult_x, QQ), densify(lq.mult_y, QQ)
-            assert all(matrix != nil_x + nil_y for matrix in eliminated), text
-            assert all(matrix != nil_x for matrix in eliminated), text
+            nil_x, nil_y = rows(lq.mult_x), rows(lq.mult_y)
+            assert all(rows(matrix) != nil_x + nil_y for matrix in eliminated), text
+            assert all(rows(matrix) != nil_x for matrix in eliminated), text
 
 
 def test_socle_route_never_reads_the_generator():
@@ -790,12 +822,13 @@ def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):
     eliminated = []
     original = artinian.kernel_basis
     monkeypatch.setattr(
-        artinian, "kernel_basis", lambda matrix, f: eliminated.append(matrix) or original(matrix, f)
+        artinian,
+        "kernel_basis",
+        lambda matrix, width, f: eliminated.append((matrix, width)) or original(matrix, width, f),
     )
     for _ in range(2):
         assert [socle_dimension(lq) for lq in components] == [1, 1, 1, 1]
-    assert len(eliminated) == 2
-    assert [densify(components[i].mult_x, QQ) for i in (0, 2)] == eliminated
+    assert [(components[i].mult_x, 4) for i in (0, 2)] == eliminated
 
 
 def non_square(field):

@@ -1,11 +1,12 @@
-"""Exact linear algebra: the integer rank and kernel against the field
-oracle ``dense_rref``, minimal polynomials, and the packed Krylov kernel
+"""Exact linear algebra: the sparse integer rank and kernel against the
+field oracle ``dense_rref``, minimal polynomials, and the packed Krylov kernel
 mod p against the oracle ``vector_minimal_polynomial``."""
 
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
 
+import pytest
 from conftest import (
     dense_kernel_basis,
     dense_mat_vec,
@@ -14,6 +15,7 @@ from conftest import (
     mat_sub,
     primitive_basis,
     scaled_identity,
+    sparse,
     vector_minimal_polynomial,
 )
 from hypothesis import given, settings, strategies as st
@@ -52,22 +54,28 @@ def test_mat_mul_and_pow():
 
 def test_rref_and_rank():
     m = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    reduced, pivots = rref(m, QQ)
+    echelon, pivots = rref(sparse(m), QQ)
     assert pivots == [0, 1]
-    assert rank(m, QQ) == 2
-    # rows below the pivots are zero
-    assert all(not v for v in reduced[2])
-    assert rank([], QQ) == 0
+    assert rank(sparse(m), QQ) == 2
+    # one stored row per pivot, leading there: the dependent row vanished
+    assert [row[0][0] for row in echelon] == pivots
+    # no rows, or only zero rows: no pivot, and a kernel only with a width
+    for field in ELIMINATION_FIELDS:
+        assert rref([], field) == ([], []) and rank([], field) == 0
+        assert rref([[], []], field) == ([], []) and rank([[], []], field) == 0
+        assert kernel_basis([[]], 2, field) == [[1, 0], [0, 1]]
+        with pytest.raises(ValueError):
+            kernel_basis([], 2, field)
 
 
 def test_kernel_basis_is_exact():
     m = [[1, 2, 3], [2, 4, 6]]
-    basis = kernel_basis(m, QQ)
+    basis = kernel_basis(sparse(m), 3, QQ)
     assert len(basis) == 2
     for v in basis:
         assert all(val == 0 for val in dense_mat_vec(m, v, QQ))
     full = [[1, 0], [0, 1]]
-    assert kernel_basis(full, QQ) == []
+    assert kernel_basis(sparse(full), 2, QQ) == []
 
 
 def test_minimal_polynomial_examples():
@@ -136,7 +144,7 @@ def test_vector_minimal_polynomial_is_least(entries):
     krylov = [vector]
     for _ in range(len(coeffs) - 2):
         krylov.append(dense_mat_vec(m, krylov[-1], F101))
-    assert rank(krylov, F101) == len(coeffs) - 1
+    assert rank(sparse(krylov), F101) == len(coeffs) - 1
     # and it divides the minimal polynomial of the matrix: the remainder of
     # minimal_polynomial(m) by it is zero
     remainder = minimal_polynomial(m, F101)
@@ -156,8 +164,9 @@ def test_vector_minimal_polynomial_is_least(entries):
     )
 )
 def test_kernel_dimension_complements_rank(entries):
-    assert rank(entries, QQ) + len(kernel_basis(entries, QQ)) == 4
-    for v in kernel_basis(entries, QQ):
+    rows = sparse(entries)
+    assert rank(rows, QQ) + len(kernel_basis(rows, 4, QQ)) == 4
+    for v in kernel_basis(rows, 4, QQ):
         assert all(val == 0 for val in dense_mat_vec(entries, v, QQ))
 
 
@@ -298,23 +307,67 @@ def elimination_cases(draw):
     return field, matrix, [[int(c * m) for c in row] for row, m in zip(matrix, common)]
 
 
-@given(elimination_cases())
-@settings(max_examples=300, deadline=None)
-def test_integer_elimination_matches_the_field_oracle(case):
-    field, matrix, integers = case
-    expected_rows, expected_pivots = dense_rref(matrix, field)
-    reduced, pivots = rref(integers, field)
-    assert pivots == expected_pivots
-    assert rank(integers, field) == len(expected_pivots)
-    for row, pivot, expected in zip(reduced, pivots, expected_rows):
-        if field == QQ:
-            # fraction-free: a primitive multiple of the normalised row
-            assert all(type(v) is int for v in row) and gcd(*row) == 1
-            assert [Fraction(v, row[pivot]) for v in row] == expected
+@st.composite
+def sparse_elimination_cases(draw):
+    """(field, M, A) as for ``elimination_cases``, but mostly zero and up
+    to 30 x 60, with integer entries (small, or of 30 digits over QQ): rows
+    drawn at random, zero rows, repeated rows and combinations of two
+    earlier rows, so that rows vanish, fill in and are back-substituted."""
+    field = draw(st.sampled_from(ELIMINATION_FIELDS))
+    rng = draw(st.randoms(use_true_random=False))
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.03, 0.1, 0.3]))
+    height = 10**30 if field == QQ and draw(st.booleans()) else 9
+
+    def integer(a):
+        return a if field == QQ else a % field.p
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if rows and kind < 0.1:
+            rows.append([0] * ncols)
+        elif rows and kind < 0.25:
+            rows.append(list(rng.choice(rows)))
+        elif len(rows) > 1 and kind < 0.45:
+            (a, b), s, t = rng.sample(rows, 2), rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([integer(s * u + t * v) for u, v in zip(a, b)])
         else:
-            assert row == expected
-    assert not any(map(any, reduced[len(pivots):]))
-    basis = kernel_basis(integers, field)
+            chance = [rng.random() < density for _ in range(ncols)]
+            rows.append([integer(rng.randint(-height, height)) if c else 0 for c in chance])
+    return field, [[field.from_int(a) for a in row] for row in rows], rows
+
+
+@given(
+    st.one_of(elimination_cases(), sparse_elimination_cases()),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=400, deadline=None)
+def test_integer_elimination_matches_the_field_oracle(case, rng):
+    field, matrix, integers = case
+    width = len(matrix[0])
+    expected_rows, expected_pivots = dense_rref(matrix, field)
+    # the (column, entry) rows, their pairs in any order, as the translated
+    # operators hold them
+    rows = [rng.sample(row, len(row)) for row in sparse(integers)]
+    echelon, pivots = rref(rows, field)
+    assert pivots == expected_pivots
+    assert rank(rows, field) == len(expected_pivots)
+    for row, pivot in zip(echelon, pivots):
+        columns, values = [j for j, _ in row], [a for _, a in row]
+        # sorted pairs of nonzero entries, leading in the row's own pivot
+        assert columns[0] == pivot and columns == sorted(set(columns)) and all(values)
+        if field == QQ:
+            # fraction-free: primitive integer rows
+            assert all(type(v) is int for v in values) and gcd(*values) == 1
+        else:
+            assert values[0] == 1 and all(0 <= v < field.p for v in values)
+        # in the oracle's row space: the sum of its rows times this row's
+        # entries at the pivots
+        dense = [field.from_int(dict(row).get(j, 0)) for j in range(width)]
+        by_pivot = [(dense[c], r) for c, r in zip(pivots, expected_rows)]
+        assert [field.reduce(sum(a * r[j] for a, r in by_pivot)) for j in range(width)] == dense
+    basis = kernel_basis(rows, width, field)
     assert basis == primitive_basis(dense_kernel_basis(matrix, field), field)
     for v in basis:
         assert not any(dense_mat_vec(integers, v, field))

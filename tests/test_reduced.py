@@ -5,7 +5,7 @@ reduced ints over Fp, ints over QQ."""
 
 from fractions import Fraction
 
-from conftest import evaluate, mat_sub, monic, vector_minimal_polynomial
+from conftest import evaluate, mat_sub, monic, sparse, vector_minimal_polynomial
 from hypothesis import given, settings, strategies as st
 
 from punctual.artinian import local_components, multiplication_matrices, quotient_basis
@@ -116,9 +116,9 @@ def test_linear_algebra_returns_reduced_values(case, data):
     # the integer kernels read ints over QQ and reduced ints over Fp
     integers = ints if field == QQ else [[field.from_int(v) for v in row] for row in ints]
     m = [[field.from_int(v) for v in row] for row in ints]
-    reduced_rows, _ = rref(integers, field)
-    assert_integral(entries(reduced_rows), field, "rref")
-    assert_integral(entries(kernel_basis(integers, field)), field, "kernel basis")
+    echelon, _ = rref(sparse(integers), field)
+    assert_integral([a for row in echelon for _, a in row], field, "rref")
+    assert_integral(entries(kernel_basis(sparse(integers), n, field)), field, "kernel basis")
     assert_reduced(entries(mat_sub(m, m[::-1], field)), field, "mat_sub")
     transpose = [list(col) for col in zip(*m)]
     assert_reduced(entries(mat_mul(m, transpose, field)), field, "mat_mul")
