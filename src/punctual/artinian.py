@@ -8,7 +8,7 @@ invariants come out of exact linear algebra on integers over both fields:
 
 * the minimal polynomial of an operator on the cyclic space k[x,y] v is
   the first dependence among v, Mv, M^2 v, ...: over Fp by
-  ``linalg.krylov_dependence`` on A's entries, over QQ as the images of
+  ``linalg.krylov_dependence`` on A's columns, over QQ as the images of
   that dependence mod many primes lifted by
   ``univariate.rational_minimal_polynomial``, which accepts the lift only
   after checking f(M)v = 0 exactly; its roots in the field come from
@@ -24,16 +24,17 @@ invariants come out of exact linear algebra on integers over both fields:
   (t - py)^s' * h its split, w = h(My)u generates the local factor
   A_p = k[x,y] w.  u and w, read off the Krylov spaces of [1] and of u by
   ``univariate.krylov_image``, matter only up to a unit of A_p;
-* the words Nx^a Ny^b w in the translated operators N, the integer rows
-  of b*D*(M - p*Id) for p = a/b, span A_p: the nilpotency index r is the
-  first degree at which they all vanish, and the words are built once, in
-  that search;
+* the words Nx^a Ny^b w in the translated operators N, the integer
+  images of M - p*Id (the columns of b*D*(M - p*Id) over b*D for
+  p = a/b), span A_p: the nilpotency index r is the first degree at which
+  they all vanish, and the words are built once, in that search;
 * the local ideal's image in k[x,y]/m^(r+1) is the kernel of
   f -> f(Nx, Ny)w on the (r+1)(r+2)/2 monomials of degree <= r, read off
   those words once per factor; that map is onto A_p, so the local length
   is (r+1)(r+2)/2 minus the dimension of the image;
 * the socle is the joint kernel of the translated pair (a vector killed
-  by both lies in A_p), read as the kernel of Ny on K = ker(Nx);
+  by both lies in A_p), read as the kernel of Ny on K = ker(Nx), which
+  the split eliminates once per x-root;
 * the minimal generator count of the local ideal is dim I/mI of that
   image.
 
@@ -58,10 +59,9 @@ from typing import NamedTuple
 from .errors import ConfigError, LemmaViolation, NotZeroDimensional
 from .fields import element_text
 from .groebner import GroebnerBasis, is_zero_dimensional
-from .linalg import kernel_basis, krylov_dependence, mat_vec, rank
+from .linalg import IntegerImage, kernel_basis, krylov_dependence, mat_vec, rank, transposed
 from .poly import Monomial, X, Y
-from .univariate import IntegerImage, _cofactor, _integral, krylov_image, roots
-from .univariate import rational_minimal_polynomial
+from .univariate import _cofactor, _integral, krylov_image, rational_minimal_polynomial, roots
 
 # quotients above this colength are refused before their basis is listed:
 # in-process on a 2-core VM analyze takes 0.004-0.006 s on x^11, y^11
@@ -78,13 +78,14 @@ class MultiplicationPair(NamedTuple):
     on_y: IntegerImage
 
 
-class LocalQuotient:
+class LocalQuotient(NamedTuple):
     """One local factor A_p of the quotient at a rational support point p.
 
     ``mult_x`` and ``mult_y`` are the whole quotient's operators translated
-    to p = a/b, as the sparse integer rows of N = b*A - a*D*Id = c*(M - p*Id),
-    c = b*D (1 over Fp), and ``generator`` is the primitive integer vector
-    w, a multiple of h(My) g_x(Mx)[1], with A_p = k[x,y] w.
+    to p = a/b, as the ``IntegerImage`` of M - p*Id: the sparse integer
+    columns and rows of N = b*A - a*D*Id = c*(M - p*Id) over c = b*D (1
+    over Fp), and ``generator`` is the primitive integer vector w, a
+    multiple of h(My) g_x(Mx)[1], with A_p = k[x,y] w.
     The words Nx^a Ny^b w span A_p and ``nilpotency_index`` is the least r
     at which all words of degree r vanish; the function of that name
     returns r and the sparse words of degree <= r, built in one pass.
@@ -93,27 +94,20 @@ class LocalQuotient:
     vectors over QQ, ordered like ``truncation_monomials(r)``): the f with
     f(c_x*x, c_y*y) in the local ideal, modulo m^(r+1), which
     ``generator_count`` reads directly.  ``dimension`` (the local length) is
-    the number of those monomials minus its size.  ``x_kernel``, ker(Nx), is
-    filled by ``socle_dimension`` and shared by the factors at one x-root;
-    factors compare equal by every other attribute.
+    the number of those monomials minus its size.  ``x_kernel``, the echelon
+    basis of ker(Nx), is built by the split once per x-root and is the same
+    list in every factor there.
     """
 
-    __slots__ = (
-        "point", "dimension", "mult_x", "mult_y", "nilpotency_index", "field", "generator",
-        "local_ideal", "x_kernel",
-    )
-
-    def __init__(
-        self, point, dimension, mult_x, mult_y, nilpotency_index, field, generator, local_ideal
-    ):
-        self.point, self.dimension, self.mult_x, self.mult_y = point, dimension, mult_x, mult_y
-        self.nilpotency_index, self.field, self.generator = nilpotency_index, field, generator
-        self.local_ideal, self.x_kernel = local_ideal, []
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not LocalQuotient:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:-1])
+    point: tuple
+    dimension: int
+    mult_x: IntegerImage
+    mult_y: IntegerImage
+    nilpotency_index: int
+    field: object
+    generator: list
+    local_ideal: list
+    x_kernel: list
 
 
 class Decomposition(NamedTuple):
@@ -185,7 +179,7 @@ def multiplication_matrices(qb: tuple[Monomial, ...], gb: GroebnerBasis) -> Mult
     NF(t) = sum c_b*NF(v*b) over the terms c_b*b of NF(s): each b < s, so
     v*b < t is a basis monomial or a border monomial already visited.
     A normal form is held as (d, [(row, integer)]), d its least denominator."""
-    p, n = gb.field.characteristic, len(qb)
+    p = gb.field.characteristic
     index = {m: i for i, m in enumerate(qb)}
     forms = {m: (1, [(i, 1)]) for m, i in index.items()}  # monomial -> (d, [(row, integer)])
     generators = dict(zip(gb.lms, gb.generators))
@@ -217,14 +211,10 @@ def multiplication_matrices(qb: tuple[Monomial, ...], gb: GroebnerBasis) -> Mult
     def image(shift: Monomial) -> IntegerImage:
         columns = [forms[t] for t in shifted[shift]]
         denominator = math.lcm(*[d for d, _ in columns])
-        rows, entries = [[] for _ in range(n)], [0] * (n * n)
-        for j, (d, form) in enumerate(columns):
-            if d != denominator:
-                form = [(i, a * (denominator // d)) for i, a in form]
-            for i, a in form:
-                rows[i].append((j, a))
-                entries[i * n + j] = a
-        return IntegerImage(denominator, rows, entries)
+        return IntegerImage(denominator, [
+            form if d == denominator else [(i, a * (denominator // d)) for i, a in form]
+            for d, form in columns
+        ])
 
     return MultiplicationPair(image(X), image(Y))
 
@@ -237,19 +227,19 @@ def _minimal_polynomial(image: IntegerImage, vector: list, coeff_field, known=()
     M's integer image, with the polynomials ``known`` tried first, as the
     primitive integer multiple with a positive leading coefficient."""
     if p := coeff_field.characteristic:
-        return krylov_dependence(image.entries, vector, p, image.packed_columns(p))
+        return krylov_dependence(image.columns, vector, p, image.packed)
     return rational_minimal_polynomial(image, vector, known)
 
 
 def _eigenvalue_candidates(
     image: IntegerImage, vector: list, coeff_field, found: list, root=None
 ) -> list:
-    """(root p, g(M)v for its cofactor g, read off v's Krylov space, rows
-    of M translated to p) for each root in the field of the minimal
+    """(root p, g(M)v for its cofactor g, read off v's Krylov space, the
+    image of M - p*Id) for each root in the field of the minimal
     polynomial of M on v, or for ``root`` alone when given and a root, with
     no root search.  ``found`` pairs each polynomial already searched with
-    its roots, cofactors and rows, matched by equality, and offers the
-    polynomials to the lift."""
+    its roots, cofactors and translates, matched by equality, and offers
+    the polynomials to the lift."""
     coeffs, space = _minimal_polynomial(image, vector, coeff_field, [f for f, _ in found])
     if (known := next((c for f, c in found if f == coeffs), None)) is None:
         known = [
@@ -258,10 +248,10 @@ def _eigenvalue_candidates(
             if (g := _cofactor(coeffs, p, coeff_field)) is not None
         ]
         found.append((coeffs, known))
-    return [(p, krylov_image(g, image, vector, space, coeff_field), rows) for p, g, rows in known]
+    return [(p, krylov_image(g, image, vector, space, coeff_field), nil) for p, g, nil in known]
 
 
-def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> tuple[int, list]:
+def nilpotency_index(nil_x, nil_y, generator: list, coeff_field) -> tuple[int, list]:
     """Least r such that every product of r factors from {Nx, Ny} kills w,
     hence the whole factor k[x,y] w, and the words Nx^a Ny^b w of degree
     <= r in the order of ``truncation_monomials(r)``.
@@ -272,16 +262,13 @@ def nilpotency_index(nil_x: list, nil_y: list, generator: list, coeff_field) -> 
     is 3 there.  The index of a factor is at most its length, so the words
     must all vanish by degree n.  They are sparse integer vectors, (row,
     entry) pairs, each applied by scattering its entries over the columns
-    of Nx or Ny, built once here; reduced mod p over Fp.  Over QQ
-    Nx = c_x*(Mx - px), Ny = c_y*(My - py) (``_translated``) and no word
-    loses its content: x -> c_x*x, y -> c_y*y is an automorphism of k[x,y]
-    fixing m, so the index, length, socle and generator count do not change.
+    that the images of Nx and Ny hold; reduced mod p over Fp.  Over QQ the
+    columns are those of c_x*(Mx - px) and c_y*(My - py) (``_translated``)
+    and no word loses its content: x -> c_x*x, y -> c_y*y is an
+    automorphism of k[x,y] fixing m, so the index, length, socle and
+    generator count do not change.
     """
-    p, by_x, by_y = coeff_field.characteristic, [[] for _ in generator], [[] for _ in generator]
-    for nil, columns in ((nil_x, by_x), (nil_y, by_y)):
-        for i, row in enumerate(nil):
-            for j, a in row:
-                columns[j].append((i, a))
+    p, by_x, by_y = coeff_field.characteristic, nil_x.columns, nil_y.columns
     words, layer = [], [[(i, a) for i, a in enumerate(generator) if a]]
     for r in count():
         words += layer
@@ -302,29 +289,27 @@ def _scattered(columns: list, word: list, p: int) -> list:
     return [(i, a) for i, c in acc.items() if (a := c % p if p else c)]
 
 
-def _translated(image: IntegerImage, p, coeff_field) -> list:
-    """The sparse rows of b*A - a*D*Id = b*D*(M - p*Id) for p = a/b,
-    changed on the diagonal only; over Fp, where b = D = 1, M - p*Id mod
-    p.  At p = 0 A's own rows, shared, since no operator is ever mutated."""
+def _translated(image: IntegerImage, p, coeff_field) -> IntegerImage:
+    """The integer image of M - p*Id for p = a/b: the columns of
+    b*A - a*D*Id over b*D, changed on the diagonal only; over Fp, where
+    b = D = 1, M - p*Id mod p.  At p = 0 the image itself, shared, since
+    no operator is ever mutated."""
     if not p:
-        return image.rows
+        return image
     b, shift, reduce = p.denominator, p.numerator * image.denominator, coeff_field.reduce
-    rows = [[(j, b * a) for j, a in row if j != i] for i, row in enumerate(image.rows)]
-    for i, row in enumerate(image.rows):
-        if diagonal := reduce(b * dict(row).get(i, 0) - shift):
-            rows[i].append((i, diagonal))
-    return rows
+    columns = [[(i, b * a) for i, a in column if i != j] for j, column in enumerate(image.columns)]
+    for j, column in enumerate(image.columns):
+        if diagonal := reduce(b * dict(column).get(j, 0) - shift):
+            columns[j].append((j, diagonal))
+    return IntegerImage(b * image.denominator, columns)
 
 
-def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> LocalQuotient:
+def _component_at(point: tuple, nil_x, nil_y, generator, coeff_field, x_kernel) -> LocalQuotient:
     """The factor k[x,y] w generated by w = h(My) g_x(Mx)[1] (up to a unit
     of the factor), nonzero since h is a proper factor of the minimal
-    polynomial of My on u = g_x(Mx)[1]."""
+    polynomial of My on u = g_x(Mx)[1]; ``x_kernel`` is ker(Nx)."""
     r, words = nilpotency_index(nil_x, nil_y, generator, coeff_field)
-    table = [[] for _ in generator]  # row i: (word, entry) of the words with an entry at i
-    for j, word in enumerate(words):
-        for i, a in word:
-            table[i].append((j, a))
+    table = transposed(words, len(generator))  # row i: (word, entry) of the words with entry i
     local_ideal = kernel_basis(table, len(words), coeff_field)
     return LocalQuotient(
         point=point,
@@ -335,6 +320,7 @@ def _component_at(point: tuple, nil_x, nil_y, generator: list, coeff_field) -> L
         field=coeff_field,
         generator=generator,
         local_ideal=local_ideal,
+        x_kernel=x_kernel,
     )
 
 
@@ -346,8 +332,9 @@ def _split(gb: GroebnerBasis, qb: tuple | None, point=(None, None)):
     Points are located as joint eigenvalues of the commuting pair: each
     root px of Mx's minimal polynomial gives u = g_x(Mx)[1], and each root
     py of My's minimal polynomial on u gives w = h(My)u, which generates
-    the factor at (px, py); the factors at one x-root share one
-    ``x_kernel``, and each distinct polynomial on u has its roots, their
+    the factor at (px, py).  ker(Nx) is eliminated at an x-root's first
+    factor, from Nx's sparse rows, and that one ``x_kernel`` goes to every
+    factor there; each distinct polynomial on u has its roots, their
     cofactors and the translated My built once.  A given coordinate
     replaces its root search by one cofactor test.
     """
@@ -361,11 +348,11 @@ def _split(gb: GroebnerBasis, qb: tuple | None, point=(None, None)):
     one = [1] + [0] * (n - 1)
     components, found_y = [], []
     for px, u, nil_x in _eigenvalue_candidates(pair.on_x, one, coeff_field, [], point[0]):
-        x_kernel = []
+        x_kernel = None
         for py, w, nil_y in _eigenvalue_candidates(pair.on_y, u, coeff_field, found_y, point[1]):
-            lq = _component_at((px, py), nil_x, nil_y, w, coeff_field)
-            lq.x_kernel = x_kernel
-            components.append(lq)
+            if x_kernel is None:
+                x_kernel = kernel_basis(nil_x.rows, n, coeff_field)
+            components.append(_component_at((px, py), nil_x, nil_y, w, coeff_field, x_kernel))
     return n, components
 
 
@@ -389,8 +376,8 @@ def local_components(gb: GroebnerBasis, qb: tuple | None = None) -> Decompositio
 
 def socle_dimension(lq: LocalQuotient) -> int:
     """Dimension of the joint kernel of the translated pair: dim K minus
-    the rank of Ny on K = ker(Nx), with K eliminated once per x-root from
-    Nx's own sparse rows and the images of K handed to ``rank`` as pairs.
+    the rank of Ny on K = ker(Nx), the factor's ``x_kernel``, with the
+    images of K handed to ``rank`` as pairs.
 
     A vector killed by both Nx and Ny lies in the factor, so the kernel on
     the whole quotient is the socle of the factor.  Ny maps K into K, and
@@ -398,9 +385,7 @@ def socle_dimension(lq: LocalQuotient) -> int:
     echelon basis (each basis vector's last nonzero), so only those rows
     of Ny are applied.
     """
-    if not lq.x_kernel:
-        lq.x_kernel.extend(kernel_basis(lq.mult_x, len(lq.mult_x), lq.field))
-    rows = [lq.mult_y[max(i for i, c in enumerate(k) if c)] for k in lq.x_kernel]
+    rows = [lq.mult_y.rows[max(i for i, c in enumerate(k) if c)] for k in lq.x_kernel]
     images = [[(j, a) for j, a in enumerate(mat_vec(rows, k, lq.field)) if a] for k in lq.x_kernel]
     return len(lq.x_kernel) - rank(images, lq.field)
 

@@ -7,12 +7,13 @@ with it ``rank`` and ``kernel_basis``, eliminates sparse integer rows of
 primitive rows over QQ and with normalised pivots mod p; ``mat_vec``
 applies them.  Pivoting always takes a row's first nonzero entry, the
 only sound choice for exact arithmetic, so every rank or kernel decision
-is exact.  ``krylov_dependence``, a minimal
-polynomial mod p, packs each integer vector into one int and keeps the
-space it found the polynomial on.  ``mat_mul``,
-``mat_pow`` and ``minimal_polynomial`` act on dense matrices of field
-elements (``Fraction``, or int in [0, p)) through the field's ``reduce``
-and ``inv``.
+is exact.  ``IntegerImage`` is the local layer's one operator type: an
+integer matrix A by its sparse columns, with its sparse rows derived once
+by ``transposed``.  ``krylov_dependence``, a minimal polynomial mod p,
+packs each integer vector and A's columns into one int each and keeps the
+space it found the polynomial on.  ``mat_mul``, ``mat_pow`` and
+``minimal_polynomial`` act on dense matrices of field elements
+(``Fraction``, or int in [0, p)) through the field's ``reduce`` and ``inv``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,40 @@ def _normalised(row: list, p: int) -> list:
         return [v % p for v in row]
     content = math.gcd(*row)
     return [v // content for v in row] if content > 1 else row
+
+
+def transposed(rows: list[list], width: int) -> list[list]:
+    """The sparse transpose of sparse rows, (column, entry) pairs, with
+    ``width`` columns: its row j holds (i, entry) for each entry of column
+    j, in ascending i whatever the order of the pairs inside a row."""
+    out = [[] for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            out[j].append((i, a))
+    return out
+
+
+class IntegerImage:
+    """An operator M = A/D, D = 1 over Fp, by A's sparse columns, (row,
+    entry) pairs without zeros, and its sparse rows, (column, entry) pairs
+    in ascending column, derived from them once; its length is M's size.
+    ``packed`` maps each prime to A's packed columns that
+    ``krylov_dependence`` filled.  Images compare equal by D and rows,
+    whatever the order inside a column or the cache holds."""
+
+    __slots__ = ("denominator", "columns", "rows", "packed")
+
+    def __init__(self, denominator: int, columns: list):
+        self.denominator, self.columns, self.packed = denominator, columns, {}
+        self.rows = transposed(columns, len(columns))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IntegerImage:
+            return NotImplemented
+        return self.denominator == other.denominator and self.rows == other.rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
 
 
 def mat_vec(rows: list[list], v: list, field) -> list:
@@ -182,13 +217,14 @@ def minimal_polynomial(matrix: list[list], field) -> list:
     return _first_dependence(([v for row in p for v in row] for p in powers), field)
 
 
-def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None) -> tuple:
+def krylov_dependence(columns: list[list], vector: list[int], p: int, packed=None) -> tuple:
     """The least monic f mod p (constant first) with f(A)v = 0, for
     p < 2**64, an integer vector v of size n, and the integer n x n
-    matrix A by its entries, row after row, and the space it was found
-    on: r_k = q_k(A)v then the monic q_k, k = 0..deg f, the last 0 and f.
-    ``packed``, if given, is a list of n slots holding A's packed columns
-    mod p, filled on first use and shared by the calls on one A and p.
+    matrix A by its sparse columns, (row, entry) pairs, and the space it
+    was found on: r_k = q_k(A)v then the monic q_k, k = 0..deg f, the last
+    0 and f.  ``packed``, if given, maps primes to lists of n slots holding
+    A's packed columns mod p, filled on first use and shared by the calls
+    on one A.
 
     One int packs r_k in its low n slots and q_k above them, a slot being
     2*bitlen(p) + bitlen(2n + 2) + 1 bits in whole 64-bit words, so no sum
@@ -203,7 +239,7 @@ def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None
     words = (2 * p.bit_length() + (2 * n + 2).bit_length() + 64) // 64
     width, slot = 64 * words, "Q" + "8x" * (words - 1)
     top, mask = n * width, (1 << width) - 1
-    packed = [None] * n if packed is None else packed
+    packed = [None] * n if packed is None else packed.setdefault(p, [None] * n)
     # stored rows: (packed r_i and q_i, shift to the lead slot, inverse of the lead)
     echelon: list[tuple[int, int, int]] = []
     slots, kept = [x % p for x in vector] + [1], []
@@ -219,7 +255,7 @@ def krylov_dependence(entries: list[int], vector: list[int], p: int, packed=None
         for j, s in support:
             col = packed[j]
             if col is None:
-                col = packed[j] = sum(a % p << width * i for i, a in enumerate(entries[j::n]) if a)
+                col = packed[j] = sum(a % p << width * i for i, a in columns[j])
             acc += s * col
         for stored, shift, inverse in echelon:
             c = (acc >> shift & mask) * inverse % p

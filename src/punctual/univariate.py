@@ -8,11 +8,12 @@ cofactors and images of its rational multiples (Gauss's lemma).  As in
 mod p and exact division over Z, so ``_cofactor``, which splits a root a/b
 off with its multiplicity, divides by b*t - a over both fields.
 
-The minimal polynomial on v of an operator's ``IntegerImage`` (the sparse
-rows of A = D*M, D = 1 over Fp, built by ``artinian`` from the normal
-forms) comes with the Krylov space of v it was found on; ``krylov_image``
-reads g(M)v off that space, up to a positive scalar, in integers: the
-certificate of the minimal polynomial and each cofactor's image.
+The minimal polynomial on v of an operator's ``linalg.IntegerImage`` (the
+sparse columns and rows of A = D*M, D = 1 over Fp, built by ``artinian``
+from the normal forms) comes with the Krylov space of v it was found on,
+packed from A's columns; ``krylov_image`` reads g(M)v off that space, up
+to a positive scalar, in integers: the certificate of the minimal
+polynomial and each cofactor's image.
 
 Over QQ no Krylov elimination or Euclid runs on rationals: the minimal
 polynomial of an operator (``rational_minimal_polynomial``) and the
@@ -39,7 +40,7 @@ from itertools import count
 
 from .errors import ParseError
 from .fields import QQ, PrimeField
-from .linalg import _normalised, krylov_dependence, mat_vec
+from .linalg import IntegerImage, _normalised, krylov_dependence, mat_vec
 
 
 def _trim(a: list) -> list:
@@ -258,30 +259,6 @@ class _Lift:
         return _primitive(reconstructed)
 
 
-class IntegerImage:
-    """An operator M = A/D, D = 1 over Fp, by A's nonzero (column, entry)
-    pairs per row (the QQ Krylov powers) and its entries row after row;
-    its length is M's size.  ``columns`` holds A's packed columns per prime
-    for ``linalg.krylov_dependence``, each packed on first use; images
-    compare equal by D, rows and entries, whatever their caches hold."""
-
-    __slots__ = ("denominator", "rows", "entries", "columns")
-
-    def __init__(self, denominator: int, rows: list, entries: list):
-        self.denominator, self.rows, self.entries, self.columns = denominator, rows, entries, {}
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not IntegerImage:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__[:-1])
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def packed_columns(self, p: int) -> list:
-        return self.columns.setdefault(p, [None] * len(self.rows))
-
-
 def krylov_image(coeffs: list, image: IntegerImage, vector: list, space: list, field) -> list:
     """g(M)v up to a positive scalar, for an integer vector v and a g of
     degree at most that of the minimal polynomial of M on v, with lc(g) > 0
@@ -318,9 +295,9 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
 
     With M = A/D (an ``IntegerImage``), each prime p not dividing D gives
     f_p, the first Krylov dependence of v mod p under M mod p, read off
-    that of A (``linalg.krylov_dependence`` on the entries that the image
-    lists once per operator).  Its degree, the Krylov rank mod p, is at
-    most deg f, and where they are equal f / f_d is p-integral with image
+    that of A (``linalg.krylov_dependence`` on the columns that the image
+    packs once per prime).  Its degree, the Krylov rank mod p, is at most
+    deg f, and where they are equal f / f_d is p-integral with image
     f_p; so ``_Lift`` keeps the largest degree.  Each candidate F, a
     reconstruction or a polynomial of ``known`` (the lift's hints) that the
     first image reproduces, is accepted only after the exact check
@@ -350,7 +327,7 @@ def rational_minimal_polynomial(image: IntegerImage, vector: list, known=()) -> 
         if not denominator % p:
             continue
         # the dependence g of A = D*M gives f(t) = g(D t) / D^deg(g) for M
-        g, _ = krylov_dependence(image.entries, vector, p, image.packed_columns(p))
+        g, _ = krylov_dependence(image.columns, vector, p, image.packed)
         scale = pow(denominator, -1, p)
         candidate = lift.add([c * pow(scale, len(g) - 1 - i, p) % p for i, c in enumerate(g)], p)
         integral = candidate and not any(

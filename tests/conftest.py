@@ -12,11 +12,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from punctual import artinian  # noqa: E402
 from punctual.artinian import MultiplicationPair, truncation_monomials  # noqa: E402
 from punctual.fields import QQ  # noqa: E402
-from punctual.linalg import _first_dependence, _normalised  # noqa: E402
+from punctual.linalg import IntegerImage, _first_dependence, _normalised, kernel_basis  # noqa: E402
 from punctual.poly import UNIT, Monomial, Polynomial, X, Y  # noqa: E402
 from punctual.staircase import Partition  # noqa: E402
 from punctual import univariate  # noqa: E402
-from punctual.univariate import IntegerImage, _image, _integral  # noqa: E402
+from punctual.univariate import _image, _integral  # noqa: E402
 
 
 def evaluate(f: Polynomial, px, py):
@@ -130,8 +130,7 @@ def integer_image(matrix: list[list], field) -> IntegerImage:
     """The integer image of a dense matrix of field elements."""
     n = len(matrix)
     denominator, entries = _integral([c for row in matrix for c in row], field)
-    rows = [[(j, a) for j, a in enumerate(entries[i * n : (i + 1) * n]) if a] for i in range(n)]
-    return IntegerImage(denominator, rows, entries)
+    return IntegerImage(denominator, columns_of([entries[i * n : (i + 1) * n] for i in range(n)]))
 
 
 def sorted_every_step_normal_form(f, basis, order):
@@ -188,11 +187,10 @@ def division_operators(qb, gb) -> MultiplicationPair:
                 nf = sorted_every_step_normal_form(t_poly, gb.generators, gb.order).terms
             cells.extend((index[mm], j, c) for mm, c in nf.items())
         denominator, values = _integral([c for _, _, c in cells], gb.field)
-        rows, entries = [[] for _ in range(n)], [0] * (n * n)
+        columns = [[] for _ in range(n)]
         for (i, j, _), a in zip(cells, values):
-            rows[i].append((j, a))
-            entries[i * n + j] = a
-        return IntegerImage(denominator, rows, entries)
+            columns[j].append((i, a))
+        return IntegerImage(denominator, columns)
 
     return MultiplicationPair(image(X), image(Y))
 
@@ -219,15 +217,21 @@ def schoolbook_powmod(a: list, e: int, f: list, field) -> list:
     return result
 
 
-def densify(operator, field) -> list[list]:
-    """The dense matrix of field elements of an operator: M = A/D for an
-    ``IntegerImage`` (a ``MultiplicationPair`` member), the matrix of the
-    sparse integer rows themselves otherwise (a factor's ``mult_x``,
-    ``mult_y``)."""
-    if isinstance(operator, IntegerImage):
-        rows, denominator = operator.rows, operator.denominator
-    else:
-        rows, denominator = operator, 1
+def densify(image: IntegerImage, field) -> list[list]:
+    """The dense matrix of field elements M = A/D of an ``IntegerImage``
+    (a ``MultiplicationPair`` member, or a factor's translated ``mult_x``,
+    ``mult_y``), read off its rows."""
+    return dense_of(image.rows, image.denominator, field)
+
+
+def columns_of(matrix: list[list]) -> list[list]:
+    """The sparse columns, (row, entry) pairs, of a dense square matrix."""
+    return [[(i, row[j]) for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
+
+
+def dense_of(rows: list[list], denominator: int, field) -> list[list]:
+    """The dense square matrix of field elements of sparse integer rows,
+    (column, entry) pairs, over a common denominator."""
     matrix = [[field.zero()] * len(rows) for _ in rows]
     for out, row in zip(matrix, rows):
         for j, a in row:
@@ -378,11 +382,12 @@ def pairwise_components(gb) -> list:
     components = []
     for px, g in candidates(pair.on_x):
         nil_x = artinian._translated(pair.on_x, px, field)
+        x_kernel = kernel_basis(nil_x.rows, len(nil_x), field)
         for py, nil_y, w_y in roots_y:
             generator = horner(g, pair.on_x, w_y, field)
             if any(generator):
                 components.append(
-                    artinian._component_at((px, py), nil_x, nil_y, generator, field)
+                    artinian._component_at((px, py), nil_x, nil_y, generator, field, x_kernel)
                 )
     return sorted(components, key=lambda lq: lq.point)
 

@@ -1,6 +1,5 @@
 """Quotient bases, local splitting, socle and generator counts, multiplicity."""
 
-import copy
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ from conftest import (
     dense_mat_vec,
     dense_rank,
     dense_rref,
+    dense_of,
     densify,
     division_operators,
     evaluate,
@@ -45,7 +45,7 @@ from punctual.artinian import (
 from punctual.errors import NotZeroDimensional
 from punctual.fields import PrimeField, QQ
 from punctual.groebner import buchberger, normal_form
-from punctual.linalg import identity, mat_mul, mat_pow, mat_vec, minimal_polynomial
+from punctual.linalg import IntegerImage, identity, mat_mul, mat_pow, mat_vec, minimal_polynomial
 from punctual.poly import (
     ALL_ORDERS,
     DEFAULT_ORDER,
@@ -347,12 +347,12 @@ def test_nilpotency_invariants_on_corpus():
 
 def test_nilpotency_index_rejects_non_nilpotent(monkeypatch):
     with pytest.raises(ValueError):
-        nilpotency_index([[(0, 1)]], [[]], [1], QQ)
+        nilpotency_index(IntegerImage(1, [[(0, 1)]]), IntegerImage(1, [[]]), [1], QQ)
     # the word loop gives up by degree n + 1: layers 1..3 of a 2 x 2 pair
     # take 2 + 3 + 4 products
     calls, scattered = [], artinian._scattered
     monkeypatch.setattr(artinian, "_scattered", lambda *args: calls.append(1) or scattered(*args))
-    shift_plus_one = [[(0, 1)], [(0, 1), (1, 1)]]
+    shift_plus_one = IntegerImage(1, [[(0, 1), (1, 1)], [(1, 1)]])  # rows [1, 0], [1, 1]
     with pytest.raises(ValueError):
         nilpotency_index(shift_plus_one, shift_plus_one, [1, 0], QQ)
     assert len(calls) <= 9
@@ -708,8 +708,43 @@ def test_translation_at_the_origin_shares_the_operator(monkeypatch):
             ):
                 expected = mat_sub(densify(image, field), scaled_identity(p, n, field), field)
                 assert densify(translated, field) == expected
-                assert (translated is image.rows) == (p == 0)
+                assert (translated is image) == (p == 0)
         pairs.clear()
+
+
+def test_translates_are_the_integer_images_of_the_translated_operators():
+    # _translated(image, p) is the IntegerImage of M - p*Id, over c = b*D
+    # for p = a/b over QQ (points with b > 1 on operators with D > 1 in
+    # the scaled cases) and over 1 mod p; at p = 0 it is the image itself
+    cases = [(buchberger(gens, DEFAULT_ORDER), QQ) for gens in scaled_cases()]
+    cases += [
+        (gb_of(text, field=field), field)
+        for field in (QQ, F7, F32003)
+        for text in ("x^2 - x, y^2 - 2*y", "3*x^2 - y + 1, 5*y^2 - 2*x*y + 7*x", CUBES_AT_ONE_TWO)
+    ]
+    scaled = set()
+    for gb, field in cases:
+        pair = multiplication_matrices(quotient_basis(gb), gb)
+        for lq in local_components(gb).components:
+            for image, p, nil in zip(pair, lq.point, (lq.mult_x, lq.mult_y)):
+                translate = artinian._translated(image, p, field)
+                assert translate == nil and (translate is image) == (p == 0)
+                expected = translated(densify(image, field), p, field)
+                assert densify(translate, field) == expected, (field, lq.point)
+                b = p.denominator if field == QQ else 1
+                assert translate.denominator == b * image.denominator
+                assert translate.rows == linalg.transposed(translate.columns, len(translate))
+                scaled.add((b > 1, image.denominator > 1))
+    assert (True, True) in scaled
+
+
+def test_operator_rows_and_columns_densify_alike():
+    for field in (QQ, F32003):
+        for text in CURATED_CORPUS:
+            gb = gb_of(text, field=field)
+            for image in multiplication_matrices(quotient_basis(gb), gb):
+                by_columns = [list(c) for c in zip(*dense_of(image.columns, image.denominator, field))]
+                assert densify(image, field) == by_columns, text
 
 
 def test_local_component_at_non_root_takes_no_matrix_power(monkeypatch):
@@ -740,7 +775,9 @@ def test_factor_builds_each_word_once(monkeypatch, text, point):
     lq = local_component_at(gb_of(text), tuple(map(QQ.from_int, point)))
     calls, scattered = [], artinian._scattered
     monkeypatch.setattr(artinian, "_scattered", lambda *args: calls.append(1) or scattered(*args))
-    rebuilt = artinian._component_at(lq.point, lq.mult_x, lq.mult_y, lq.generator, QQ)
+    rebuilt = artinian._component_at(
+        lq.point, lq.mult_x, lq.mult_y, lq.generator, QQ, lq.x_kernel
+    )
     assert rebuilt == lq
     assert lq.nilpotency_index == 3
     assert len(calls) == len(truncation_monomials(3)) - 1 == 9
@@ -767,7 +804,7 @@ def test_scattered_words_equal_the_mat_vec_words(field):
     for text in (*CURATED_CORPUS, CUBES_AT_ONE_TWO):
         for lq in local_components(gb_of(text, field=field)).components:
             r, words = nilpotency_index(lq.mult_x, lq.mult_y, lq.generator, field)
-            expected = mat_vec_words(lq.mult_x, lq.mult_y, lq.generator, field, r)
+            expected = mat_vec_words(lq.mult_x.rows, lq.mult_y.rows, lq.generator, field, r)
             dense = [[dict(word).get(i, 0) for i in range(len(lq.generator))] for word in words]
             assert dense == expected, (text, field)
             assert all(a for word in words for _, a in word), (text, field)
@@ -775,19 +812,23 @@ def test_scattered_words_equal_the_mat_vec_words(field):
 
 
 def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
-    # every elimination of the generator route, in the split (the local
-    # ideal's kernel) and in generator_count, is recorded; none may be the
-    # stacked translated pair or Nx alone, which the socle route eliminates,
-    # whatever the order of the (column, entry) pairs in a row
+    # every elimination in the split and in generator_count is recorded:
+    # the split eliminates Nx once per x-root, for the socle route, and
+    # otherwise only the local ideal's kernel; generator_count eliminates
+    # neither Nx nor the stacked translated pair, whatever the order of the
+    # (column, entry) pairs in a row; the ladder's x-root -1 carries no
+    # rational factor, so its Nx is never eliminated
     def forbidden(lq):
         raise AssertionError("generator route called socle_dimension")
 
     def rows(matrix):
         return [sorted(row) for row in matrix]
 
-    for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4", "x^2 - 1, y^2 - 1"):
+    ladder_4 = "x^4 - 1, y^4 - 4*x*y^3 + 6*x^2*y^2 - 4*x^3*y + x^4 - x"
+    for text in ("x^2, x*y, y^2", "x^2 - y^3, x*y^2, y^4", "x^2 - 1, y^2 - 1", ladder_4):
         gb = gb_of(text)
-        eliminated = []
+        in_split, in_count = [], []
+        eliminated = in_split
         for name in ("kernel_basis", "rank"):
             original = getattr(artinian, name)
             monkeypatch.setattr(
@@ -797,28 +838,32 @@ def test_generator_route_never_reads_the_socle_kernel(monkeypatch):
             )
         monkeypatch.setattr(artinian, "socle_dimension", forbidden)
         components = local_components(gb).components
+        eliminated = in_count
         for lq in components:
             generator_count(lq)
         monkeypatch.undo()
-        assert components and eliminated, text
-        for lq in components:
-            nil_x, nil_y = rows(lq.mult_x), rows(lq.mult_y)
-            assert all(rows(matrix) != nil_x + nil_y for matrix in eliminated), text
-            assert all(rows(matrix) != nil_x for matrix in eliminated), text
+        assert components and in_count, text
+        x_roots = {lq.point[0] for lq in components}
+        stacked = [rows(lq.mult_x.rows) + rows(lq.mult_y.rows) for lq in components]
+        nil_xs = [rows(lq.mult_x.rows) for lq in components]
+        assert len(in_split) == len(x_roots) + len(components), text
+        assert sum(rows(matrix) in nil_xs for matrix in in_split) == len(x_roots), text
+        for matrix in in_split + in_count:
+            assert rows(matrix) not in stacked, text
+        for matrix in in_count:
+            assert rows(matrix) not in nil_xs, text
 
 
 def test_socle_route_never_reads_the_generator():
     for text in ("x^2, x*y, y^2", "x^2 - 1, y^2 - 1", "x^3 - 2*x, y"):
         for lq in local_components(gb_of(text)).components:
-            blind = copy.copy(lq)  # as built: no generator, nothing cached
-            blind.generator, blind.x_kernel = None, []
+            blind = lq._replace(generator=None, local_ideal=None)  # the generator route's data
             assert socle_dimension(blind) == socle_dimension(lq), text
 
 
 def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):
-    # two x-roots with two factors each: K = ker(Nx) is eliminated twice,
-    # however often the socle is asked for
-    components = local_components(gb_of("x^2 - 1, y^2 - 1")).components
+    # two x-roots with two factors each: K = ker(Nx) is eliminated twice, in
+    # the split, and never again however often the socle is asked for
     eliminated = []
     original = artinian.kernel_basis
     monkeypatch.setattr(
@@ -826,9 +871,19 @@ def test_socle_takes_one_x_kernel_per_x_root(monkeypatch):
         "kernel_basis",
         lambda matrix, width, f: eliminated.append((matrix, width)) or original(matrix, width, f),
     )
+    components = local_components(gb_of("x^2 - 1, y^2 - 1")).components
+    nil_xs = [(components[i].mult_x.rows, 4) for i in (0, 2)]
+    assert sorted(e for e in eliminated if e in nil_xs) == sorted(nil_xs)
+    assert len(eliminated) == 2 + len(components)  # and each factor's local ideal
+    eliminated.clear()
     for _ in range(2):
         assert [socle_dimension(lq) for lq in components] == [1, 1, 1, 1]
-    assert [(components[i].mult_x, 4) for i in (0, 2)] == eliminated
+    assert eliminated == []
+    for a in components:
+        for b in components:
+            assert (a.x_kernel is b.x_kernel) == (a.point[0] == b.point[0])
+        dense = primitive_basis(dense_kernel_basis(densify(a.mult_x, QQ), QQ), QQ)
+        assert a.x_kernel == dense
 
 
 def non_square(field):
@@ -939,6 +994,8 @@ def test_socle_on_the_x_kernel_matches_the_stacked_pair(case, order):
     for a in components:
         for b in components:
             assert (a.x_kernel is b.x_kernel) == (a.point[0] == b.point[0])
+        dense = dense_kernel_basis(densify(a.mult_x, field), field)
+        assert a.x_kernel == primitive_basis(dense, field), (field, a.point)
 
 
 def ladder(k, field):

@@ -1,6 +1,7 @@
-"""Exact linear algebra: the sparse integer rank and kernel against the
-field oracle ``dense_rref``, minimal polynomials, and the packed Krylov kernel
-mod p against the oracle ``vector_minimal_polynomial``."""
+"""Exact linear algebra: the sparse transpose and the integer image's two
+views, the sparse integer rank and kernel against the field oracle
+``dense_rref``, minimal polynomials, and the packed Krylov kernel mod p
+against the oracle ``vector_minimal_polynomial``."""
 
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -8,8 +9,10 @@ from math import gcd, lcm
 
 import pytest
 from conftest import (
+    columns_of,
     dense_kernel_basis,
     dense_mat_vec,
+    dense_of,
     dense_rref,
     is_zero_matrix,
     mat_sub,
@@ -18,10 +21,11 @@ from conftest import (
     sparse,
     vector_minimal_polynomial,
 )
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from punctual.fields import PrimeField, QQ
 from punctual.linalg import (
+    IntegerImage,
     identity,
     kernel_basis,
     krylov_dependence,
@@ -31,6 +35,7 @@ from punctual.linalg import (
     minimal_polynomial,
     rank,
     rref,
+    transposed,
 )
 
 F101 = PrimeField(101)
@@ -184,11 +189,65 @@ def test_mat_vec_matches_mat_mul(entries, vector):
         assert mat_vec(rows, vector, field) == [row[0] for row in column]
 
 
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Sparse rows, (column, entry) pairs without zeros in a drawn order,
+    of a matrix of 1..6 rows and 1..6 columns (square if asked), and its
+    width; empty rows and columns are common."""
+    height = draw(st.integers(1, 6))
+    width = height if square else draw(st.integers(1, 6))
+    rows = []
+    for _ in range(height):
+        columns = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+        rows.append([(j, draw(st.integers(-9, 9).filter(bool))) for j in columns])
+    return rows, width
+
+
+def dense_transpose(matrix):
+    return [list(column) for column in zip(*matrix)]
+
+
+@given(sparse_matrices())
+@example(([[]], 1))
+@example(([[(0, -4)]], 1))
+@example(([[], [(3, 2), (1, 5)], []], 4))
+@settings(max_examples=200, deadline=None)
+def test_transposed_round_trips(case):
+    rows, width = case
+    columns = transposed(rows, width)
+    assert len(columns) == width
+    assert transposed(columns, len(rows)) == [sorted(row) for row in rows]
+    dense = [[dict(row).get(j, 0) for j in range(width)] for row in rows]
+    by_columns = [[dict(column).get(i, 0) for i in range(len(rows))] for column in columns]
+    assert by_columns == dense_transpose(dense)
+
+
+@given(sparse_matrices(square=True), st.integers(1, 6), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_integer_image_views_densify_alike(case, denominator, rng):
+    columns, _ = case
+    image = IntegerImage(denominator, columns)
+    for field in (QQ, F101):
+        as_rows = dense_of(image.rows, denominator, field)
+        assert as_rows == dense_transpose(dense_of(image.columns, denominator, field))
+    # equality reads D and the derived rows: not the order of the pairs
+    # inside a column, nor the packed cache
+    shuffled = [rng.sample(column, len(column)) for column in columns]
+    krylov_dependence(image.columns, [1] * len(image), 101, image.packed)
+    assert image.packed and IntegerImage(denominator, shuffled) == image
+    assert IntegerImage(denominator + 1, columns) != image
+
+
+def test_integer_images_compare_whatever_the_order_inside_a_column():
+    # [[1/2, 3/2], [5/2, 0]] by columns, the first one's pairs in both orders
+    image = IntegerImage(2, [[(0, 1), (1, 5)], [(0, 3)]])
+    assert image.rows == [[(0, 1), (1, 3)], [(0, 5)]]
+    assert IntegerImage(2, [[(1, 5), (0, 1)], [(0, 3)]]) == image
+    assert IntegerImage(2, [[(0, 1)], [(0, 3), (1, 5)]]) != image
+    assert len(image) == 2
+
+
 KRYLOV_PRIMES = [2, 3, 32003, 2**31 - 1]
-
-
-def entries_of(matrix):
-    return [a for row in matrix for a in row]
 
 
 def krylov_oracle(matrix, vector, p):
@@ -219,7 +278,7 @@ def krylov_cases(draw):
 @settings(max_examples=120, deadline=None)
 def test_krylov_dependence_matches_the_oracle(case):
     p, matrix, vector = case
-    coeffs, space = krylov_dependence(entries_of(matrix), vector, p)
+    coeffs, space = krylov_dependence(columns_of(matrix), vector, p)
     assert coeffs == krylov_oracle(matrix, vector, p)
     # the kept space: r_k = q_k(A)v mod p and the monic q_k of degree k, up to 0 and f
     n, field = len(vector), PrimeField(p)
@@ -241,7 +300,7 @@ def test_krylov_dependence_on_dense_operators_at_the_widest_slots():
         matrix[0][0] = 1
         vector = [p - 1 - i for i in range(n)]
         expected = krylov_oracle(matrix, vector, p)
-        assert krylov_dependence(entries_of(matrix), vector, p)[0] == expected
+        assert krylov_dependence(columns_of(matrix), vector, p)[0] == expected
 
 
 def companion(coeffs):
@@ -256,16 +315,16 @@ def test_krylov_dependence_edge_cases():
         for n in (1, 2, 7, 40):
             e0, shift = [1] + [0] * (n - 1), companion([0] * n + [1])
             # the zero vector: f = 1
-            assert krylov_dependence(entries_of(shift), [0] * n, p)[0] == [1]
+            assert krylov_dependence(columns_of(shift), [0] * n, p)[0] == [1]
             # a nilpotent shift from its cyclic vector: t^n
-            assert krylov_dependence(entries_of(shift), e0, p)[0] == [0] * n + [1]
+            assert krylov_dependence(columns_of(shift), e0, p)[0] == [0] * n + [1]
             # a dependence only at degree n, with every coefficient nonzero
             coeffs = [(3 * i + 1) % p or 1 for i in range(n)] + [1]
-            assert krylov_dependence(entries_of(companion(coeffs)), e0, p)[0] == coeffs
+            assert krylov_dependence(columns_of(companion(coeffs)), e0, p)[0] == coeffs
             # the identity: t - 1 on any nonzero vector
             eye = [[int(i == j) for j in range(n)] for i in range(n)]
             for vector in (e0, [1] * n, [p - 1 - i for i in range(n)]):
-                assert krylov_dependence(entries_of(eye), vector, p)[0] == [p - 1, 1]
+                assert krylov_dependence(columns_of(eye), vector, p)[0] == [p - 1, 1]
 
 
 def test_krylov_dependence_with_three_words_per_slot():
@@ -273,9 +332,9 @@ def test_krylov_dependence_with_three_words_per_slot():
     p, n = 2**61 - 1, 40
     coeffs = [p - 1 - 3 * i for i in range(n)] + [1]
     e0 = [1] + [0] * (n - 1)
-    assert krylov_dependence(entries_of(companion(coeffs)), e0, p)[0] == coeffs
+    assert krylov_dependence(columns_of(companion(coeffs)), e0, p)[0] == coeffs
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert krylov_dependence(entries_of(eye), [p - 1 - i for i in range(n)], p)[0] == [p - 1, 1]
+    assert krylov_dependence(columns_of(eye), [p - 1 - i for i in range(n)], p)[0] == [p - 1, 1]
 
 
 ELIMINATION_FIELDS = [QQ] + [PrimeField(p) for p in (2, 7, 32003, 2**31 - 1)]

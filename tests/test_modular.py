@@ -59,9 +59,9 @@ def force_source(monkeypatch, primes):
     used = []
     krylov = univariate.krylov_dependence
 
-    def recording(entries, vector, p, packed=None):
+    def recording(columns, vector, p, packed=None):
         used.append(p)
-        return krylov(entries, vector, p, packed)
+        return krylov(columns, vector, p, packed)
 
     monkeypatch.setattr(univariate, "krylov_dependence", recording)
     return used
@@ -329,7 +329,7 @@ def test_a_certificate_that_never_accepts_ends_the_minimal_polynomial_lift():
 import time
 import punctual.univariate as u
 u.krylov_image = lambda coeffs, image, vector, space, field: [1]  # f(M)v is never zero
-image = u.IntegerImage(3, [[(0, 1), (1, 6)], [(1, 15)]], [1, 6, 0, 15])  # [[1/3, 2], [0, 5]]
+image = u.IntegerImage(3, [[(0, 1)], [(0, 6), (1, 15)]])  # [[1/3, 2], [0, 5]], by columns
 start = time.perf_counter()
 try:
     u.rational_minimal_polynomial(image, [1, 1])

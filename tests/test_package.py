@@ -22,6 +22,7 @@ from punctual.artinian import (
 from punctual.errors import ConfigError
 from punctual.fields import QQ
 from punctual.groebner import buchberger
+from punctual.linalg import krylov_dependence
 from punctual.poly import ALL_ORDERS, DEFAULT_ORDER, MonomialOrder, parse_generators
 from punctual.staircase import Partition, corners
 from punctual.verify import SamplerConfig, check_socle_identity, socle_census
@@ -280,14 +281,14 @@ def test_cached_records_compare_without_their_caches():
     gb = buchberger(parse_generators("x^2, x*y, y^2", QQ), DEFAULT_ORDER)
     qb = quotient_basis(gb)
     pair, again = multiplication_matrices(qb, gb), multiplication_matrices(qb, gb)
-    pair.on_x.packed_columns(32003)
-    assert pair.on_x.columns and not again.on_x.columns and pair == again
+    krylov_dependence(pair.on_x.columns, [1] * len(qb), 32003, pair.on_x.packed)
+    assert pair.on_x.packed[32003] and not again.on_x.packed and pair == again
+    # a LocalQuotient is built complete and compares by every field
     (lq,) = local_components(gb).components
-    socle_dimension(lq)
     other = local_component_at(gb, (QQ.zero(), QQ.zero()))
-    assert lq.x_kernel and not other.x_kernel and lq == other
-    other.generator = None
-    assert lq != other
+    assert lq.x_kernel and lq == other and socle_dimension(lq) == 2
+    for name in lq._fields:
+        assert lq != other._replace(**{name: None}), name
     for record in (lq, pair.on_x):
         with pytest.raises(TypeError):
             hash(record)

@@ -5,7 +5,7 @@ reduced ints over Fp, ints over QQ."""
 
 from fractions import Fraction
 
-from conftest import evaluate, mat_sub, monic, sparse, vector_minimal_polynomial
+from conftest import columns_of, evaluate, mat_sub, monic, sparse, vector_minimal_polynomial
 from hypothesis import given, settings, strategies as st
 
 from punctual.artinian import local_components, multiplication_matrices, quotient_basis
@@ -90,11 +90,14 @@ def test_engine_stores_reduced_values(case, order, data):
     assert_reduced(normal_form(g, gb.generators, order).terms.values(), field, "normal form")
     pair = multiplication_matrices(quotient_basis(gb), gb)
     for image in (pair.on_x, pair.on_y):
-        assert_integral(image.entries + [a for row in image.rows for _, a in row], field, "image")
+        columns = [a for column in image.columns for _, a in column]
+        assert_integral(columns + [a for row in image.rows for _, a in row], field, "image")
         assert image.denominator >= 1 and (field == QQ or image.denominator == 1)
     for lq in local_components(gb).components:
         assert_reduced(lq.point, field, "point")
-        operators = [a for row in lq.mult_x + lq.mult_y for _, a in row]
+        operators = [
+            a for nil in (lq.mult_x, lq.mult_y) for row in nil.rows + nil.columns for _, a in row
+        ]
         assert_integral(operators, field, "local factor")
         assert_integral(lq.generator, field, "local generator")
         assert_integral(entries(lq.local_ideal), field, "local ideal")
@@ -131,6 +134,5 @@ def test_linear_algebra_returns_reduced_values(case, data):
         coeffs = vector_minimal_polynomial(square, vector, field)
         assert_reduced(coeffs, field, "vector_minimal_polynomial")
         if field.characteristic:
-            flat = [a for row in square for a in row]
-            coeffs, _ = krylov_dependence(flat, vector, field.p)
+            coeffs, _ = krylov_dependence(columns_of(square), vector, field.p)
             assert_reduced(coeffs, field, "krylov_dependence")
